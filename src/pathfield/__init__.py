@@ -20,15 +20,7 @@ from .paths import (
     sample_boundary_point,
     sample_scattered,
 )
-from .sensing import (
-    MatrixKind,
-    SensingMatrix,
-    averaged_row,
-    build_matrix,
-    point_row,
-    point_rows,
-    unaware_locations,
-)
+from .sensing import SensingMatrix, build_matrix, point_rows, unaware_locations
 from .estimation import (
     EstimateReport,
     Measurement,

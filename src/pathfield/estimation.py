@@ -1,17 +1,21 @@
 """Least-squares field recovery and sensing-matrix conditioning.
 
 The coefficient estimate is the least-squares solution of X a = g, i.e.
-(X*X)^-1 X* g in exact arithmetic, computed here through an orthogonal
-factorization for numerical stability. Conditioning is the singular-value
-ratio sigma_max/sigma_min, evaluated from the eigenvalues of the n x n Gram
-matrix X*X, which is cheaper than an SVD of the full m x n matrix.
+(X*X)^-1 X* g in exact arithmetic, computed here by one SVD-based `lstsq`
+call; its singular values give the condition number sigma_max/sigma_min and
+the singularity verdict. `condition_number` alone, for sweeps that skip the
+solve, evaluates the same ratio from the eigenvalues of the n x n Gram matrix
+X*X, which is cheaper than an SVD of the full m x n matrix. Both apply one
+singularity rule, SINGULAR_RATIO. The field RMSE over the unit square equals
+the coefficient error norm by Parseval's identity.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field import BandlimitedField, fourier_sum
+from .field import BandlimitedField
 from .paths import SamplePath, SchemeConfig, POINT_SCHEMES
 from .sensing import SensingMatrix
 
@@ -19,21 +23,17 @@ __all__ = [
     "Measurement",
     "EstimateReport",
     "SingularSystemError",
-    "REPORT_HEADER",
     "measure",
     "estimate_coefficients",
     "condition_number",
     "reconstruct_and_score",
-    "report_row",
 ]
 
-# Gram eigenvalue ratio below this is reported as an infinite condition
-# number; such draws are excluded from sweep averages.
-SINGULAR_EIG_RATIO = 1e-14
-# Relative singular-value cutoff for refusing a least-squares solve.
-SINGULAR_SV_RATIO = 1e-10
-# Side of the uniform grid used for field RMSE scoring.
-SCORE_GRID = 64
+# A matrix whose sigma_min/sigma_max falls below this is numerically
+# singular: its condition number is reported as inf and a solve refuses it;
+# such draws are excluded from sweep averages. The Gram route squares the
+# ratio, and 1e-7 squared stays well above its eps-level accuracy.
+SINGULAR_RATIO = 1e-7
 
 
 class SingularSystemError(RuntimeError):
@@ -67,23 +67,17 @@ def measure(field: BandlimitedField, paths: list[SamplePath],
 
     Point schemes yield one value per sample; averaging schemes add noise to
     every raw reading first and then average per path, which is what shrinks
-    the noise variance by the per-path sample count.
+    the noise variance by the per-path sample count. Noise is drawn once for
+    all readings, in path order.
     """
     sigma = config.noise_sigma
-    if config.scheme in POINT_SCHEMES:
-        pts = np.vstack([sp.points for sp in paths])
-        values = field.evaluate(pts[:, 0], pts[:, 1])
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        if sigma > 0:
-            values = values + rng.normal(0.0, sigma, size=values.shape)
-        return Measurement(values=values, noise_sigma=sigma)
-
-    values = np.empty(len(paths))
-    for i, sp in enumerate(paths):
-        readings = np.atleast_1d(field.evaluate(sp.points[:, 0], sp.points[:, 1]))
-        if sigma > 0:
-            readings = readings + rng.normal(0.0, sigma, size=readings.shape)
-        values[i] = readings.mean()
+    pts = np.vstack([sp.points for sp in paths])
+    values = field.evaluate(pts[:, 0], pts[:, 1])
+    if sigma > 0:
+        values = values + rng.normal(0.0, sigma, size=values.shape)
+    if config.scheme not in POINT_SCHEMES:
+        counts = np.array([len(sp) for sp in paths])
+        values = np.add.reduceat(values, np.cumsum(counts) - counts) / counts
     return Measurement(values=values, noise_sigma=sigma)
 
 
@@ -93,13 +87,13 @@ def _as_array(X) -> np.ndarray:
     return np.asarray(X, dtype=complex)
 
 
-def estimate_coefficients(X, g) -> np.ndarray:
-    """Least-squares coefficient estimate for measurements g.
+def _checked_condition(kappa: float) -> float:
+    """kappa = sigma_max/sigma_min, or inf when 1/kappa is below SINGULAR_RATIO."""
+    return kappa if kappa * SINGULAR_RATIO <= 1.0 else math.inf
 
-    Requires at least as many rows as columns and a numerically full-rank
-    matrix; raises SingularSystemError when the smallest singular value
-    drops below SINGULAR_SV_RATIO times the largest.
-    """
+
+def _solve(X, g) -> tuple[np.ndarray, float]:
+    """Least-squares solution and the matrix's condition number, from one SVD."""
     A = _as_array(X)
     values = g.values if isinstance(g, Measurement) else np.asarray(g)
     values = values.ravel()
@@ -109,19 +103,30 @@ def estimate_coefficients(X, g) -> np.ndarray:
     if len(values) != m:
         raise ValueError(f"got {len(values)} measurements for {m} matrix rows")
     solution, _, _, sv = np.linalg.lstsq(A, values.astype(complex), rcond=None)
-    if sv[0] == 0.0 or sv[-1] < SINGULAR_SV_RATIO * sv[0]:
+    kappa = _checked_condition(sv[0] / sv[-1] if sv[-1] > 0 else math.inf)
+    if math.isinf(kappa):
         raise SingularSystemError(
             f"sensing matrix is numerically singular (sv ratio {sv[-1] / sv[0]:.2e})"
             if sv[0] > 0 else "sensing matrix is zero"
         )
-    return solution
+    return solution, kappa
+
+
+def estimate_coefficients(X, g) -> np.ndarray:
+    """Least-squares coefficient estimate for measurements g.
+
+    Requires at least as many rows as columns and a numerically full-rank
+    matrix; raises SingularSystemError when the smallest singular value
+    drops below SINGULAR_RATIO times the largest.
+    """
+    return _solve(X, g)[0]
 
 
 def condition_number(X) -> float:
     """sigma_max/sigma_min of the matrix, from the Gram matrix eigenvalues.
 
-    Returns inf when the smallest eigenvalue falls below SINGULAR_EIG_RATIO
-    times the largest (numerically singular draw).
+    Returns inf when sigma_min/sigma_max falls below SINGULAR_RATIO
+    (numerically singular draw).
     """
     A = _as_array(X)
     if A.size == 0 or not np.any(A):
@@ -130,42 +135,22 @@ def condition_number(X) -> float:
     eigenvalues = np.linalg.eigvalsh(gram)
     lam_max = float(eigenvalues[-1])
     lam_min = float(eigenvalues[0])
-    if lam_min <= 0.0 or lam_min < SINGULAR_EIG_RATIO * lam_max:
-        return float("inf")
-    return float(np.sqrt(lam_max / lam_min))
+    return _checked_condition(math.sqrt(lam_max / lam_min) if lam_min > 0.0 else math.inf)
 
 
 def reconstruct_and_score(field: BandlimitedField, X, g) -> EstimateReport:
-    """Recover coefficients and score them against the true field."""
-    estimate = estimate_coefficients(X, g)
+    """Recover coefficients and score them against the true field.
+
+    The harmonics are orthonormal on the unit square, so the field's RMSE
+    there is exactly the coefficient error norm (Parseval).
+    """
+    estimate, kappa = _solve(X, g)
     size = 2 * field.b + 1
     truth = field.vector()
-    rel_error = float(np.linalg.norm(estimate - truth) / np.linalg.norm(truth))
-
-    axis = np.arange(SCORE_GRID) / SCORE_GRID
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    true_values = field.evaluate(gx, gy)
-    est_values = fourier_sum(estimate.reshape(size, size), gx, gy).real
-    rmse = float(np.sqrt(np.mean((est_values - true_values) ** 2)))
-
+    error = float(np.linalg.norm(estimate - truth))
     return EstimateReport(
         coeff_estimate=estimate.reshape(size, size),
-        condition_number=condition_number(X),
-        coeff_rel_error=rel_error,
-        field_rmse=rmse,
+        condition_number=kappa,
+        coeff_rel_error=error / float(np.linalg.norm(truth)),
+        field_rmse=error,
     )
-
-
-REPORT_HEADER = ["scheme", "b", "m", "gamma", "aware", "noise_sigma",
-                 "cond", "rel_err", "rmse", "seed"]
-
-
-def report_row(config: SchemeConfig, report: EstimateReport) -> list:
-    """One CSV row pairing a reconstruction report with its trial parameters."""
-    return [
-        config.scheme.value, config.b, config.m, repr(float(config.gamma)),
-        "true" if config.location_aware else "false",
-        repr(float(config.noise_sigma)), repr(float(report.condition_number)),
-        repr(float(report.coeff_rel_error)), repr(float(report.field_rmse)),
-        config.seed,
-    ]

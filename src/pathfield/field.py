@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BandlimitedField", "generate_random_field", "harmonics", "fourier_sum"]
+__all__ = ["BandlimitedField", "generate_random_field", "harmonics", "phasors", "fourier_sum"]
 
 
 def harmonics(b: int) -> np.ndarray:
@@ -30,6 +30,17 @@ def harmonics(b: int) -> np.ndarray:
     k = np.arange(-b, b + 1)
     kk, ll = np.meshgrid(k, k, indexing="ij")
     return np.column_stack([kk.ravel(), ll.ravel()])
+
+
+def phasors(t, b: int) -> np.ndarray:
+    """Per-axis phasor table exp(j 2 pi t k) for k = -b..b, shape t.shape + (2b+1,).
+
+    Every Fourier evaluation in the package is built from this table: a 2-D
+    phasor exp(j 2 pi (k x + l y)) is the product of the x table's k entry and
+    the y table's l entry.
+    """
+    k = np.arange(-b, b + 1)
+    return np.exp(2j * np.pi * np.multiply.outer(np.asarray(t, dtype=float), k))
 
 
 def fourier_sum(coeffs: np.ndarray, x, y):
@@ -48,10 +59,7 @@ def fourier_sum(coeffs: np.ndarray, x, y):
     shape = np.broadcast_shapes(x.shape, y.shape)
     xf = np.broadcast_to(x, shape).ravel()
     yf = np.broadcast_to(y, shape).ravel()
-    k = np.arange(-b, b + 1)
-    ex = np.exp(2j * np.pi * np.outer(xf, k))
-    ey = np.exp(2j * np.pi * np.outer(yf, k))
-    vals = np.einsum("pk,kl,pl->p", ex, coeffs, ey)
+    vals = np.einsum("pk,kl,pl->p", phasors(xf, b), coeffs, phasors(yf, b))
     if shape == ():
         return complex(vals[0])
     return vals.reshape(shape)
@@ -88,10 +96,7 @@ class BandlimitedField:
 
     def evaluate(self, x, y):
         """Real field value g(x, y); scalars or broadcastable arrays."""
-        out = fourier_sum(self.coeffs, x, y)
-        if isinstance(out, complex):
-            return out.real
-        return out.real
+        return fourier_sum(self.coeffs, x, y).real
 
     def evaluate_complex(self, x, y):
         """Full complex series sum, for checking the imaginary residual."""

@@ -1,19 +1,24 @@
 """Complex sensing matrices mapping Fourier coefficients to measurements.
 
 A point sample at (x, y) contributes the phasor row
-exp(j 2 pi (k x + l y)) over all (k, l) harmonics; a path that averages its
-readings contributes the mean of its points' phasor rows. Location-unaware
-variants replace the true sample positions with p equispaced points between
-the declared endpoints, or with the hive center for bee-and-hive loops.
+exp(j 2 pi (k x + l y)) over all (k, l) harmonics, built as the outer product
+of the per-axis tables exp(j 2 pi x k) and exp(j 2 pi y l). A path that
+averages its readings contributes the mean of its locations' phasor rows.
+
+The matrix follows one location rule and one row rule. Locations are the
+sample points when the reconstruction is location-aware; location-unaware
+variants replace them with p equispaced points between the declared endpoints
+(a single reading is pinned to the first endpoint), or with the hive center
+for bee-and-hive loops. Point schemes then get one row per location, and
+every other scheme one mean row per path.
 """
 
 import csv
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .field import harmonics
+from .field import phasors
 from .paths import (
     ConfigurationError,
     SamplePath,
@@ -24,41 +29,29 @@ from .paths import (
 )
 
 __all__ = [
-    "MatrixKind",
     "SensingMatrix",
-    "point_row",
     "point_rows",
-    "averaged_row",
     "unaware_locations",
     "build_matrix",
 ]
 
 
-class MatrixKind(Enum):
-    POINT_EXACT = "point_exact"
-    PATH_AVERAGED = "path_averaged"
-    POINT_UNAWARE = "point_unaware"
-    AVERAGED_UNAWARE = "averaged_unaware"
-    HIVE_UNAWARE = "hive_unaware"
-
-
 @dataclass
 class SensingMatrix:
-    """m x n complex matrix of phasors (or phasor means) plus column layout."""
+    """m x n complex matrix of phasors (or phasor means) for bandwidth b.
+
+    Columns follow the ``harmonics(b)`` ordering, so they line up with
+    ``BandlimitedField.vector()``.
+    """
 
     entries: np.ndarray
-    column_index: np.ndarray
-    kind: MatrixKind
     b: int
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
-        self.column_index = np.asarray(self.column_index, dtype=int)
         n = (2 * self.b + 1) ** 2
         if self.entries.ndim != 2 or self.entries.shape[1] != n:
             raise ValueError(f"expected {n} columns for b={self.b}, got shape {self.entries.shape}")
-        if self.column_index.shape != (n, 2):
-            raise ValueError("column_index must list one (k, l) pair per column")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -78,20 +71,8 @@ class SensingMatrix:
 def point_rows(points, b: int) -> np.ndarray:
     """Phasor rows exp(j 2 pi (k x + l y)) for points of shape (m, 2)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    kl = harmonics(b).astype(float)
-    return np.exp(2j * np.pi * (pts @ kl.T))
-
-
-def point_row(pt, b: int) -> np.ndarray:
-    """Single phasor row for one sampling location."""
-    return point_rows(np.asarray(pt, dtype=float)[None, :], b)[0]
-
-
-def averaged_row(path: SamplePath, b: int) -> np.ndarray:
-    """Mean phasor row over all points of a path (its accumulator reading)."""
-    if len(path.points) == 0:
-        raise ValueError("cannot average an empty path")
-    return point_rows(path.points, b).mean(axis=0)
+    rows = phasors(pts[:, 0], b)[:, :, None] * phasors(pts[:, 1], b)[:, None, :]
+    return rows.reshape(len(pts), -1)
 
 
 def unaware_locations(b1, b2, p: int) -> np.ndarray:
@@ -105,67 +86,45 @@ def unaware_locations(b1, b2, p: int) -> np.ndarray:
     return np.linspace(np.asarray(b1, dtype=float), np.asarray(b2, dtype=float), p)
 
 
-def _declared_endpoints(path: SamplePath) -> tuple:
+def _unaware_points(path: SamplePath, scheme: Scheme) -> np.ndarray:
+    """The locations a location-unaware reconstruction assumes for one path."""
+    if scheme is Scheme.BEE_HIVE:
+        if path.hive is None:
+            raise ConfigurationError("bee-and-hive paths must carry their hive center")
+        return np.asarray(path.hive, dtype=float)[None, :]
     if path.endpoints is None:
-        raise ConfigurationError(
-            "location-unaware mode needs declared path endpoints"
-        )
-    return path.endpoints
-
-
-def _unaware_path_points(path: SamplePath) -> np.ndarray:
-    b1, b2 = _declared_endpoints(path)
-    p = len(path.points)
-    if p == 1:
+        raise ConfigurationError("location-unaware mode needs declared path endpoints")
+    b1, b2 = path.endpoints
+    if len(path) == 1:
         # Equispacing needs two samples; a single reading is pinned to b1.
         return np.asarray(b1, dtype=float)[None, :]
-    return unaware_locations(b1, b2, p)
+    return unaware_locations(b1, b2, len(path))
 
 
 def build_matrix(paths: list[SamplePath], config: SchemeConfig) -> SensingMatrix:
     """Assemble the sensing matrix for one cell's paths.
 
-    Location-aware: one row per sample point for point schemes, one averaged
-    row per path for the rest. Location-unaware: rows use the equispaced
-    endpoint interpolation (line schemes) or the hive center (bee-and-hive);
-    schemes without a defined unaware variant are rejected.
+    Rows are point phasors at every location for point schemes and one mean
+    phasor row per path for the rest. Locations are the sample points, or
+    their location-unaware stand-ins; schemes without a defined unaware
+    variant are rejected.
     """
     if not paths:
         raise ValueError("no paths to build a matrix from")
     b = config.b
     scheme = config.scheme
-    cols = harmonics(b)
-
     if config.location_aware:
-        if scheme in POINT_SCHEMES:
-            entries = point_rows(np.vstack([sp.points for sp in paths]), b)
-            kind = MatrixKind.POINT_EXACT
-        else:
-            entries = np.vstack([averaged_row(sp, b) for sp in paths])
-            kind = MatrixKind.PATH_AVERAGED
-        return SensingMatrix(entries=entries, column_index=cols, kind=kind, b=b)
-
-    if scheme not in UNAWARE_SCHEMES:
+        locations = [sp.points for sp in paths]
+    elif scheme in UNAWARE_SCHEMES:
+        locations = [_unaware_points(sp, scheme) for sp in paths]
+    else:
         raise ConfigurationError(
             f"scheme {scheme} has no location-unaware variant; "
             f"supported: {sorted(s.value for s in UNAWARE_SCHEMES)}"
         )
-    if scheme is Scheme.LINE_BOUNDARY_POINTS:
-        entries = point_rows(
-            np.vstack([_unaware_path_points(sp) for sp in paths]), b
-        )
-        kind = MatrixKind.POINT_UNAWARE
-    elif scheme in (Scheme.LINE_BOUNDARY_AVG, Scheme.LINE_INNER_AVG):
-        entries = np.vstack(
-            [point_rows(_unaware_path_points(sp), b).mean(axis=0) for sp in paths]
-        )
-        kind = MatrixKind.AVERAGED_UNAWARE
-    else:  # BEE_HIVE: the walk averages out around its center
-        hives = []
-        for sp in paths:
-            if sp.hive is None:
-                raise ConfigurationError("bee-and-hive paths must carry their hive center")
-            hives.append(sp.hive)
-        entries = point_rows(np.asarray(hives, dtype=float), b)
-        kind = MatrixKind.HIVE_UNAWARE
-    return SensingMatrix(entries=entries, column_index=cols, kind=kind, b=b)
+    if scheme in POINT_SCHEMES:
+        entries = point_rows(np.vstack(locations), b)
+    else:
+        # Row by row: an (all points x n) array would not fit at b=10, small gamma.
+        entries = np.vstack([point_rows(loc, b).mean(axis=0) for loc in locations])
+    return SensingMatrix(entries=entries, b=b)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .estimation import SingularSystemError, condition_number, measure, reconstruct_and_score
 from .field import generate_random_field
@@ -326,10 +325,27 @@ def _fit_bound_constant(m_values, n, conds) -> tuple[float, list]:
         bound = (roots + h * root_n) / (roots - h * root_n)
         return float(np.sum((bound - conds) ** 2))
 
-    res = minimize_scalar(loss, bounds=(0.0, h_max), method="bounded")
-    h = float(res.x)
+    h = _golden_section_min(loss, 0.0, h_max)
     curve = ((roots + h * root_n) / (roots - h * root_n)).tolist()
     return h, curve
+
+
+def _golden_section_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+    """Minimiser of a unimodal f on [lo, hi], to within tol."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return (a + b) / 2.0
 
 
 def check_bound_trend(result: SweepResult) -> TrendReport:

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from pathfield.estimation import (
-    REPORT_HEADER,
     Measurement,
     SingularSystemError,
     condition_number,
     estimate_coefficients,
     measure,
     reconstruct_and_score,
-    report_row,
 )
-from pathfield.field import BandlimitedField, generate_random_field
-from pathfield.paths import SamplePath, Scheme, SchemeConfig, generate_paths
+from pathfield.field import BandlimitedField, fourier_sum, generate_random_field
+from pathfield.paths import POINT_SCHEMES, SamplePath, Scheme, SchemeConfig, generate_paths
 from pathfield.sensing import build_matrix, point_rows
 
 
@@ -74,6 +72,32 @@ def test_path_averaging_shrinks_noise_variance():
     draws = np.array([measure(fld, [path], config, rng).values[0] for _ in range(10_000)])
     expected = sigma ** 2 / p
     assert abs(draws.var() - expected) < 0.1 * expected
+
+
+def loop_measure(fld, paths, config, rng):
+    """Reference: evaluate, add noise and average path by path."""
+    sigma = config.noise_sigma
+    per_path = []
+    for sp in paths:
+        readings = np.atleast_1d(fld.evaluate(sp.points[:, 0], sp.points[:, 1]))
+        if sigma > 0:
+            readings = readings + rng.normal(0.0, sigma, size=readings.shape)
+        per_path.append(readings if config.scheme in POINT_SCHEMES else [readings.mean()])
+    return np.concatenate(per_path)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_measure_matches_per_path_loop_and_rng_stream(scheme):
+    fld = generate_random_field(2, np.random.default_rng(23))
+    config = SchemeConfig(scheme=scheme, m=12, b=2, gamma=0.08, p=9,
+                          noise_sigma=0.05, seed=24)
+    paths = generate_paths(config)
+    rng, ref_rng = np.random.default_rng(25), np.random.default_rng(25)
+    meas = measure(fld, paths, config, rng)
+    expected = loop_measure(fld, paths, config, ref_rng)
+    assert meas.values.shape == expected.shape
+    assert np.abs(meas.values - expected).max() <= 1e-12
+    assert rng.random() == ref_rng.random()
 
 
 # --------------------------------------------------------------- estimation
@@ -152,6 +176,15 @@ def test_condition_number_sentinel_for_singular():
     assert condition_number(X) == np.inf
 
 
+def test_one_singularity_rule_for_condition_and_solve():
+    # sigma ratio 1e-8 lies below the 1e-7 rule on both routes
+    X = np.diag([1.0, 1e-8])
+    assert condition_number(X) == np.inf
+    with pytest.raises(SingularSystemError):
+        estimate_coefficients(X, np.ones(2))
+    assert condition_number(np.diag([1.0, 1e-6])) == pytest.approx(1e6, rel=1e-9)
+
+
 def test_condition_number_rejects_zero_matrix():
     with pytest.raises(ValueError):
         condition_number(np.zeros((4, 4)))
@@ -190,6 +223,21 @@ def test_noisy_reconstruction_has_positive_rmse():
     report = reconstruct_and_score(fld, X, meas)
     assert report.field_rmse > 0.0
     assert report.coeff_rel_error > 0.0
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SCATTERED, Scheme.DIRECTED_INNER])
+def test_field_rmse_matches_grid_rmse(scheme):
+    """Parseval oracle: the RMSE over a 64 x 64 grid, exact for b < 32."""
+    rng = np.random.default_rng(26)
+    fld = generate_random_field(3, rng)
+    config = SchemeConfig(scheme=scheme, m=120, b=3, gamma=0.05, noise_sigma=0.05, seed=27)
+    paths = generate_paths(config, rng)
+    report = reconstruct_and_score(fld, build_matrix(paths, config), measure(fld, paths, config, rng))
+    axis = np.arange(64) / 64
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    gap = fourier_sum(report.coeff_estimate, gx, gy).real - fld.evaluate(gx, gy)
+    grid_rmse = np.sqrt(np.mean(gap ** 2))
+    assert report.field_rmse == pytest.approx(grid_rmse, rel=1e-10)
 
 
 def test_noise_error_scales_with_pseudoinverse_norm():
@@ -234,19 +282,3 @@ def test_measurement_wrapper_normalizes_shape():
     meas = Measurement(values=[[1.0, 2.0], [3.0, 4.0]])
     assert meas.values.shape == (4,)
 
-
-def test_report_row_matches_header():
-    rng = np.random.default_rng(30)
-    fld = generate_random_field(1, rng)
-    config = SchemeConfig(scheme=Scheme.BEE_HIVE, m=30, b=1, gamma=0.05, p=8,
-                          noise_sigma=0.01, seed=31)
-    paths = generate_paths(config, rng)
-    X = build_matrix(paths, config)
-    meas = measure(fld, paths, config, rng)
-    report = reconstruct_and_score(fld, X, meas)
-    row = report_row(config, report)
-    assert len(row) == len(REPORT_HEADER)
-    assert row[0] == "bee_hive"
-    assert row[4] == "true"
-    assert float(row[6]) == report.condition_number
-    assert row[-1] == 31

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pathfield
 from pathfield.paths import ConfigurationError, Scheme
 from pathfield.sweep import (
     CellResult,
@@ -254,6 +259,14 @@ def test_trend_bound_fit_recovers_known_constant():
     group = check_bound_trend(result).groups[0]
     assert group.fitted_h == pytest.approx(h_true, abs=1e-4)
     assert np.allclose(group.bound_curve, conds, atol=1e-4)
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, pathfield; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(pathfield.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------------ ranking
