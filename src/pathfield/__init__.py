@@ -23,7 +23,6 @@ from .paths import (
 from .sensing import SensingMatrix, build_matrix, point_rows, unaware_locations
 from .estimation import (
     EstimateReport,
-    Measurement,
     SingularSystemError,
     condition_number,
     estimate_coefficients,

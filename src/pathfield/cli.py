@@ -6,52 +6,27 @@ All file outputs land under the --out directory.
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .paths import (
-    ConfigurationError,
-    Scheme,
-    SchemeConfig,
-    generate_paths,
-    paths_to_csv,
-)
-from .sweep import SweepResult, SweepSpec, rank_schemes, run_sweep
+from .paths import ConfigurationError, SchemeConfig, generate_paths, paths_to_csv
+from .sweep import SCHEME_NAMES, SweepResult, SweepSpec, parse_schemes, rank_schemes, run_sweep
 from .svgplot import condition_svg, trajectory_svg
-
-SCHEME_NAMES = [s.value for s in Scheme]
 
 PATHS_CSV = "paths_{scheme}.csv"
 TRAJECTORY_SVG = "trajectories.svg"
 SWEEP_CSV = "sweep.csv"
 CONDITION_SVG = "cond_{scheme}.svg"
 
-
-def _parse_schemes(raw: str) -> list:
-    if raw.strip().lower() == "all":
-        return list(Scheme)
-    out = []
-    for name in raw.split(","):
-        name = name.strip()
-        try:
-            out.append(Scheme(name))
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown scheme {name!r}; valid schemes: {', '.join(SCHEME_NAMES)}"
-            ) from None
-    return out
-
-
-def _floats(raw: str) -> list:
-    return [float(v) for v in raw.split(",") if v.strip()]
-
-
-def _ints(raw: str) -> list:
-    return [int(v) for v in raw.split(",") if v.strip()]
+# Sweep flag -> the config key it sets, which is also its argparse dest.
+SWEEP_FLAGS = {
+    "--scheme": "scheme", "--b": "b", "--m": "m", "--gamma": "gamma", "--p": "p",
+    "--iters": "iters", "--seed": "seed", "--noise-sigma": "noise_sigma",
+    "--unaware": "aware", "--no-reconstruct": "reconstruct",
+}
 
 
 def cmd_paths(args) -> int:
-    schemes = _parse_schemes(args.scheme)
+    schemes = parse_schemes(args.scheme)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     groups = []
@@ -70,33 +45,13 @@ def cmd_paths(args) -> int:
 
 
 def _sweep_spec(args) -> SweepSpec:
+    """The config file's lines (or CI-scale defaults), then one `key = value`
+    line per sweep flag given, all read by the config parser: flags win."""
+    overrides = [(flag, f"{key} = {getattr(args, key)}")
+                 for flag, key in SWEEP_FLAGS.items() if getattr(args, key) is not None]
     if args.config:
-        spec = SweepSpec.from_file(args.config)
-    else:
-        # quick defaults without a config file: CI-scale bandwidth and trials
-        spec = SweepSpec(iterations=10)
-    overrides = {}
-    if args.scheme:
-        overrides["schemes"] = _parse_schemes(args.scheme)
-    if args.b:
-        overrides["b_values"] = _ints(args.b)
-    if args.m:
-        overrides["m_multiples"] = _floats(args.m)
-    if args.gamma:
-        overrides["gamma_values"] = _floats(args.gamma)
-    if args.p is not None:
-        overrides["p"] = args.p
-    if args.iters is not None:
-        overrides["iterations"] = args.iters
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.noise_sigma is not None:
-        overrides["noise_sigma"] = args.noise_sigma
-    if args.unaware:
-        overrides["aware"] = [False]
-    if args.no_reconstruct:
-        overrides["reconstruct"] = False
-    return replace(spec, **overrides) if overrides else spec
+        return SweepSpec.from_file(args.config, overrides)
+    return SweepSpec.from_text("iterations = 10", "defaults", overrides)
 
 
 def cmd_sweep(args) -> int:
@@ -193,13 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--b", help="override: comma-separated bandwidths")
     p_sweep.add_argument("--m", help="override: comma-separated m multiples of n=(2b+1)^2")
     p_sweep.add_argument("--gamma", help="override: comma-separated step-size bounds")
-    p_sweep.add_argument("--p", type=int, help="override: points per directed walk")
-    p_sweep.add_argument("--iters", type=int, help="override: trials per cell")
-    p_sweep.add_argument("--seed", type=int, help="override: base seed")
-    p_sweep.add_argument("--noise-sigma", type=float, help="override: measurement noise std dev")
-    p_sweep.add_argument("--unaware", action="store_true",
+    p_sweep.add_argument("--p", help="override: points per directed walk")
+    p_sweep.add_argument("--iters", help="override: trials per cell")
+    p_sweep.add_argument("--seed", help="override: base seed")
+    p_sweep.add_argument("--noise-sigma", help="override: measurement noise std dev")
+    p_sweep.add_argument("--unaware", dest="aware", action="store_const", const="false",
                          help="run the location-unaware variants instead of location-aware")
-    p_sweep.add_argument("--no-reconstruct", action="store_true",
+    p_sweep.add_argument("--no-reconstruct", dest="reconstruct", action="store_const",
+                         const="false",
                          help="skip least-squares reconstruction (condition numbers only)")
     p_sweep.add_argument("--out", default="out")
     p_sweep.set_defaults(func=cmd_sweep)

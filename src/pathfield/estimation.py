@@ -20,7 +20,6 @@ from .paths import SamplePath, SchemeConfig, POINT_SCHEMES
 from .sensing import SensingMatrix
 
 __all__ = [
-    "Measurement",
     "EstimateReport",
     "SingularSystemError",
     "measure",
@@ -41,17 +40,6 @@ class SingularSystemError(RuntimeError):
 
 
 @dataclass
-class Measurement:
-    """Real measurement vector: field samples or per-path averages."""
-
-    values: np.ndarray
-    noise_sigma: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).ravel()
-
-
-@dataclass
 class EstimateReport:
     """Recovered coefficient grid plus stability and error metrics."""
 
@@ -62,8 +50,8 @@ class EstimateReport:
 
 
 def measure(field: BandlimitedField, paths: list[SamplePath],
-            config: SchemeConfig, rng: np.random.Generator) -> Measurement:
-    """Simulate sensor readings over the given paths.
+            config: SchemeConfig, rng: np.random.Generator) -> np.ndarray:
+    """Simulate sensor readings over the given paths: one float per matrix row.
 
     Point schemes yield one value per sample; averaging schemes add noise to
     every raw reading first and then average per path, which is what shrinks
@@ -78,7 +66,7 @@ def measure(field: BandlimitedField, paths: list[SamplePath],
     if config.scheme not in POINT_SCHEMES:
         counts = np.array([len(sp) for sp in paths])
         values = np.add.reduceat(values, np.cumsum(counts) - counts) / counts
-    return Measurement(values=values, noise_sigma=sigma)
+    return values
 
 
 def _as_array(X) -> np.ndarray:
@@ -95,8 +83,7 @@ def _checked_condition(kappa: float) -> float:
 def _solve(X, g) -> tuple[np.ndarray, float]:
     """Least-squares solution and the matrix's condition number, from one SVD."""
     A = _as_array(X)
-    values = g.values if isinstance(g, Measurement) else np.asarray(g)
-    values = values.ravel()
+    values = np.asarray(g).ravel()
     m, n = A.shape
     if m < n:
         raise ValueError(f"underdetermined system: {m} measurements for {n} coefficients")

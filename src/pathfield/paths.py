@@ -93,7 +93,6 @@ class SamplePath:
     reconstruction is allowed to use (declared endpoints or hive center)."""
 
     points: np.ndarray
-    scheme: Scheme | None = None
     endpoints: tuple[Point, Point] | None = None
     hive: Point | None = None
 
@@ -204,8 +203,7 @@ def same_edge(p1, p2) -> bool:
     return bool(_edges(p1) & _edges(p2))
 
 
-def line_path(b1, b2, gamma: float, rng: np.random.Generator,
-              scheme: Scheme | None = None) -> SamplePath:
+def line_path(b1, b2, gamma: float, rng: np.random.Generator) -> SamplePath:
     """Samples along the straight segment from b1 toward b2.
 
     The first sample sits at b1 and consecutive spacings are i.i.d.
@@ -233,12 +231,10 @@ def line_path(b1, b2, gamma: float, rng: np.random.Generator,
         dist = np.concatenate([dist, dist[-1] + np.cumsum(gaps)])
     offsets = np.concatenate([[0.0], dist[dist <= length]])
     points = start + offsets[:, None] * direction
-    return SamplePath(points=points, scheme=scheme,
-                      endpoints=(Point(*start), Point(*end)))
+    return SamplePath(points=points, endpoints=(Point(*start), Point(*end)))
 
 
 def random_walk_path(b1, gamma: float, rng: np.random.Generator,
-                     scheme: Scheme | None = None,
                      max_retries: int = 200) -> SamplePath:
     """Free random walk from a boundary point, stopped at the region edge.
 
@@ -271,7 +267,7 @@ def random_walk_path(b1, gamma: float, rng: np.random.Generator,
                 alive = False
         points = np.vstack(segments)
         if len(points) >= 2:
-            return SamplePath(points=points, scheme=scheme)
+            return SamplePath(points=points)
     raise PathGenerationError(
         f"random walk from {tuple(start)} kept exiting immediately "
         f"({max_retries} attempts, gamma={gamma})"
@@ -279,7 +275,6 @@ def random_walk_path(b1, gamma: float, rng: np.random.Generator,
 
 
 def directed_walk(b1, b2, p: int, gamma: float, rng: np.random.Generator,
-                  scheme: Scheme | None = None,
                   hive: Point | None = None) -> SamplePath:
     """p-point free random walk from b1, affinely corrected to end at b2.
 
@@ -304,8 +299,7 @@ def directed_walk(b1, b2, p: int, gamma: float, rng: np.random.Generator,
     points = free + frac * (end - free[-1])
     points[0] = start
     points[-1] = end
-    return SamplePath(points=points, scheme=scheme,
-                      endpoints=(Point(*start), Point(*end)), hive=hive)
+    return SamplePath(points=points, endpoints=(Point(*start), Point(*end)), hive=hive)
 
 
 def _boundary_pair(rng: np.random.Generator, reject_same_edge: bool) -> tuple[Point, Point]:
@@ -342,29 +336,28 @@ def generate_paths(config: SchemeConfig,
 
     if scheme is Scheme.SCATTERED:
         pts = sample_scattered(config.m, rng)
-        return [SamplePath(points=pt[None, :], scheme=scheme) for pt in pts]
+        return [SamplePath(points=pt[None, :]) for pt in pts]
 
     out: list[SamplePath] = []
     for _ in range(config.m):
         if scheme in (Scheme.LINE_BOUNDARY_POINTS, Scheme.LINE_BOUNDARY_AVG):
             b1, b2 = _boundary_pair(rng, reject_same_edge=False)
-            out.append(line_path(b1, b2, config.gamma, rng, scheme=scheme))
+            out.append(line_path(b1, b2, config.gamma, rng))
         elif scheme is Scheme.LINE_INNER_AVG:
             b1, b2 = _interior_pair(rng)
-            out.append(line_path(b1, b2, config.gamma, rng, scheme=scheme))
+            out.append(line_path(b1, b2, config.gamma, rng))
         elif scheme is Scheme.RANDOM_WALK:
             b1 = sample_boundary_point(rng)
-            out.append(random_walk_path(b1, config.gamma, rng, scheme=scheme))
+            out.append(random_walk_path(b1, config.gamma, rng))
         elif scheme is Scheme.DIRECTED_BOUNDARY:
             b1, b2 = _boundary_pair(rng, reject_same_edge=True)
-            out.append(directed_walk(b1, b2, config.p, config.gamma, rng, scheme=scheme))
+            out.append(directed_walk(b1, b2, config.p, config.gamma, rng))
         elif scheme is Scheme.DIRECTED_INNER:
             b1, b2 = _interior_pair(rng)
-            out.append(directed_walk(b1, b2, config.p, config.gamma, rng, scheme=scheme))
+            out.append(directed_walk(b1, b2, config.p, config.gamma, rng))
         elif scheme is Scheme.BEE_HIVE:
             hive = Point(*rng.random(2))
-            out.append(directed_walk(hive, hive, config.p, config.gamma, rng,
-                                     scheme=scheme, hive=hive))
+            out.append(directed_walk(hive, hive, config.p, config.gamma, rng, hive=hive))
         else:  # pragma: no cover - enum is exhaustive
             raise ConfigurationError(f"unknown scheme {scheme!r}")
     return out

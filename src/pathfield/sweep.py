@@ -13,6 +13,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .sensing import build_matrix
 
 __all__ = [
     "SweepSpec",
+    "parse_schemes",
     "CellResult",
     "SweepResult",
     "TrendGroup",
@@ -33,6 +35,7 @@ __all__ = [
     "rank_schemes",
 ]
 
+SCHEME_NAMES = [s.value for s in Scheme]
 RESULT_HEADER = ["scheme", "b", "m", "gamma", "aware",
                  "mean_cond", "std_cond", "mean_rel_err", "excluded"]
 
@@ -80,66 +83,70 @@ class SweepSpec:
                 )
 
     @classmethod
-    def from_file(cls, path) -> "SweepSpec":
-        """Parse a plain-text spec: one `key = value` per line, `#` comments,
-        comma-separated lists. Keys mirror the dataclass fields, with
-        schemes/b/m_multiples/gamma/iterations/seed/noise_sigma/aware/p/reconstruct
-        accepted as spellings."""
-        text = open(path).read()
-        return cls.from_text(text, source=str(path))
+    def from_file(cls, path, overrides=()) -> "SweepSpec":
+        """Parse a config file with `from_text`; an unreadable file is a
+        ConfigurationError that names it."""
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
+        return cls.from_text(text, source=str(path), overrides=overrides)
 
     @classmethod
-    def from_text(cls, text: str, source: str = "<config>") -> "SweepSpec":
-        aliases = {
-            "schemes": "schemes", "scheme": "schemes",
-            "b": "b_values", "b_values": "b_values",
-            "m": "m_multiples", "m_multiples": "m_multiples",
-            "gamma": "gamma_values", "gamma_values": "gamma_values",
-            "iterations": "iterations", "iters": "iterations",
-            "seed": "base_seed", "base_seed": "base_seed",
-            "noise_sigma": "noise_sigma",
-            "aware": "aware",
-            "p": "p",
-            "reconstruct": "reconstruct",
-        }
+    def from_text(cls, text: str, source: str = "<config>", overrides=()) -> "SweepSpec":
+        """Parse a plain-text spec: one `key = value` per line, `#` comments,
+        comma-separated lists. Keys are those of CONFIG_KEYS. `overrides` holds
+        (origin, line) pairs in the same syntax but without comments, read
+        after the text so that their values win. An error names the text's
+        line, or the origin."""
+        numbered = [(f"{source} line {n}", raw.split("#", 1)[0])
+                    for n, raw in enumerate(text.splitlines(), start=1)]
         kwargs = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
+        for where, raw in [*numbered, *overrides]:
+            line = raw.strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigurationError(f"{source} line {lineno}: expected 'key = value'")
+                raise ConfigurationError(f"{where}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip().lower()
-            value = value.strip()
-            if key not in aliases:
-                raise ConfigurationError(f"{source} line {lineno}: unknown key {key!r}")
-            kwargs[aliases[key]] = _parse_value(aliases[key], value, source, lineno)
+            if key not in CONFIG_KEYS:
+                raise ConfigurationError(f"{where}: unknown key {key!r}")
+            name = CONFIG_KEYS[key]
+            try:
+                kwargs[name] = _PARSERS[name](value.strip())
+            except ValueError as exc:
+                raise ConfigurationError(f"{where}: {exc}") from None
         return cls(**kwargs)
 
 
-def _parse_value(field_name: str, value: str, source: str, lineno: int):
-    items = [v.strip() for v in value.split(",") if v.strip()]
-    try:
-        if field_name == "schemes":
-            if len(items) == 1 and items[0].lower() == "all":
-                return list(Scheme)
-            return [Scheme(v) for v in items]
-        if field_name == "b_values":
-            return [int(v) for v in items]
-        if field_name in ("m_multiples", "gamma_values"):
-            return [float(v) for v in items]
-        if field_name in ("iterations", "base_seed", "p"):
-            return int(value)
-        if field_name == "noise_sigma":
-            return float(value)
-        if field_name == "aware":
-            return [_parse_bool(v) for v in items]
-        if field_name == "reconstruct":
-            return _parse_bool(value)
-    except (ValueError, KeyError) as exc:
-        raise ConfigurationError(f"{source} line {lineno}: {exc}") from None
-    raise ConfigurationError(f"{source} line {lineno}: unknown field {field_name}")
+def _items(value: str) -> list:
+    return [v.strip() for v in value.split(",") if v.strip()]
+
+
+def parse_schemes(value: str) -> list:
+    """Comma-separated scheme names, or 'all' for every scheme in enum order."""
+    names = _items(value)
+    if len(names) == 1 and names[0].lower() == "all":
+        return list(Scheme)
+    if not names:
+        raise ConfigurationError("at least one scheme is required")
+    for name in names:
+        if name not in SCHEME_NAMES:
+            raise ConfigurationError(
+                f"unknown scheme {name!r}; valid schemes: {', '.join(SCHEME_NAMES)}")
+    return [Scheme(name) for name in names]
+
+
+def _finite(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _list_of(parse):
+    return lambda value: [parse(v) for v in _items(value)]
 
 
 def _parse_bool(value: str) -> bool:
@@ -149,6 +156,34 @@ def _parse_bool(value: str) -> bool:
     if lowered in ("false", "0", "no"):
         return False
     raise ValueError(f"expected a boolean, got {value!r}")
+
+
+# Config key -> SweepSpec field.
+CONFIG_KEYS = {
+    "schemes": "schemes", "scheme": "schemes",
+    "b": "b_values", "b_values": "b_values",
+    "m": "m_multiples", "m_multiples": "m_multiples",
+    "gamma": "gamma_values", "gamma_values": "gamma_values",
+    "iterations": "iterations", "iters": "iterations",
+    "seed": "base_seed", "base_seed": "base_seed",
+    "noise_sigma": "noise_sigma",
+    "aware": "aware",
+    "p": "p",
+    "reconstruct": "reconstruct",
+}
+# SweepSpec field -> parser of its config value; a bad value raises ValueError.
+_PARSERS = {
+    "schemes": parse_schemes,
+    "b_values": _list_of(int),
+    "m_multiples": _list_of(_finite),
+    "gamma_values": _list_of(_finite),
+    "iterations": int,
+    "base_seed": int,
+    "noise_sigma": _finite,
+    "aware": _list_of(_parse_bool),
+    "p": int,
+    "reconstruct": _parse_bool,
+}
 
 
 @dataclass

@@ -106,11 +106,32 @@ def test_sweep_config_file_with_flag_override(tmp_path):
 
 
 def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
+    # Flags and config lines go through one parser: every bad value exits 2,
+    # and the message names the flag, or the file and line, it came from.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("m_multiples = 0.5\n")
-    rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert "error" in capsys.readouterr().err
+    zigzag = tmp_path / "zigzag.cfg"
+    zigzag.write_text("b = 1\nschemes = zigzag\n")
+    good = tmp_path / "good.cfg"
+    good.write_text("schemes = scattered\nb = 1\niterations = 1\n")
+    missing = tmp_path / "missing.cfg"
+    cases = [
+        (["--config", str(cfg)], ["error"]),
+        (["--config", str(zigzag)], [f"{zigzag} line 2", "zigzag", "scattered", "bee_hive"]),
+        (["--config", str(missing)], [str(missing)]),
+        (["--b", "x"], ["error: --b:"]),
+        (["--b", "1#2"], ["error: --b:"]),
+        (["--gamma", "abc"], ["error: --gamma:"]),
+        (["--m", "1.5,q"], ["error: --m:"]),
+        (["--scheme", "zigzag"], ["error: --scheme:", "scattered"]),
+        (["--noise-sigma", "nan"], ["error: --noise-sigma:"]),
+        (["--config", str(good), "--iters", "two"], ["error: --iters:"]),
+    ]
+    for argv, expected in cases:
+        rc = main(["sweep", *argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, argv
+        assert all(text in err for text in expected), (argv, err)
 
 
 def test_sweep_unaware_for_unsupported_scheme_is_usage_error(tmp_path, capsys):

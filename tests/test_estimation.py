@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pathfield.estimation import (
-    Measurement,
     SingularSystemError,
     condition_number,
     estimate_coefficients,
@@ -37,7 +36,7 @@ def test_measure_constant_field_noiseless():
         config = SchemeConfig(scheme=scheme, m=6, b=2, gamma=0.1, p=5, seed=0)
         paths = generate_paths(config)
         meas = measure(fld, paths, config, np.random.default_rng(0))
-        assert np.allclose(meas.values, 3.25, atol=1e-10)
+        assert np.allclose(meas, 3.25, atol=1e-10)
 
 
 def test_measure_point_scheme_matches_evaluate():
@@ -46,7 +45,7 @@ def test_measure_point_scheme_matches_evaluate():
     paths = generate_paths(config)
     meas = measure(fld, paths, config, np.random.default_rng(3))
     pts = np.vstack([p.points for p in paths])
-    assert np.array_equal(meas.values, fld.evaluate(pts[:, 0], pts[:, 1]))
+    assert np.array_equal(meas, fld.evaluate(pts[:, 0], pts[:, 1]))
 
 
 def test_measure_length_matches_rows():
@@ -55,7 +54,7 @@ def test_measure_length_matches_rows():
     fld = generate_random_field(1, np.random.default_rng(5))
     meas = measure(fld, paths, config, np.random.default_rng(6))
     X = build_matrix(paths, config)
-    assert len(meas.values) == X.shape[0]
+    assert len(meas) == X.shape[0]
 
 
 def test_path_averaging_shrinks_noise_variance():
@@ -64,12 +63,11 @@ def test_path_averaging_shrinks_noise_variance():
     p = 16
     sigma = 0.5
     fld = constant_field(0, 0.0)
-    path = SamplePath(points=np.random.default_rng(7).random((p, 2)),
-                      scheme=Scheme.LINE_INNER_AVG)
+    path = SamplePath(points=np.random.default_rng(7).random((p, 2)))
     config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=1, b=0, gamma=0.1,
                           noise_sigma=sigma, seed=8)
     rng = np.random.default_rng(9)
-    draws = np.array([measure(fld, [path], config, rng).values[0] for _ in range(10_000)])
+    draws = np.array([measure(fld, [path], config, rng)[0] for _ in range(10_000)])
     expected = sigma ** 2 / p
     assert abs(draws.var() - expected) < 0.1 * expected
 
@@ -95,8 +93,8 @@ def test_measure_matches_per_path_loop_and_rng_stream(scheme):
     rng, ref_rng = np.random.default_rng(25), np.random.default_rng(25)
     meas = measure(fld, paths, config, rng)
     expected = loop_measure(fld, paths, config, ref_rng)
-    assert meas.values.shape == expected.shape
-    assert np.abs(meas.values - expected).max() <= 1e-12
+    assert meas.shape == expected.shape
+    assert np.abs(meas - expected).max() <= 1e-12
     assert rng.random() == ref_rng.random()
 
 
@@ -276,9 +274,3 @@ def test_unaware_error_does_not_grow_with_more_paths():
         return np.mean(errs)
 
     assert mean_err(100) <= mean_err(50) * 1.02
-
-
-def test_measurement_wrapper_normalizes_shape():
-    meas = Measurement(values=[[1.0, 2.0], [3.0, 4.0]])
-    assert meas.values.shape == (4,)
-

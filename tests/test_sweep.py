@@ -179,6 +179,8 @@ def test_config_unknown_key_names_line():
 def test_config_bad_value_names_line():
     with pytest.raises(ConfigurationError, match="line 1"):
         SweepSpec.from_text("iterations = lots\n")
+    with pytest.raises(ConfigurationError, match="^--b: "):
+        SweepSpec.from_text("iterations = 3\nb = 1\n", overrides=[("--b", "b = x")])
 
 
 def test_config_missing_equals_rejected():
