@@ -20,7 +20,7 @@ from .paths import (
     sample_boundary_point,
     sample_scattered,
 )
-from .sensing import SensingMatrix, build_matrix, point_rows, unaware_locations
+from .sensing import build_matrix, point_rows
 from .estimation import (
     EstimateReport,
     SingularSystemError,

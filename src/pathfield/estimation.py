@@ -17,7 +17,6 @@ import numpy as np
 
 from .field import BandlimitedField
 from .paths import SamplePath, SchemeConfig, POINT_SCHEMES
-from .sensing import SensingMatrix
 
 __all__ = [
     "EstimateReport",
@@ -69,12 +68,6 @@ def measure(field: BandlimitedField, paths: list[SamplePath],
     return values
 
 
-def _as_array(X) -> np.ndarray:
-    if isinstance(X, SensingMatrix):
-        return X.entries
-    return np.asarray(X, dtype=complex)
-
-
 def _checked_condition(kappa: float) -> float:
     """kappa = sigma_max/sigma_min, or inf when 1/kappa is below SINGULAR_RATIO."""
     return kappa if kappa * SINGULAR_RATIO <= 1.0 else math.inf
@@ -82,7 +75,7 @@ def _checked_condition(kappa: float) -> float:
 
 def _solve(X, g) -> tuple[np.ndarray, float]:
     """Least-squares solution and the matrix's condition number, from one SVD."""
-    A = _as_array(X)
+    A = np.asarray(X, dtype=complex)
     values = np.asarray(g).ravel()
     m, n = A.shape
     if m < n:
@@ -115,7 +108,7 @@ def condition_number(X) -> float:
     Returns inf when sigma_min/sigma_max falls below SINGULAR_RATIO
     (numerically singular draw).
     """
-    A = _as_array(X)
+    A = np.asarray(X, dtype=complex)
     if A.size == 0 or not np.any(A):
         raise ValueError("condition number of an empty or zero matrix")
     gram = A.conj().T @ A

@@ -9,6 +9,7 @@ random, and whether the path closes on itself (bee-and-hive loops).
 """
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -133,12 +134,12 @@ class SchemeConfig:
             raise ConfigurationError("m must be >= 1")
         if self.b < 0:
             raise ConfigurationError("b must be >= 0")
-        if self.gamma <= 0:
-            raise ConfigurationError("gamma must be > 0")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ConfigurationError("gamma must be finite and > 0")
         if self.p < 2:
             raise ConfigurationError("p must be >= 2")
-        if self.noise_sigma < 0:
-            raise ConfigurationError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigurationError("noise_sigma must be finite and >= 0")
         if self.scheme is Scheme.LINE_BOUNDARY_POINTS:
             # Soft solvability check for point sampling on lines: more than
             # 2b+1 paths and on average at least 2b+1 samples per path.

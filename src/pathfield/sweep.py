@@ -62,18 +62,8 @@ class SweepSpec:
 
     def __post_init__(self):
         self.schemes = [s if isinstance(s, Scheme) else Scheme(s) for s in self.schemes]
-        if not self.schemes:
-            raise ConfigurationError("at least one scheme is required")
-        if not self.b_values or any(b < 0 for b in self.b_values):
-            raise ConfigurationError("b values must be >= 0")
-        if not self.m_multiples or any(mult < 1.0 for mult in self.m_multiples):
-            raise ConfigurationError("m multiples must be >= 1 (m >= n keeps the system solvable)")
-        if not self.gamma_values or any(g <= 0 for g in self.gamma_values):
-            raise ConfigurationError("gamma values must be > 0")
-        if self.iterations < 1:
-            raise ConfigurationError("iterations must be >= 1")
-        if not self.aware:
-            raise ConfigurationError("at least one awareness flag is required")
+        for name in _RULES:
+            _check(name, getattr(self, name))
         if False in self.aware:
             unsupported = [s.value for s in self.schemes if s not in UNAWARE_SCHEMES]
             if unsupported:
@@ -114,7 +104,7 @@ class SweepSpec:
                 raise ConfigurationError(f"{where}: unknown key {key!r}")
             name = CONFIG_KEYS[key]
             try:
-                kwargs[name] = _PARSERS[name](value.strip())
+                kwargs[name] = _check(name, _PARSERS[name](value.strip()))
             except ValueError as exc:
                 raise ConfigurationError(f"{where}: {exc}") from None
         return cls(**kwargs)
@@ -184,6 +174,26 @@ _PARSERS = {
     "p": int,
     "reconstruct": _parse_bool,
 }
+# SweepSpec field -> (test its value must pass, message when it fails).
+_RULES = {
+    "schemes": (bool, "at least one scheme is required"),
+    "b_values": (lambda v: v and all(b >= 0 for b in v), "b values must be >= 0"),
+    "m_multiples": (lambda v: v and all(mult >= 1.0 for mult in v),
+                    "m multiples must be >= 1 (m >= n keeps the system solvable)"),
+    "gamma_values": (lambda v: v and all(g > 0 for g in v), "gamma values must be > 0"),
+    "iterations": (lambda v: v >= 1, "iterations must be >= 1"),
+    "aware": (bool, "at least one awareness flag is required"),
+    "p": (lambda v: v >= 2, "p must be >= 2"),
+    "noise_sigma": (lambda v: v >= 0, "noise_sigma must be >= 0"),
+}
+
+
+def _check(name: str, value):
+    """The value, if it passes its field's rule in _RULES (fields without
+    one always pass); else a ConfigurationError with the rule's message."""
+    if name in _RULES and not _RULES[name][0](value):
+        raise ConfigurationError(_RULES[name][1])
+    return value
 
 
 @dataclass

@@ -165,7 +165,7 @@ def test_criterion_08_hive_matrix_equals_benchmark_at_hives():
         X_hive = build_matrix(paths, config)
         hives = np.asarray([p.hive for p in paths], dtype=float)
         X_bench = point_rows(hives, 3)
-        entries_equal &= np.array_equal(X_hive.entries, X_bench)
+        entries_equal &= np.array_equal(X_hive, X_bench)
         conds_equal &= condition_number(X_hive) == condition_number(X_bench)
     ok = entries_equal and conds_equal
     assert report(8, "unaware hive matrix identical to benchmark at hive centers", ok)

@@ -63,10 +63,16 @@ def test_paths_all_schemes_panel_per_scheme(tmp_path):
 
 
 def test_paths_invalid_scheme_is_usage_error(tmp_path, capsys):
-    rc = main(["paths", "--scheme", "zigzag", "--out", str(tmp_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "zigzag" in err and "scattered" in err  # lists the valid names
+    cases = [
+        (["--scheme", "zigzag"], ["zigzag", "scattered"]),  # lists the valid names
+        (["--gamma", "nan"], ["gamma"]),
+        (["--gamma", "inf"], ["gamma"]),
+    ]
+    for argv, expected in cases:
+        rc = main(["paths", *argv, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2, argv
+        assert all(text in err for text in expected), (argv, err)
 
 
 # -------------------------------------------------------------------- sweep
@@ -116,7 +122,7 @@ def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
     good.write_text("schemes = scattered\nb = 1\niterations = 1\n")
     missing = tmp_path / "missing.cfg"
     cases = [
-        (["--config", str(cfg)], ["error"]),
+        (["--config", str(cfg)], [f"{cfg} line 1", "m multiples"]),
         (["--config", str(zigzag)], [f"{zigzag} line 2", "zigzag", "scattered", "bee_hive"]),
         (["--config", str(missing)], [str(missing)]),
         (["--b", "x"], ["error: --b:"]),
@@ -126,12 +132,17 @@ def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
         (["--scheme", "zigzag"], ["error: --scheme:", "scattered"]),
         (["--noise-sigma", "nan"], ["error: --noise-sigma:"]),
         (["--config", str(good), "--iters", "two"], ["error: --iters:"]),
+        (["--iters", "0"], ["error: --iters:"]),
+        (["--p", "1"], ["error: --p:"]),
+        (["--noise-sigma", "-1"], ["error: --noise-sigma:"]),
     ]
+    out = tmp_path / "out"
     for argv, expected in cases:
-        rc = main(["sweep", *argv, "--out", str(tmp_path / "out")])
+        rc = main(["sweep", *argv, "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2, argv
         assert all(text in err for text in expected), (argv, err)
+        assert not out.exists(), argv
 
 
 def test_sweep_unaware_for_unsupported_scheme_is_usage_error(tmp_path, capsys):

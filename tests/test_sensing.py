@@ -13,18 +13,13 @@ from pathfield.paths import (
     generate_paths,
     line_path,
 )
-from pathfield.sensing import (
-    SensingMatrix,
-    build_matrix,
-    point_rows,
-    unaware_locations,
-)
+from pathfield.sensing import build_matrix, point_rows
 
 
 def averaged_matrix(points, b):
     """The one-row sensing matrix of a single averaging path over `points`."""
     config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=1, b=b)
-    return build_matrix([SamplePath(points=points)], config).entries
+    return build_matrix([SamplePath(points=points)], config)
 
 
 # ------------------------------------------------------------------ rows
@@ -65,26 +60,6 @@ def test_averaged_row_modulus_at_most_one():
     assert (np.abs(averaged_matrix(rng.random((40, 2)), 3)) <= 1.0 + 1e-12).all()
 
 
-# ------------------------------------------------------- unaware locations
-
-def test_unaware_locations_endpoints_and_midpoint():
-    locs = unaware_locations(Point(0, 0), Point(1, 0), 3)
-    assert np.array_equal(locs, [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
-
-
-def test_unaware_locations_equispaced():
-    locs = unaware_locations(Point(0.12, 0.9), Point(0.77, 0.05), 17)
-    diffs = np.diff(locs, axis=0)
-    assert np.allclose(diffs, diffs[0], atol=1e-15)
-    assert np.array_equal(locs[0], [0.12, 0.9])
-    assert np.array_equal(locs[-1], [0.77, 0.05])
-
-
-def test_unaware_locations_needs_two_points():
-    with pytest.raises(ConfigurationError):
-        unaware_locations(Point(0, 0), Point(1, 1), 1)
-
-
 # ------------------------------------------------------------ build_matrix
 
 def test_scattered_matrix_is_point_exact():
@@ -92,8 +67,8 @@ def test_scattered_matrix_is_point_exact():
     paths = generate_paths(config)
     X = build_matrix(paths, config)
     assert X.shape == (30, 25)
-    assert np.array_equal(X.entries, point_rows(np.vstack([p.points for p in paths]), 2))
-    assert np.allclose(np.abs(X.entries), 1.0, atol=1e-12)
+    assert np.array_equal(X, point_rows(np.vstack([p.points for p in paths]), 2))
+    assert np.allclose(np.abs(X), 1.0, atol=1e-12)
 
 
 def test_line_points_matrix_has_row_per_sample():
@@ -101,7 +76,7 @@ def test_line_points_matrix_has_row_per_sample():
     paths = generate_paths(config)
     X = build_matrix(paths, config)
     assert X.shape == (sum(len(p) for p in paths), 9)
-    assert np.array_equal(X.entries, point_rows(np.vstack([p.points for p in paths]), 1))
+    assert np.array_equal(X, point_rows(np.vstack([p.points for p in paths]), 1))
 
 
 @pytest.mark.parametrize("scheme", [
@@ -113,8 +88,8 @@ def test_averaging_schemes_have_row_per_path(scheme):
     paths = generate_paths(config)
     X = build_matrix(paths, config)
     assert X.shape == (12, 9)
-    assert (np.abs(X.entries) <= 1.0 + 1e-12).all()
-    for row, path in zip(X.entries, paths):
+    assert (np.abs(X) <= 1.0 + 1e-12).all()
+    for row, path in zip(X, paths):
         assert np.array_equal(row, point_rows(path.points, 1).mean(axis=0))
 
 
@@ -127,9 +102,9 @@ def test_column_count_for_every_kind():
         config = SchemeConfig(scheme=scheme, m=9, b=2, gamma=0.1, p=6,
                               location_aware=aware, seed=3)
         X = build_matrix(generate_paths(config), config)
-        assert X.entries.shape[1] == 25
+        assert X.shape[1] == 25
         # Columns follow harmonics(2): the (0, 0) column is the constant mean.
-        assert np.allclose(X.entries[:, 12], 1.0, atol=1e-12)
+        assert np.allclose(X[:, 12], 1.0, atol=1e-12)
 
 
 def test_unaware_line_points_rows_match_sample_counts():
@@ -139,8 +114,8 @@ def test_unaware_line_points_rows_match_sample_counts():
     X = build_matrix(paths, config)
     assert X.shape[0] == sum(len(p) for p in paths)
     first = paths[0]
-    expected = point_rows(unaware_locations(*first.endpoints, len(first)), 1)
-    assert np.array_equal(X.entries[:len(first)], expected)
+    expected = point_rows(np.linspace(*first.endpoints, len(first)), 1)
+    assert np.array_equal(X[:len(first)], expected)
 
 
 def test_unaware_averaged_kind():
@@ -149,8 +124,8 @@ def test_unaware_averaged_kind():
     paths = generate_paths(config)
     X = build_matrix(paths, config)
     assert X.shape == (7, 9)
-    for row, path in zip(X.entries, paths):
-        expected = point_rows(unaware_locations(*path.endpoints, len(path)), 1).mean(axis=0)
+    for row, path in zip(X, paths):
+        expected = point_rows(np.linspace(*path.endpoints, len(path)), 1).mean(axis=0)
         assert np.array_equal(row, expected)
 
 
@@ -160,7 +135,7 @@ def test_unaware_hive_matrix_equals_scattered_matrix_at_hives():
     paths = generate_paths(config)
     X = build_matrix(paths, config)
     hives = np.asarray([p.hive for p in paths], dtype=float)
-    assert np.array_equal(X.entries, point_rows(hives, 2))
+    assert np.array_equal(X, point_rows(hives, 2))
 
 
 @pytest.mark.parametrize("scheme", [
@@ -195,37 +170,17 @@ def test_averaged_row_converges_to_unaware_row_as_gamma_shrinks():
     the equispaced mean both approach the segment's exact phasor integral."""
     b = 2
     b1, b2 = Point(0.05, 0.1), Point(0.9, 0.85)
-    quad = point_rows(unaware_locations(b1, b2, 20_001), b).mean(axis=0)
+    quad = point_rows(np.linspace(b1, b2, 20_001), b).mean(axis=0)
     gaps_aware = []
     gaps_oracle = []
     for i, gamma in enumerate((0.05, 0.01, 0.002)):
         path = line_path(b1, b2, gamma, np.random.default_rng(100 + i))
         aware = averaged_matrix(path.points, b)[0]
-        unaware = point_rows(unaware_locations(b1, b2, len(path)), b).mean(axis=0)
+        unaware = point_rows(np.linspace(b1, b2, len(path)), b).mean(axis=0)
         gaps_aware.append(np.abs(aware - unaware).max())
         gaps_oracle.append(np.abs(aware - quad).max())
     assert gaps_aware[0] > gaps_aware[1] > gaps_aware[2]
     assert gaps_oracle[0] > gaps_oracle[1] > gaps_oracle[2]
-
-
-# ------------------------------------------------------------ serialization
-
-def test_matrix_csv_export(tmp_path):
-    config = SchemeConfig(scheme=Scheme.SCATTERED, m=4, b=1, seed=9)
-    X = build_matrix(generate_paths(config), config)
-    target = tmp_path / "matrix.csv"
-    X.to_csv(target)
-    lines = target.read_text().strip().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) == 1 + 4 * 9
-    row, col, re, im = lines[1].split(",")
-    assert (row, col) == ("0", "0")
-    assert complex(float(re), float(im)) == X.entries[0, 0]
-
-
-def test_sensing_matrix_shape_validation():
-    with pytest.raises(ValueError):
-        SensingMatrix(entries=np.ones((3, 5), dtype=complex), b=1)
 
 
 # ---------------------------------------------- differential (dense oracle)
@@ -266,7 +221,7 @@ def test_build_matrix_matches_dense_oracle(scheme, aware, b):
     X = build_matrix(paths, config)
     expected = oracle_matrix(paths, config)
     assert X.shape == expected.shape
-    assert np.abs(X.entries - expected).max() <= 1e-12
+    assert np.abs(X - expected).max() <= 1e-12
 
 
 def test_unaware_single_sample_path_is_pinned_to_first_endpoint():
@@ -274,4 +229,4 @@ def test_unaware_single_sample_path_is_pinned_to_first_endpoint():
                           location_aware=False)
     path = SamplePath(points=[[0.4, 0.6]], endpoints=(Point(0.1, 0.0), Point(0.9, 1.0)))
     X = build_matrix([path], config)
-    assert np.array_equal(X.entries, point_rows([Point(0.1, 0.0)], 2))
+    assert np.array_equal(X, point_rows([Point(0.1, 0.0)], 2))
