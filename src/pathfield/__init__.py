@@ -2,7 +2,6 @@
 
 from .field import BandlimitedField, fourier_sum, generate_random_field, harmonics
 from .paths import (
-    AVERAGING_SCHEMES,
     ConfigurationError,
     PathGenerationError,
     Point,

@@ -26,18 +26,18 @@ SWEEP_FLAGS = {
 
 
 def cmd_paths(args) -> int:
-    schemes = parse_schemes(args.scheme)
+    configs = [
+        SchemeConfig(scheme=scheme, m=args.m, b=args.b, gamma=args.gamma,
+                     p=args.p, seed=args.seed)
+        for scheme in parse_schemes(args.scheme)
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     groups = []
-    for scheme in schemes:
-        config = SchemeConfig(
-            scheme=scheme, m=args.m, b=args.b, gamma=args.gamma,
-            p=args.p, seed=args.seed,
-        )
+    for config in configs:
         paths = generate_paths(config)
-        paths_to_csv(paths, out / PATHS_CSV.format(scheme=scheme.value))
-        groups.append((scheme.value, paths))
+        paths_to_csv(paths, out / PATHS_CSV.format(scheme=config.scheme.value))
+        groups.append((config.scheme.value, paths))
     if not args.no_svg:
         (out / TRAJECTORY_SVG).write_text(trajectory_svg(groups))
     print(f"wrote {len(groups)} path set(s) to {out}")

@@ -10,7 +10,6 @@ independent real parameters. The series is 1-periodic in both coordinates, so
 evaluation outside the unit square uses the periodic extension.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,41 +96,6 @@ class BandlimitedField:
     def evaluate(self, x, y):
         """Real field value g(x, y); scalars or broadcastable arrays."""
         return fourier_sum(self.coeffs, x, y).real
-
-    def evaluate_complex(self, x, y):
-        """Full complex series sum, for checking the imaginary residual."""
-        return fourier_sum(self.coeffs, x, y)
-
-    def to_csv(self, path) -> None:
-        """Write the grid as rows (k, l, re, im); floats round-trip exactly."""
-        kl = harmonics(self.b)
-        flat = self.coeffs.ravel()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "l", "re", "im"])
-            for (k, l), a in zip(kl, flat):
-                writer.writerow([int(k), int(l), repr(float(a.real)), repr(float(a.imag))])
-
-    @classmethod
-    def from_csv(cls, path) -> "BandlimitedField":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["k", "l", "re", "im"]:
-                raise ValueError(f"unexpected header {header!r}; want k,l,re,im")
-            rows = [(int(k), int(l), float(re), float(im)) for k, l, re, im in reader]
-        if not rows:
-            raise ValueError("empty coefficient file")
-        b = max(max(abs(k), abs(l)) for k, l, _, _ in rows)
-        size = 2 * b + 1
-        if len(rows) != size * size:
-            raise ValueError(f"expected {size * size} rows for b={b}, got {len(rows)}")
-        grid = np.full((size, size), np.nan, dtype=complex)
-        for k, l, re, im in rows:
-            grid[k + b, l + b] = re + 1j * im
-        if np.isnan(grid).any():
-            raise ValueError("coefficient file does not cover the full harmonic grid")
-        return cls(b=b, coeffs=grid)
 
 
 def generate_random_field(b: int, rng: np.random.Generator) -> BandlimitedField:

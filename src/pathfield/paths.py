@@ -25,7 +25,6 @@ __all__ = [
     "ConfigurationError",
     "PathGenerationError",
     "POINT_SCHEMES",
-    "AVERAGING_SCHEMES",
     "UNAWARE_SCHEMES",
     "sample_scattered",
     "sample_boundary_point",
@@ -69,7 +68,6 @@ class Scheme(Enum):
 # Schemes whose sensing rows are individual point samples; the rest average
 # all readings of a path into a single row.
 POINT_SCHEMES = frozenset({Scheme.SCATTERED, Scheme.LINE_BOUNDARY_POINTS})
-AVERAGING_SCHEMES = frozenset(set(Scheme) - POINT_SCHEMES)
 
 # Schemes with a meaningful location-unaware variant (known endpoints or a
 # known hive center stand in for the unknown sample locations).
@@ -184,24 +182,9 @@ def sample_boundary_point(rng: np.random.Generator) -> Point:
     return Point(0.0, u)
 
 
-def _edges(pt) -> set:
-    """Indices of the unit-square edges the point lies on (corners give two)."""
-    x, y = float(pt[0]), float(pt[1])
-    found = set()
-    if y == 0.0:
-        found.add(0)
-    if x == 1.0:
-        found.add(1)
-    if y == 1.0:
-        found.add(2)
-    if x == 0.0:
-        found.add(3)
-    return found
-
-
 def same_edge(p1, p2) -> bool:
     """True when both points lie on a common edge of the unit square."""
-    return bool(_edges(p1) & _edges(p2))
+    return any(p1[i] == p2[i] and p1[i] in (0.0, 1.0) for i in (0, 1))
 
 
 def line_path(b1, b2, gamma: float, rng: np.random.Generator) -> SamplePath:

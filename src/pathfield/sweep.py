@@ -28,7 +28,6 @@ __all__ = [
     "CellResult",
     "SweepResult",
     "TrendGroup",
-    "TrendReport",
     "run_sweep",
     "trial_seed",
     "check_bound_trend",
@@ -275,9 +274,7 @@ def run_trial(config: SchemeConfig, reconstruct: bool = True):
     paths = generate_paths(config, rng)
     X = build_matrix(paths, config)
     cond = condition_number(X)
-    if not math.isfinite(cond):
-        return cond, float("nan")
-    if not reconstruct:
+    if not math.isfinite(cond) or not reconstruct:
         return cond, float("nan")
     meas = measure(fld, paths, config, rng)
     try:
@@ -336,64 +333,12 @@ class TrendGroup:
     b: int
     gamma: float
     aware: bool
-    m_values: list
-    mean_conds: list
-    std_conds: list
     monotone_ok: bool
     violations: list
     all_ge_one: bool
-    fitted_h: float
-    bound_curve: list
 
 
-@dataclass
-class TrendReport:
-    groups: list
-
-    @property
-    def all_ok(self) -> bool:
-        return all(g.monotone_ok and g.all_ge_one for g in self.groups)
-
-
-def _fit_bound_constant(m_values, n, conds) -> tuple[float, list]:
-    """Least-squares fit of H in (sqrt(m) + H sqrt(n)) / (sqrt(m) - H sqrt(n)).
-
-    The fit is for plotting only; H must keep every denominator positive, so
-    it is bounded by the smallest sqrt(m/n) in the group.
-    """
-    roots = np.sqrt(np.asarray(m_values, dtype=float))
-    root_n = math.sqrt(n)
-    conds = np.asarray(conds, dtype=float)
-    h_max = roots.min() / root_n * (1.0 - 1e-9)
-
-    def loss(h):
-        bound = (roots + h * root_n) / (roots - h * root_n)
-        return float(np.sum((bound - conds) ** 2))
-
-    h = _golden_section_min(loss, 0.0, h_max)
-    curve = ((roots + h * root_n) / (roots - h * root_n)).tolist()
-    return h, curve
-
-
-def _golden_section_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Minimiser of a unimodal f on [lo, hi], to within tol."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
-
-
-def check_bound_trend(result: SweepResult) -> TrendReport:
+def check_bound_trend(result: SweepResult) -> list[TrendGroup]:
     """Empirical check that mean condition numbers do not grow with m.
 
     A step up is tolerated when it stays within one standard deviation of
@@ -408,24 +353,17 @@ def check_bound_trend(result: SweepResult) -> TrendReport:
         if len(cells) < 3:
             continue
         means = [c.mean_cond for c in cells]
-        stds = [c.std_cond for c in cells]
         violations = [
             i for i in range(len(cells) - 1)
             if math.isfinite(means[i]) and math.isfinite(means[i + 1])
-            and means[i + 1] > means[i] + stds[i]
+            and means[i + 1] > means[i] + cells[i].std_cond
         ]
-        finite = [v for v in means if math.isfinite(v)]
-        n = (2 * b + 1) ** 2
-        fitted_h, curve = _fit_bound_constant([c.m for c in cells], n, means) \
-            if len(finite) == len(means) else (float("nan"), [float("nan")] * len(means))
         report.append(TrendGroup(
             scheme=scheme, b=b, gamma=gamma, aware=aware,
-            m_values=[c.m for c in cells], mean_conds=means, std_conds=stds,
             monotone_ok=not violations, violations=violations,
-            all_ge_one=all(v >= 1.0 for v in finite),
-            fitted_h=fitted_h, bound_curve=curve,
+            all_ge_one=all(v >= 1.0 for v in means if math.isfinite(v)),
         ))
-    return TrendReport(groups=report)
+    return report
 
 
 def rank_schemes(result: SweepResult, m: int, gamma: float,

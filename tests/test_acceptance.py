@@ -61,8 +61,8 @@ def test_criterion_02_monotonicity_in_m():
                      reconstruct=False)
     trend = check_bound_trend(run_sweep(spec))
     elapsed = time.monotonic() - start
-    bad = [g.scheme.value for g in trend.groups if not (g.monotone_ok and g.all_ge_one)]
-    ok = len(trend.groups) == len(Scheme) and not bad and elapsed < 120.0
+    bad = [g.scheme.value for g in trend if not (g.monotone_ok and g.all_ge_one)]
+    ok = len(trend) == len(Scheme) and not bad and elapsed < 120.0
     assert report(2, "mean condition non-increasing in m for every scheme", ok,
                   f"violations={bad or 'none'}, {elapsed:.0f}s")
 

@@ -67,12 +67,16 @@ def test_paths_invalid_scheme_is_usage_error(tmp_path, capsys):
         (["--scheme", "zigzag"], ["zigzag", "scattered"]),  # lists the valid names
         (["--gamma", "nan"], ["gamma"]),
         (["--gamma", "inf"], ["gamma"]),
+        (["--m", "0"], ["m must be"]),
+        (["--p", "1"], ["p must be"]),
     ]
+    out = tmp_path / "out"
     for argv, expected in cases:
-        rc = main(["paths", *argv, "--out", str(tmp_path)])
+        rc = main(["paths", *argv, "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2, argv
         assert all(text in err for text in expected), (argv, err)
+        assert not out.exists(), argv
 
 
 # -------------------------------------------------------------------- sweep

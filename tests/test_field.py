@@ -86,7 +86,7 @@ def test_imaginary_residual_bound():
     field = generate_random_field(4, np.random.default_rng(9))
     rng = np.random.default_rng(10)
     pts = rng.random((1000, 2))
-    residual = np.abs(field.evaluate_complex(pts[:, 0], pts[:, 1]).imag)
+    residual = np.abs(fourier_sum(field.coeffs, pts[:, 0], pts[:, 1]).imag)
     bound = 1e-10 * field.n * np.abs(field.coeffs).max()
     assert residual.max() <= bound
 
@@ -101,29 +101,6 @@ def test_linearity():
     lhs = combined.evaluate(pts[:, 0], pts[:, 1])
     rhs = alpha * f1.evaluate(pts[:, 0], pts[:, 1]) + beta * f2.evaluate(pts[:, 0], pts[:, 1])
     assert np.allclose(lhs, rhs, atol=1e-10)
-
-
-def test_csv_roundtrip_exact(tmp_path):
-    field = generate_random_field(3, np.random.default_rng(33))
-    target = tmp_path / "coeffs.csv"
-    field.to_csv(target)
-    loaded = BandlimitedField.from_csv(target)
-    assert loaded.b == field.b
-    assert np.array_equal(loaded.coeffs, field.coeffs)
-
-
-def test_from_csv_rejects_bad_header(tmp_path):
-    target = tmp_path / "bad.csv"
-    target.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="header"):
-        BandlimitedField.from_csv(target)
-
-
-def test_from_csv_rejects_incomplete_grid(tmp_path):
-    target = tmp_path / "partial.csv"
-    target.write_text("k,l,re,im\n1,1,1.0,0.0\n")
-    with pytest.raises(ValueError):
-        BandlimitedField.from_csv(target)
 
 
 def test_asymmetric_coefficients_rejected():

@@ -83,6 +83,16 @@ def test_same_edge_detection():
     assert not same_edge(Point(0.2, 0.0), Point(0.2, 1.0))
     assert same_edge(Point(0.0, 0.0), Point(1.0, 0.0))  # corner shares the bottom edge
 
+    def edges(pt):
+        """Edges 0..3 (bottom, right, top, left) the point lies on."""
+        x, y = pt
+        return {e for e, on in enumerate([y == 0.0, x == 1.0, y == 1.0, x == 0.0]) if on}
+
+    lattice = [Point(x, y) for x in (0.0, 0.5, 1.0) for y in (0.0, 0.5, 1.0)]
+    for p1 in lattice:
+        for p2 in lattice:
+            assert same_edge(p1, p2) == bool(edges(p1) & edges(p2)), (p1, p2)
+
 
 # ----------------------------------------------------------------- line path
 

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import pathfield
@@ -225,16 +224,15 @@ def test_result_csv_names_offending_line():
 def test_trend_constant_series_is_monotone():
     result = synthetic_result({Scheme.SCATTERED: [(9, 5.0), (18, 5.0), (36, 5.0)]})
     report = check_bound_trend(result)
-    assert len(report.groups) == 1
-    group = report.groups[0]
+    assert len(report) == 1
+    group = report[0]
     assert group.monotone_ok
     assert group.all_ge_one
-    assert report.all_ok
 
 
 def test_trend_flags_large_upward_step():
     result = synthetic_result({Scheme.SCATTERED: [(9, 5.0), (18, 9.0), (36, 4.0)]})
-    group = check_bound_trend(result).groups[0]
+    group = check_bound_trend(result)[0]
     assert not group.monotone_ok
     assert group.violations == [0]
 
@@ -243,24 +241,13 @@ def test_trend_tolerates_step_within_one_std():
     cells = [CellResult(scheme=Scheme.SCATTERED, b=1, m=m, gamma=0.05, aware=True,
                         mean_cond=cond, std_cond=1.0, mean_rel_err=0.0, excluded=0)
              for m, cond in [(9, 5.0), (18, 5.5), (36, 4.0)]]
-    group = check_bound_trend(SweepResult(cells=cells)).groups[0]
+    group = check_bound_trend(SweepResult(cells=cells))[0]
     assert group.monotone_ok
 
 
 def test_trend_skips_short_groups():
     result = synthetic_result({Scheme.SCATTERED: [(9, 5.0), (18, 4.0)]})
-    assert check_bound_trend(result).groups == []
-
-
-def test_trend_bound_fit_recovers_known_constant():
-    n = 9
-    h_true = 0.6
-    ms = [2 * n, 4 * n, 8 * n, 16 * n]
-    conds = [(math.sqrt(m) + h_true * 3.0) / (math.sqrt(m) - h_true * 3.0) for m in ms]
-    result = synthetic_result({Scheme.SCATTERED: list(zip(ms, conds))})
-    group = check_bound_trend(result).groups[0]
-    assert group.fitted_h == pytest.approx(h_true, abs=1e-4)
-    assert np.allclose(group.bound_curve, conds, atol=1e-4)
+    assert check_bound_trend(result) == []
 
 
 def test_import_does_not_load_scipy():
