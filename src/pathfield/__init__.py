@@ -21,10 +21,8 @@ from .paths import (
 )
 from .sensing import build_matrix, point_rows
 from .estimation import (
-    EstimateReport,
     SingularSystemError,
     condition_number,
-    estimate_coefficients,
     measure,
     reconstruct_and_score,
 )

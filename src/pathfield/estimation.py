@@ -1,17 +1,16 @@
 """Least-squares field recovery and sensing-matrix conditioning.
 
-The coefficient estimate is the least-squares solution of X a = g, i.e.
-(X*X)^-1 X* g in exact arithmetic, computed here by one SVD-based `lstsq`
-call; its singular values give the condition number sigma_max/sigma_min and
-the singularity verdict. `condition_number` alone, for sweeps that skip the
-solve, evaluates the same ratio from the eigenvalues of the n x n Gram matrix
-X*X, which is cheaper than an SVD of the full m x n matrix. Both apply one
-singularity rule, SINGULAR_RATIO. The field RMSE over the unit square equals
-the coefficient error norm by Parseval's identity.
+`condition_number` is the package's only condition number: sigma_max/sigma_min
+from the eigenvalues of the n x n Gram matrix X*X, which is cheaper than an
+SVD of the full m x n matrix. `reconstruct_and_score` solves X a = g by one
+SVD-based `lstsq` call and applies the same singularity rule, SINGULAR_RATIO,
+through its `rcond` cut-off: a matrix with a singular value below that share
+of the largest has rank below n and is refused. Its score, the relative
+coefficient error, is also the relative L2 error of the field over the unit
+square by Parseval's identity.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,10 +18,8 @@ from .field import BandlimitedField
 from .paths import SamplePath, SchemeConfig, POINT_SCHEMES
 
 __all__ = [
-    "EstimateReport",
     "SingularSystemError",
     "measure",
-    "estimate_coefficients",
     "condition_number",
     "reconstruct_and_score",
 ]
@@ -36,16 +33,6 @@ SINGULAR_RATIO = 1e-7
 
 class SingularSystemError(RuntimeError):
     """The sensing matrix is numerically rank deficient."""
-
-
-@dataclass
-class EstimateReport:
-    """Recovered coefficient grid plus stability and error metrics."""
-
-    coeff_estimate: np.ndarray
-    condition_number: float
-    coeff_rel_error: float
-    field_rmse: float
 
 
 def measure(field: BandlimitedField, paths: list[SamplePath],
@@ -68,40 +55,6 @@ def measure(field: BandlimitedField, paths: list[SamplePath],
     return values
 
 
-def _checked_condition(kappa: float) -> float:
-    """kappa = sigma_max/sigma_min, or inf when 1/kappa is below SINGULAR_RATIO."""
-    return kappa if kappa * SINGULAR_RATIO <= 1.0 else math.inf
-
-
-def _solve(X, g) -> tuple[np.ndarray, float]:
-    """Least-squares solution and the matrix's condition number, from one SVD."""
-    A = np.asarray(X, dtype=complex)
-    values = np.asarray(g).ravel()
-    m, n = A.shape
-    if m < n:
-        raise ValueError(f"underdetermined system: {m} measurements for {n} coefficients")
-    if len(values) != m:
-        raise ValueError(f"got {len(values)} measurements for {m} matrix rows")
-    solution, _, _, sv = np.linalg.lstsq(A, values.astype(complex), rcond=None)
-    kappa = _checked_condition(sv[0] / sv[-1] if sv[-1] > 0 else math.inf)
-    if math.isinf(kappa):
-        raise SingularSystemError(
-            f"sensing matrix is numerically singular (sv ratio {sv[-1] / sv[0]:.2e})"
-            if sv[0] > 0 else "sensing matrix is zero"
-        )
-    return solution, kappa
-
-
-def estimate_coefficients(X, g) -> np.ndarray:
-    """Least-squares coefficient estimate for measurements g.
-
-    Requires at least as many rows as columns and a numerically full-rank
-    matrix; raises SingularSystemError when the smallest singular value
-    drops below SINGULAR_RATIO times the largest.
-    """
-    return _solve(X, g)[0]
-
-
 def condition_number(X) -> float:
     """sigma_max/sigma_min of the matrix, from the Gram matrix eigenvalues.
 
@@ -115,22 +68,28 @@ def condition_number(X) -> float:
     eigenvalues = np.linalg.eigvalsh(gram)
     lam_max = float(eigenvalues[-1])
     lam_min = float(eigenvalues[0])
-    return _checked_condition(math.sqrt(lam_max / lam_min) if lam_min > 0.0 else math.inf)
+    kappa = math.sqrt(lam_max / lam_min) if lam_min > 0.0 else math.inf
+    return kappa if kappa * SINGULAR_RATIO <= 1.0 else math.inf
 
 
-def reconstruct_and_score(field: BandlimitedField, X, g) -> EstimateReport:
-    """Recover coefficients and score them against the true field.
+def reconstruct_and_score(field: BandlimitedField, X, g) -> float:
+    """Relative coefficient error ||a_hat - a|| / ||a|| of the least-squares estimate.
 
-    The harmonics are orthonormal on the unit square, so the field's RMSE
-    there is exactly the coefficient error norm (Parseval).
+    Requires at least as many rows as columns and one measurement per row.
+    Raises SingularSystemError when lstsq, cutting singular values below
+    SINGULAR_RATIO times the largest, finds the matrix rank deficient. The
+    harmonics are orthonormal on the unit square, so the error norm is also
+    the field's RMSE there (Parseval).
     """
-    estimate, kappa = _solve(X, g)
-    size = 2 * field.b + 1
+    A = np.asarray(X, dtype=complex)
+    values = np.asarray(g).ravel()
+    m, n = A.shape
+    if m < n:
+        raise ValueError(f"underdetermined system: {m} measurements for {n} coefficients")
+    if len(values) != m:
+        raise ValueError(f"got {len(values)} measurements for {m} matrix rows")
+    estimate, _, rank, _ = np.linalg.lstsq(A, values.astype(complex), rcond=SINGULAR_RATIO)
+    if rank < n:
+        raise SingularSystemError(f"sensing matrix is numerically singular: rank {rank} of {n}")
     truth = field.vector()
-    error = float(np.linalg.norm(estimate - truth))
-    return EstimateReport(
-        coeff_estimate=estimate.reshape(size, size),
-        condition_number=kappa,
-        coeff_rel_error=error / float(np.linalg.norm(truth)),
-        field_rmse=error,
-    )
+    return float(np.linalg.norm(estimate - truth) / np.linalg.norm(truth))

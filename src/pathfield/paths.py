@@ -218,6 +218,13 @@ def line_path(b1, b2, gamma: float, rng: np.random.Generator) -> SamplePath:
     return SamplePath(points=points, endpoints=(Point(*start), Point(*end)))
 
 
+def _steps(rng: np.random.Generator, gamma: float, count: int) -> np.ndarray:
+    """count walk steps, shape (count, 2): length Uniform(0, gamma), angle Uniform(0, 2pi)."""
+    d = rng.uniform(0.0, gamma, size=count)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    return np.column_stack([d * np.cos(theta), d * np.sin(theta)])
+
+
 def random_walk_path(b1, gamma: float, rng: np.random.Generator,
                      max_retries: int = 200) -> SamplePath:
     """Free random walk from a boundary point, stopped at the region edge.
@@ -236,10 +243,7 @@ def random_walk_path(b1, gamma: float, rng: np.random.Generator,
         current = start
         alive = True
         while alive:
-            d = rng.uniform(0.0, gamma, size=chunk)
-            theta = rng.uniform(0.0, 2.0 * np.pi, size=chunk)
-            steps = np.column_stack([d * np.cos(theta), d * np.sin(theta)])
-            pos = current + np.cumsum(steps, axis=0)
+            pos = current + np.cumsum(_steps(rng, gamma, chunk), axis=0)
             inside = (pos[:, 0] >= 0.0) & (pos[:, 0] <= 1.0) \
                 & (pos[:, 1] >= 0.0) & (pos[:, 1] <= 1.0)
             if inside.all():
@@ -275,10 +279,7 @@ def directed_walk(b1, b2, p: int, gamma: float, rng: np.random.Generator,
         raise ConfigurationError("gamma must be > 0")
     start = np.asarray(b1, dtype=float)
     end = np.asarray(b2, dtype=float)
-    d = rng.uniform(0.0, gamma, size=p - 1)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=p - 1)
-    steps = np.column_stack([d * np.cos(theta), d * np.sin(theta)])
-    free = np.vstack([start[None, :], start + np.cumsum(steps, axis=0)])
+    free = np.vstack([start[None, :], start + np.cumsum(_steps(rng, gamma, p - 1), axis=0)])
     frac = np.linspace(0.0, 1.0, p)[:, None]
     points = free + frac * (end - free[-1])
     points[0] = start

@@ -278,10 +278,9 @@ def run_trial(config: SchemeConfig, reconstruct: bool = True):
         return cond, float("nan")
     meas = measure(fld, paths, config, rng)
     try:
-        report = reconstruct_and_score(fld, X, meas)
+        return cond, reconstruct_and_score(fld, X, meas)
     except SingularSystemError:
         return float("inf"), float("nan")
-    return cond, report.coeff_rel_error
 
 
 def run_sweep(spec: SweepSpec, progress=None) -> SweepResult:

@@ -117,7 +117,7 @@ def test_criterion_05_exact_noiseless_recovery():
         cond = condition_number(X)
         if cond <= 1e3:
             meas = measure(fld, paths, config, rng)
-            results[scheme] = reconstruct_and_score(fld, X, meas).coeff_rel_error
+            results[scheme] = reconstruct_and_score(fld, X, meas)
     worst = max(results.values())
     ok = len(results) >= 5 and worst <= 1e-8
     assert report(5, "noiseless recovery exact when condition <= 1e3", ok,
