@@ -9,7 +9,8 @@ import sys
 from pathlib import Path
 
 from .paths import ConfigurationError, SchemeConfig, generate_paths, paths_to_csv
-from .sweep import SCHEME_NAMES, SweepResult, SweepSpec, parse_schemes, rank_schemes, run_sweep
+from .sweep import (RESULT_HEADER, SCHEME_NAMES, SweepResult, SweepSpec, parse_schemes,
+                    rank_schemes, run_sweep)
 from .svgplot import condition_svg, trajectory_svg
 
 PATHS_CSV = "paths_{scheme}.csv"
@@ -68,13 +69,11 @@ def cmd_sweep(args) -> int:
         print(f"{c.scheme.value:>22} {c.b:>3} {c.m:>6} {c.gamma:>8g} "
               f"{str(c.aware).lower():>6} {c.mean_cond:>12.4g} {c.std_cond:>12.4g} "
               f"{c.mean_rel_err:>12.4g} {c.excluded:>5}")
-    for c in result.cells:
-        if c.excluded == spec.iterations:
-            print(f"warning: cell ({c.scheme.value}, b={c.b}, m={c.m}, gamma={c.gamma:g}) "
-                  "had only singular draws", file=sys.stderr)
-        elif c.excluded:
-            print(f"warning: cell ({c.scheme.value}, b={c.b}, m={c.m}, gamma={c.gamma:g}) "
-                  f"excluded {c.excluded} singular draw(s)", file=sys.stderr)
+    for c in [cell for cell in result.cells if cell.excluded]:
+        what = ("had only singular draws" if c.excluded == spec.iterations
+                else f"excluded {c.excluded} singular draw(s)")
+        print(f"warning: cell ({c.scheme.value}, b={c.b}, m={c.m}, gamma={c.gamma:g}"
+              f"{'' if c.aware else ', unaware'}) {what}", file=sys.stderr)
     print(f"wrote {out / SWEEP_CSV}")
     return 0
 
@@ -94,27 +93,15 @@ def cmd_plot(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     by_scheme = {}
-    for cell in result.cells:
-        by_scheme.setdefault(cell.scheme, []).append(cell)
-    written = []
-    for scheme, cells in by_scheme.items():
-        curves = {}
-        for c in cells:
-            n = (2 * c.b + 1) ** 2
-            label_parts = [f"b={c.b}", f"gamma={c.gamma:g}"]
-            if not c.aware:
-                label_parts.append("unaware")
-            curves.setdefault((c.b, c.gamma, c.aware), ([], [], ", ".join(label_parts)))
-            xs, ys, _ = curves[(c.b, c.gamma, c.aware)]
-            xs.append(c.m / n)
-            ys.append(c.mean_cond)
-        curve_list = [(label, xs, ys) for (xs, ys, label) in
-                      (curves[k] for k in sorted(curves))]
-        svg = condition_svg(f"scheme: {scheme.value}", curve_list)
-        target = out / CONDITION_SVG.format(scheme=scheme.value)
-        target.write_text(svg)
-        written.append(target)
-    print(f"wrote {len(written)} plot(s) to {out}")
+    for (scheme, b, gamma, aware), cells in result.curves().items():
+        n = (2 * b + 1) ** 2
+        label = f"b={b}, gamma={gamma:g}" + ("" if aware else ", unaware")
+        by_scheme.setdefault(scheme, []).append(
+            ((b, gamma, aware), label, [c.m / n for c in cells], [c.mean_cond for c in cells]))
+    for scheme, curves in by_scheme.items():
+        svg = condition_svg(f"scheme: {scheme.value}", [curve[1:] for curve in sorted(curves)])
+        (out / CONDITION_SVG.format(scheme=scheme.value)).write_text(svg)
+    print(f"wrote {len(by_scheme)} plot(s) to {out}")
     return 0
 
 
@@ -141,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser(
         "sweep", help="Monte Carlo condition-number sweep; writes sweep.csv "
-                      "(columns scheme,b,m,gamma,aware,mean_cond,std_cond,mean_rel_err,excluded)",
+                      f"(columns {','.join(RESULT_HEADER)})",
     )
     p_sweep.add_argument("--config", help="sweep config file (key = value lines, '#' comments)")
     p_sweep.add_argument("--scheme", help="override: comma-separated schemes or 'all'")

@@ -149,7 +149,7 @@ class SchemeConfig:
                     f"underdetermined system at b={self.b}: prefer m > {need} paths "
                     f"and gamma small enough for >= {need} samples per path",
                     UserWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
 
     @property

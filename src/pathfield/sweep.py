@@ -11,7 +11,7 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from pathlib import Path
 
@@ -35,8 +35,6 @@ __all__ = [
 ]
 
 SCHEME_NAMES = [s.value for s in Scheme]
-RESULT_HEADER = ["scheme", "b", "m", "gamma", "aware",
-                 "mean_cond", "std_cond", "mean_rel_err", "excluded"]
 
 
 @dataclass
@@ -210,9 +208,25 @@ class CellResult:
     excluded: int
 
 
+# The one schema of a sweep result: the CSV columns are CellResult's fields in
+# order, and each value is written and read back by its field's type.
+RESULT_HEADER = [f.name for f in fields(CellResult)]
+_FORMAT = {Scheme: lambda v: v.value, bool: lambda v: "true" if v else "false",
+           float: lambda v: repr(float(v)), int: str}
+_PARSE = {Scheme: Scheme, bool: _parse_bool, float: float, int: int}
+
+
 @dataclass
 class SweepResult:
     cells: list
+
+    def curves(self) -> dict:
+        """The cells grouped into curves along m: {(scheme, b, gamma, aware):
+        cells sorted by m}, in order of each key's first appearance."""
+        groups = {}
+        for c in self.cells:
+            groups.setdefault((c.scheme, c.b, c.gamma, c.aware), []).append(c)
+        return {key: sorted(cells, key=lambda c: c.m) for key, cells in groups.items()}
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -223,12 +237,7 @@ class SweepResult:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(RESULT_HEADER)
         for c in self.cells:
-            writer.writerow([
-                c.scheme.value, c.b, c.m, repr(float(c.gamma)),
-                "true" if c.aware else "false",
-                repr(float(c.mean_cond)), repr(float(c.std_cond)),
-                repr(float(c.mean_rel_err)), c.excluded,
-            ])
+            writer.writerow([_FORMAT[f.type](getattr(c, f.name)) for f in fields(CellResult)])
         return buf.getvalue()
 
     @classmethod
@@ -248,12 +257,8 @@ class SweepResult:
             if len(row) != len(RESULT_HEADER):
                 raise ValueError(f"{source} line {lineno}: expected {len(RESULT_HEADER)} fields")
             try:
-                cells.append(CellResult(
-                    scheme=Scheme(row[0]), b=int(row[1]), m=int(row[2]),
-                    gamma=float(row[3]), aware=_parse_bool(row[4]),
-                    mean_cond=float(row[5]), std_cond=float(row[6]),
-                    mean_rel_err=float(row[7]), excluded=int(row[8]),
-                ))
+                cells.append(CellResult(*(_PARSE[f.type](value)
+                                          for f, value in zip(fields(CellResult), row))))
             except ValueError as exc:
                 raise ValueError(f"{source} line {lineno}: {exc}") from None
         return cls(cells=cells)
@@ -343,12 +348,8 @@ def check_bound_trend(result: SweepResult) -> list[TrendGroup]:
     A step up is tolerated when it stays within one standard deviation of
     the previous cell. Groups with fewer than three m values are skipped.
     """
-    groups = {}
-    for cell in result.cells:
-        groups.setdefault((cell.scheme, cell.b, cell.gamma, cell.aware), []).append(cell)
     report = []
-    for (scheme, b, gamma, aware), cells in groups.items():
-        cells = sorted(cells, key=lambda c: c.m)
+    for (scheme, b, gamma, aware), cells in result.curves().items():
         if len(cells) < 3:
             continue
         means = [c.mean_cond for c in cells]
@@ -367,13 +368,15 @@ def check_bound_trend(result: SweepResult) -> list[TrendGroup]:
 
 def rank_schemes(result: SweepResult, m: int, gamma: float,
                  b: int | None = None, aware: bool = True) -> list:
-    """Schemes sorted by mean condition number at one (m, gamma) cell.
+    """Schemes sorted by mean condition number at one (m, gamma) cell; a
+    scheme whose mean is nan (all draws singular) ranks last.
 
-    Requires all eight schemes to have that cell in the result; raises
+    Requires every scheme that supports the awareness (all eight when aware,
+    UNAWARE_SCHEMES when not) to have that cell in the result; raises
     ValueError when one is missing or ambiguous.
     """
     ranking = []
-    for scheme in Scheme:
+    for scheme in [s for s in Scheme if aware or s in UNAWARE_SCHEMES]:
         matches = [
             c for c in result.cells
             if c.scheme is scheme and c.m == m and c.gamma == gamma
@@ -388,5 +391,5 @@ def rank_schemes(result: SweepResult, m: int, gamma: float,
                 f"ambiguous cell for scheme={scheme.value}; pass b= to disambiguate"
             )
         ranking.append((scheme, matches[0].mean_cond))
-    ranking.sort(key=lambda pair: pair[1])
+    ranking.sort(key=lambda pair: (math.isnan(pair[1]), pair[1]))
     return ranking

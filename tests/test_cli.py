@@ -3,7 +3,7 @@ import csv
 import pytest
 
 from pathfield.cli import main
-from pathfield.paths import Scheme
+from pathfield.paths import UNAWARE_SCHEMES, Scheme
 
 
 def read_paths_csv(path):
@@ -149,6 +149,21 @@ def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
         assert not out.exists(), argv
 
 
+def test_sweep_all_singular_cell_is_excluded_and_warned(tmp_path, capsys):
+    # At gamma = 10 almost every line keeps only its boundary start point, and
+    # rows at boundary points alone leave the system rank deficient.
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="line point sampling"):
+        rc = main(["sweep", "--scheme", "line_boundary_points", "--b", "1", "--m", "2",
+                   "--gamma", "10", "--iters", "3", "--no-reconstruct", "--out", str(out)])
+    assert rc == 0
+    (row,) = csv.DictReader((out / "sweep.csv").read_text().splitlines())
+    assert row["excluded"] == "3"
+    assert row["mean_cond"] == "nan"
+    assert "cell (line_boundary_points, b=1, m=18, gamma=10) had only singular draws" \
+        in capsys.readouterr().err
+
+
 def test_sweep_unaware_for_unsupported_scheme_is_usage_error(tmp_path, capsys):
     rc = main(["sweep", "--scheme", "random_walk", "--unaware", "--b", "1",
                "--m", "1.5", "--iters", "1", "--out", str(tmp_path / "out")])
@@ -182,7 +197,33 @@ def test_rank_missing_cell_is_runtime_error(ranking_csv, capsys):
     assert "no cell" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def unaware_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("unaware")
+    rc = main(["sweep", "--scheme", ",".join(s.value for s in UNAWARE_SCHEMES), "--unaware",
+               "--b", "1", "--m", "1.5,2", "--iters", "2", "--no-reconstruct", "--out", str(out)])
+    assert rc == 0
+    return out / "sweep.csv"
+
+
+def test_rank_unaware_lists_the_unaware_schemes(unaware_csv, capsys):
+    rc = main(["rank", "--results", str(unaware_csv), "--unaware", "--m", "14",
+               "--gamma", "0.05", "--b", "1"])
+    assert rc == 0
+    places = capsys.readouterr().out.strip().splitlines()[1:]
+    assert sorted(line.split()[1] for line in places) == sorted(s.value for s in UNAWARE_SCHEMES)
+
+
 # --------------------------------------------------------------------- plot
+
+def test_plot_labels_unaware_curves(unaware_csv, tmp_path):
+    out = tmp_path / "plots"
+    assert main(["plot", "--results", str(unaware_csv), "--out", str(out)]) == 0
+    svgs = sorted(out.glob("cond_*.svg"))
+    assert [p.name for p in svgs] == sorted(f"cond_{s.value}.svg" for s in UNAWARE_SCHEMES)
+    for svg in svgs:
+        assert ">b=1, gamma=0.05, unaware</text>" in svg.read_text()
+
 
 def test_plot_panel_per_scheme(ranking_csv, tmp_path):
     out = tmp_path / "plots"

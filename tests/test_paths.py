@@ -132,6 +132,29 @@ def test_line_path_expected_count():
     assert 18.0 <= np.mean(counts) <= 22.0
 
 
+class _CountingGapRng:
+    """Stub generator whose every gap is a tenth of the bound; counts draws."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def uniform(self, low, high, size=None):
+        self.calls += 1
+        return np.full(size, high / 10.0)
+
+
+def test_line_path_draws_more_blocks_until_past_endpoint():
+    # One block holds int(2.5 * 1 / 0.1) + 16 = 41 gaps of 0.01, so reaching
+    # the far endpoint takes three blocks.
+    rng = _CountingGapRng()
+    path = line_path(Point(0, 0), Point(1, 0), 0.1, rng)
+    assert rng.calls == 3
+    assert len(path) == 100
+    assert np.allclose(path.points[:, 1], 0.0)
+    assert np.allclose(np.diff(path.points[:, 0]), 0.01)
+    assert 1.0 - 0.01 <= path.points[-1, 0] <= 1.0
+
+
 def test_line_path_rejects_bad_input():
     with pytest.raises(ConfigurationError):
         line_path(Point(0, 0), Point(1, 0), 0.0, np.random.default_rng(0))
@@ -236,6 +259,12 @@ def test_line_point_config_warns_when_underdetermined():
         SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=3, b=3, gamma=0.05)
     with pytest.warns(UserWarning, match="underdetermined"):
         SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=100, b=3, gamma=0.9)
+
+
+def test_line_point_warning_names_its_caller():
+    with pytest.warns(UserWarning, match="underdetermined") as record:
+        SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=3, b=3, gamma=0.05)
+    assert record[0].filename == __file__
 
 
 # ------------------------------------------------------------ generate_paths

@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import pathfield
+from pathfield.estimation import SingularSystemError
 from pathfield.paths import ConfigurationError, Scheme
 from pathfield.sweep import (
     CellResult,
@@ -89,6 +91,17 @@ def test_noise_propagates_to_rel_err():
     noisy = run_sweep(quick_spec(iterations=2, noise_sigma=0.1)).cells[0]
     assert noiseless.mean_rel_err < 1e-8
     assert noisy.mean_rel_err > 1e-4
+
+
+def test_singular_solves_are_excluded(monkeypatch):
+    def singular(*args):
+        raise SingularSystemError("forced")
+    monkeypatch.setattr("pathfield.sweep.reconstruct_and_score", singular)
+    result = run_sweep(quick_spec(iterations=3))
+    (cell,) = result.cells
+    assert cell.excluded == 3
+    assert math.isnan(cell.mean_cond) and math.isnan(cell.std_cond)
+    assert math.isnan(cell.mean_rel_err)
 
 
 def test_reconstruct_flag_skips_errors():
@@ -201,6 +214,38 @@ def test_result_csv_roundtrip():
         assert a.std_cond == b.std_cond
 
 
+def test_result_csv_schema_is_cell_result():
+    cells = [CellResult(scheme=Scheme.BEE_HIVE, b=2, m=38, gamma=0.1, aware=False,
+                        mean_cond=float("nan"), std_cond=float("nan"),
+                        mean_rel_err=float("nan"), excluded=3),
+             CellResult(scheme=Scheme.SCATTERED, b=1, m=14, gamma=0.05, aware=True,
+                        mean_cond=2.5, std_cond=0.25, mean_rel_err=0.125, excluded=0)]
+    text = SweepResult(cells=cells).to_csv_text()
+    assert text == ("scheme,b,m,gamma,aware,mean_cond,std_cond,mean_rel_err,excluded\n"
+                    "bee_hive,2,38,0.1,false,nan,nan,nan,3\n"
+                    "scattered,1,14,0.05,true,2.5,0.25,0.125,0\n")
+    loaded = SweepResult.from_csv_text(text).cells
+    assert repr(loaded) == repr(cells)
+    assert [type(getattr(loaded[0], f.name)) for f in fields(CellResult)] == \
+        [Scheme, int, int, float, bool, float, float, float, int]
+
+
+def test_curves_group_by_key_in_order_of_appearance_sorted_by_m():
+    def cell(scheme, m, aware=True, b=1, gamma=0.05):
+        return CellResult(scheme=scheme, b=b, m=m, gamma=gamma, aware=aware,
+                          mean_cond=1.0, std_cond=0.0, mean_rel_err=0.0, excluded=0)
+    cells = [cell(Scheme.BEE_HIVE, 36), cell(Scheme.SCATTERED, 18),
+             cell(Scheme.BEE_HIVE, 18), cell(Scheme.BEE_HIVE, 18, aware=False),
+             cell(Scheme.BEE_HIVE, 9), cell(Scheme.BEE_HIVE, 50, b=2),
+             cell(Scheme.BEE_HIVE, 27, gamma=0.1)]
+    curves = SweepResult(cells=cells).curves()
+    assert list(curves) == [(Scheme.BEE_HIVE, 1, 0.05, True), (Scheme.SCATTERED, 1, 0.05, True),
+                            (Scheme.BEE_HIVE, 1, 0.05, False), (Scheme.BEE_HIVE, 2, 0.05, True),
+                            (Scheme.BEE_HIVE, 1, 0.1, True)]
+    assert [c.m for c in curves[(Scheme.BEE_HIVE, 1, 0.05, True)]] == [9, 18, 36]
+    assert sum(len(group) for group in curves.values()) == len(cells)
+
+
 def test_result_csv_rejects_bad_header():
     with pytest.raises(ValueError, match="line 1"):
         SweepResult.from_csv_text("foo,bar\n1,2\n")
@@ -281,6 +326,15 @@ def test_rank_schemes_missing_cell_errors():
     result.cells = [c for c in result.cells if c.scheme is not Scheme.BEE_HIVE]
     with pytest.raises(ValueError, match="bee_hive"):
         rank_schemes(result, m=196, gamma=0.05)
+
+
+def test_rank_schemes_nan_mean_ranks_last():
+    means = [3.0, float("nan"), 1.0, 2.0, 5.0, 4.0, 7.0, 6.0]
+    result = synthetic_result({s: [(196, c)] for s, c in zip(Scheme, means)})
+    ranking = rank_schemes(result, m=196, gamma=0.05)
+    conds = [cond for _, cond in ranking]
+    assert conds[:-1] == sorted(c for c in means if not math.isnan(c))
+    assert ranking[-1][0] is list(Scheme)[1] and math.isnan(conds[-1])
 
 
 def test_rank_schemes_ambiguous_without_b():
