@@ -19,7 +19,7 @@ from .paths import (
     sample_boundary_point,
     sample_scattered,
 )
-from .sensing import build_matrix, point_rows
+from .sensing import Sensing, build_matrix, point_rows
 from .estimation import (
     SingularSystemError,
     condition_number,

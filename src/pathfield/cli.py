@@ -11,7 +11,7 @@ from pathlib import Path
 from .paths import ConfigurationError, SchemeConfig, generate_paths, paths_to_csv
 from .sweep import (RESULT_HEADER, SCHEME_NAMES, SweepResult, SweepSpec, parse_schemes,
                     rank_schemes, run_sweep)
-from .svgplot import condition_svg, trajectory_svg
+from .svgplot import NoFiniteValues, condition_svg, trajectory_svg
 
 PATHS_CSV = "paths_{scheme}.csv"
 TRAJECTORY_SVG = "trajectories.svg"
@@ -90,18 +90,26 @@ def cmd_rank(args) -> int:
 
 def cmd_plot(args) -> int:
     result = SweepResult.from_csv(args.results)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     by_scheme = {}
     for (scheme, b, gamma, aware), cells in result.curves().items():
         n = (2 * b + 1) ** 2
         label = f"b={b}, gamma={gamma:g}" + ("" if aware else ", unaware")
         by_scheme.setdefault(scheme, []).append(
             ((b, gamma, aware), label, [c.m / n for c in cells], [c.mean_cond for c in cells]))
+    charts = {}
     for scheme, curves in by_scheme.items():
-        svg = condition_svg(f"scheme: {scheme.value}", [curve[1:] for curve in sorted(curves)])
+        try:
+            charts[scheme] = condition_svg(f"scheme: {scheme.value}",
+                                           [curve[1:] for curve in sorted(curves)])
+        except NoFiniteValues:
+            print(f"warning: skipped {scheme.value}: every draw was singular", file=sys.stderr)
+    if not charts:
+        raise NoFiniteValues("no scheme has a finite condition number to plot")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for scheme, svg in charts.items():
         (out / CONDITION_SVG.format(scheme=scheme.value)).write_text(svg)
-    print(f"wrote {len(by_scheme)} plot(s) to {out}")
+    print(f"wrote {len(charts)} plot(s) to {out}")
     return 0
 
 

@@ -39,7 +39,8 @@ def phasors(t, b: int) -> np.ndarray:
     the y table's l entry.
     """
     k = np.arange(-b, b + 1)
-    return np.exp(2j * np.pi * np.multiply.outer(np.asarray(t, dtype=float), k))
+    table = 2j * np.pi * np.multiply.outer(np.asarray(t, dtype=float), k)
+    return np.exp(table, out=table)
 
 
 def fourier_sum(coeffs: np.ndarray, x, y):
@@ -58,7 +59,7 @@ def fourier_sum(coeffs: np.ndarray, x, y):
     shape = np.broadcast_shapes(x.shape, y.shape)
     xf = np.broadcast_to(x, shape).ravel()
     yf = np.broadcast_to(y, shape).ravel()
-    vals = np.einsum("pk,kl,pl->p", phasors(xf, b), coeffs, phasors(yf, b))
+    vals = ((phasors(xf, b) @ coeffs) * phasors(yf, b)).sum(axis=1)
     if shape == ():
         return complex(vals[0])
     return vals.reshape(shape)

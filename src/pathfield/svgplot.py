@@ -6,7 +6,12 @@ dependencies; identical inputs produce byte-identical files.
 
 import math
 
-__all__ = ["trajectory_svg", "condition_svg"]
+__all__ = ["NoFiniteValues", "trajectory_svg", "condition_svg"]
+
+
+class NoFiniteValues(ValueError):
+    """A condition chart has no finite, positive value to draw."""
+
 
 PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -100,7 +105,7 @@ def condition_svg(title: str, curves: list, width=520, height=380) -> str:
         if pts:
             cleaned.append((label, sorted(pts)))
     if not cleaned:
-        raise ValueError(f"no finite condition numbers to plot for {title!r}")
+        raise NoFiniteValues(f"no finite condition numbers to plot for {title!r}")
 
     left, right, top, bottom = 64, 24, 36, 46
     plot_w = width - left - right

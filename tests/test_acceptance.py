@@ -20,7 +20,7 @@ from pathfield.paths import (
     generate_paths,
     same_edge,
 )
-from pathfield.sensing import build_matrix, point_rows
+from pathfield.sensing import Sensing, build_matrix, point_rows
 from pathfield.sweep import SweepSpec, check_bound_trend, rank_schemes, run_sweep
 
 RANDOM_PATH_SCHEMES = [s for s in Scheme if s is not Scheme.SCATTERED]
@@ -164,8 +164,8 @@ def test_criterion_08_hive_matrix_equals_benchmark_at_hives():
         paths = generate_paths(config)
         X_hive = build_matrix(paths, config)
         hives = np.asarray([p.hive for p in paths], dtype=float)
-        X_bench = point_rows(hives, 3)
-        entries_equal &= np.array_equal(X_hive, X_bench)
+        X_bench = Sensing.from_points(hives, 3)
+        entries_equal &= np.array_equal(X_hive.dense(), X_bench.dense())
         conds_equal &= condition_number(X_hive) == condition_number(X_bench)
     ok = entries_equal and conds_equal
     assert report(8, "unaware hive matrix identical to benchmark at hive centers", ok)

@@ -253,6 +253,36 @@ def test_plot_empty_csv_errors_without_output(tmp_path, capsys):
     assert not plots.exists() or not list(plots.glob("*.svg"))
 
 
+@pytest.mark.filterwarnings("ignore:line point sampling")
+def test_plot_skips_all_singular_scheme_and_draws_the_rest(tmp_path, capsys):
+    # gamma = 10 leaves one sample per line: every line-points draw is singular.
+    sweep_out = tmp_path / "sweep"
+    assert main(["sweep", "--scheme", "all", "--b", "1", "--m", "2", "--gamma", "10",
+                 "--iters", "3", "--no-reconstruct", "--out", str(sweep_out)]) == 0
+    capsys.readouterr()
+    plots = tmp_path / "plots"
+    rc = main(["plot", "--results", str(sweep_out / "sweep.csv"), "--out", str(plots)])
+    assert rc == 0
+    drawn = sorted(p.name for p in plots.glob("cond_*.svg"))
+    assert drawn == sorted(f"cond_{s.value}.svg" for s in Scheme
+                           if s is not Scheme.LINE_BOUNDARY_POINTS)
+    assert "skipped line_boundary_points" in capsys.readouterr().err
+
+
+def test_plot_with_no_drawable_scheme_exits_3_before_creating_out(tmp_path, capsys):
+    singular = tmp_path / "singular.csv"
+    singular.write_text("scheme,b,m,gamma,aware,mean_cond,std_cond,mean_rel_err,excluded\n"
+                        "scattered,1,14,0.05,true,nan,nan,nan,3\n"
+                        "bee_hive,1,14,0.05,true,nan,nan,nan,3\n")
+    plots = tmp_path / "plots"
+    rc = main(["plot", "--results", str(singular), "--out", str(plots)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "skipped scattered" in err and "skipped bee_hive" in err
+    assert "no scheme has a finite condition number" in err
+    assert not plots.exists()
+
+
 def test_plot_malformed_csv_names_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("scheme,b,m,gamma,aware,mean_cond,std_cond,mean_rel_err,excluded\n"

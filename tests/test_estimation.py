@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pathfield.estimation import (
+    SINGULAR_RATIO,
     SingularSystemError,
     condition_number,
     measure,
@@ -17,6 +18,8 @@ from pathfield.paths import (
     generate_paths,
 )
 from pathfield.sensing import build_matrix, point_rows
+
+EPS = np.finfo(float).eps
 
 
 def constant_field(b, value):
@@ -254,7 +257,7 @@ def test_field_rmse_matches_grid_rmse(scheme):
     X = build_matrix(paths, config)
     g = measure(fld, paths, config, rng)
     rel = reconstruct_and_score(fld, X, g)
-    estimate = np.linalg.lstsq(X, g, rcond=None)[0].reshape(7, 7)
+    estimate = np.linalg.lstsq(X.dense(), g, rcond=None)[0].reshape(7, 7)
     axis = np.arange(64) / 64
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     gap = fourier_sum(estimate, gx, gy).real - fld.evaluate(gx, gy)
@@ -282,24 +285,50 @@ def test_noise_error_scales_with_pseudoinverse_norm():
     assert abs(mses[0.04] / mses[0.01] - 16.0) <= 0.2 * 16.0
 
 
-@pytest.mark.parametrize("b", [1, 2, 3])
+def oracle_check(config):
+    """Check one trial's Gram, kappa and score against dense oracles; return
+    the SVD kappa. The score must be within max(1e-10, 100 eps kappa) of
+    lstsq's, the problem's own conditioning, as the solve is not lstsq."""
+    rng = np.random.default_rng(config.seed)
+    fld = generate_random_field(config.b, rng)
+    paths = generate_paths(config, rng)
+    X = build_matrix(paths, config)
+    g = measure(fld, paths, config, rng)
+    dense = X.dense()
+    assert np.abs(X.gram - dense.conj().T @ dense).max() <= 1e-12 * len(dense)
+    sv = np.linalg.svd(dense, compute_uv=False)
+    kappa = sv[0] / sv[-1]
+    cond = condition_number(X)
+    if kappa * SINGULAR_RATIO > 1.0:
+        assert cond == np.inf
+        return kappa
+    assert abs(cond - kappa) <= max(1e-12, 10 * EPS * kappa ** 2) * kappa
+    truth = fld.vector()
+    estimate = np.linalg.lstsq(dense, g, rcond=None)[0]
+    oracle = np.linalg.norm(estimate - truth) / np.linalg.norm(truth)
+    tol = max(1e-10, 100 * EPS * kappa)
+    assert abs(reconstruct_and_score(fld, X, g) - oracle) <= tol * oracle, (config, kappa)
+    return kappa
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
 def test_score_equals_lstsq_oracle(b):
-    """The rcond = SINGULAR_RATIO solve scores exactly as a default-rcond lstsq."""
     n = (2 * b + 1) ** 2
     cases = [(scheme, True) for scheme in Scheme]
     cases += [(scheme, False) for scheme in Scheme if scheme in UNAWARE_SCHEMES]
     for i, (scheme, aware) in enumerate(cases):
-        config = SchemeConfig(scheme=scheme, m=2 * n, b=b, gamma=0.05, p=25, noise_sigma=0.01,
-                              location_aware=aware, seed=600 + i)
-        rng = np.random.default_rng(config.seed)
-        fld = generate_random_field(b, rng)
-        paths = generate_paths(config, rng)
-        X = build_matrix(paths, config)
-        g = measure(fld, paths, config, rng)
-        truth = fld.vector()
-        estimate = np.linalg.lstsq(X, g, rcond=None)[0]
-        oracle = np.linalg.norm(estimate - truth) / np.linalg.norm(truth)
-        assert reconstruct_and_score(fld, X, g) == oracle, (scheme, aware)
+        for mult in (1.5, 2.0, 4.0):
+            oracle_check(SchemeConfig(scheme=scheme, m=int(round(mult * n)), b=b, gamma=0.05,
+                                      p=25, noise_sigma=0.01, location_aware=aware,
+                                      seed=600 + i))
+
+
+def test_score_matches_lstsq_on_ill_conditioned_walks():
+    # b = 4 random walks at m = 1.5n reach kappa of 1e4 to 1e7
+    kappas = [oracle_check(SchemeConfig(scheme=Scheme.RANDOM_WALK, m=122, b=4, gamma=0.05,
+                                        noise_sigma=0.01, seed=seed))
+              for seed in range(10)]
+    assert max(kappas) > 1e6
 
 
 def test_unaware_error_does_not_grow_with_more_paths():

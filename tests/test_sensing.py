@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pathfield.field import harmonics
+from pathfield.field import harmonics, phasors
 from pathfield.paths import (
     POINT_SCHEMES,
     UNAWARE_SCHEMES,
@@ -19,7 +19,7 @@ from pathfield.sensing import build_matrix, point_rows
 def averaged_matrix(points, b):
     """The one-row sensing matrix of a single averaging path over `points`."""
     config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=1, b=b)
-    return build_matrix([SamplePath(points=points)], config)
+    return build_matrix([SamplePath(points=points)], config).dense()
 
 
 # ------------------------------------------------------------------ rows
@@ -65,7 +65,7 @@ def test_averaged_row_modulus_at_most_one():
 def test_scattered_matrix_is_point_exact():
     config = SchemeConfig(scheme=Scheme.SCATTERED, m=30, b=2, seed=0)
     paths = generate_paths(config)
-    X = build_matrix(paths, config)
+    X = build_matrix(paths, config).dense()
     assert X.shape == (30, 25)
     assert np.array_equal(X, point_rows(np.vstack([p.points for p in paths]), 2))
     assert np.allclose(np.abs(X), 1.0, atol=1e-12)
@@ -74,7 +74,7 @@ def test_scattered_matrix_is_point_exact():
 def test_line_points_matrix_has_row_per_sample():
     config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=10, b=1, gamma=0.05, seed=1)
     paths = generate_paths(config)
-    X = build_matrix(paths, config)
+    X = build_matrix(paths, config).dense()
     assert X.shape == (sum(len(p) for p in paths), 9)
     assert np.array_equal(X, point_rows(np.vstack([p.points for p in paths]), 1))
 
@@ -86,7 +86,7 @@ def test_line_points_matrix_has_row_per_sample():
 def test_averaging_schemes_have_row_per_path(scheme):
     config = SchemeConfig(scheme=scheme, m=12, b=1, gamma=0.08, p=8, seed=2)
     paths = generate_paths(config)
-    X = build_matrix(paths, config)
+    X = build_matrix(paths, config).dense()
     assert X.shape == (12, 9)
     assert (np.abs(X) <= 1.0 + 1e-12).all()
     for row, path in zip(X, paths):
@@ -101,7 +101,7 @@ def test_column_count_for_every_kind():
     ]:
         config = SchemeConfig(scheme=scheme, m=9, b=2, gamma=0.1, p=6,
                               location_aware=aware, seed=3)
-        X = build_matrix(generate_paths(config), config)
+        X = build_matrix(generate_paths(config), config).dense()
         assert X.shape[1] == 25
         # Columns follow harmonics(2): the (0, 0) column is the constant mean.
         assert np.allclose(X[:, 12], 1.0, atol=1e-12)
@@ -111,7 +111,7 @@ def test_unaware_line_points_rows_match_sample_counts():
     config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=8, b=1, gamma=0.05,
                           location_aware=False, seed=4)
     paths = generate_paths(config)
-    X = build_matrix(paths, config)
+    X = build_matrix(paths, config).dense()
     assert X.shape[0] == sum(len(p) for p in paths)
     first = paths[0]
     expected = point_rows(np.linspace(*first.endpoints, len(first)), 1)
@@ -122,7 +122,7 @@ def test_unaware_averaged_kind():
     config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=7, b=1, gamma=0.05,
                           location_aware=False, seed=5)
     paths = generate_paths(config)
-    X = build_matrix(paths, config)
+    X = build_matrix(paths, config).dense()
     assert X.shape == (7, 9)
     for row, path in zip(X, paths):
         expected = point_rows(np.linspace(*path.endpoints, len(path)), 1).mean(axis=0)
@@ -133,7 +133,7 @@ def test_unaware_hive_matrix_equals_scattered_matrix_at_hives():
     config = SchemeConfig(scheme=Scheme.BEE_HIVE, m=25, b=2, gamma=0.04, p=12,
                           location_aware=False, seed=6)
     paths = generate_paths(config)
-    X = build_matrix(paths, config)
+    X = build_matrix(paths, config).dense()
     hives = np.asarray([p.hive for p in paths], dtype=float)
     assert np.array_equal(X, point_rows(hives, 2))
 
@@ -221,12 +221,27 @@ def test_build_matrix_matches_dense_oracle(scheme, aware, b):
     X = build_matrix(paths, config)
     expected = oracle_matrix(paths, config)
     assert X.shape == expected.shape
-    assert np.abs(X - expected).max() <= 1e-12
+    assert np.abs(X.dense() - expected).max() <= 1e-12
+    # The operator without the matrix: Gram, X a and X* g.
+    rng = np.random.default_rng(b)
+    a = rng.standard_normal(X.shape[1]) + 1j * rng.standard_normal(X.shape[1])
+    g = rng.standard_normal(X.shape[0])
+    for got, want in [(X.gram, expected.conj().T @ expected), (X.forward(a), expected @ a),
+                      (X.adjoint(g), expected.conj().T @ g),
+                      (X.adjoint(g * 1j), expected.conj().T @ (g * 1j))]:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_unaware_single_sample_path_is_pinned_to_first_endpoint():
     config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=1, b=2,
                           location_aware=False)
     path = SamplePath(points=[[0.4, 0.6]], endpoints=(Point(0.1, 0.0), Point(0.9, 1.0)))
-    X = build_matrix([path], config)
+    X = build_matrix([path], config).dense()
     assert np.array_equal(X, point_rows([Point(0.1, 0.0)], 2))
+
+
+def test_point_tables_are_slices_of_the_double_bandwidth_tables():
+    t = np.random.default_rng(78).random(500)
+    for b in range(6):
+        assert np.array_equal(phasors(t, 2 * b)[:, b:3 * b + 1], phasors(t, b))
+

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 import pathfield
 from pathfield.estimation import SingularSystemError
-from pathfield.paths import ConfigurationError, Scheme
+from pathfield.paths import ConfigurationError, Scheme, SchemeConfig, generate_paths
 from pathfield.sweep import (
     CellResult,
     SweepResult,
@@ -17,6 +18,7 @@ from pathfield.sweep import (
     check_bound_trend,
     rank_schemes,
     run_sweep,
+    run_trial,
     trial_seed,
 )
 
@@ -347,3 +349,20 @@ def test_rank_schemes_ambiguous_without_b():
         rank_schemes(result, m=196, gamma=0.05)
     ranking = rank_schemes(result, m=196, gamma=0.05, b=2)
     assert len(ranking) == 8
+
+
+def test_point_trial_never_allocates_the_dense_matrix():
+    # A b=10 line-points trial has ~26k rows: its dense matrix would take
+    # rows x n x 16 B = ~180 MB. The per-axis tables and the n x n Gram stay
+    # far below that, through measurement and reconstruction.
+    config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=882, b=10, gamma=0.05,
+                          noise_sigma=0.01, seed=5)
+    rows = sum(len(sp) for sp in generate_paths(config))
+    tracemalloc.start()
+    try:
+        cond, rel_err = run_trial(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(cond) and rel_err < 1e-3
+    assert peak < rows * config.n * 16 / 2
