@@ -10,7 +10,6 @@ random, and whether the path closes on itself (bee-and-hive loops).
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -36,9 +35,7 @@ __all__ = [
     "paths_to_csv",
 ]
 
-# Monte Carlo estimate of the mean distance between two uniform points on the
-# unit-square perimeter; used only for the soft samples-per-path check.
-MEAN_BOUNDARY_CHORD = 0.7354
+WALK_RETRIES = 200
 
 
 class ConfigurationError(ValueError):
@@ -138,19 +135,8 @@ class SchemeConfig:
             raise ConfigurationError("p must be >= 2")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ConfigurationError("noise_sigma must be finite and >= 0")
-        if self.scheme is Scheme.LINE_BOUNDARY_POINTS:
-            # Soft solvability check for point sampling on lines: more than
-            # 2b+1 paths and on average at least 2b+1 samples per path.
-            need = 2 * self.b + 1
-            avg_samples = 1.0 + 2.0 * MEAN_BOUNDARY_CHORD / self.gamma
-            if self.m <= need or avg_samples < need:
-                warnings.warn(
-                    f"line point sampling with m={self.m}, gamma={self.gamma} risks an "
-                    f"underdetermined system at b={self.b}: prefer m > {need} paths "
-                    f"and gamma small enough for >= {need} samples per path",
-                    UserWarning,
-                    stacklevel=3,
-                )
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
     @property
     def n(self) -> int:
@@ -225,20 +211,19 @@ def _steps(rng: np.random.Generator, gamma: float, count: int) -> np.ndarray:
     return np.column_stack([d * np.cos(theta), d * np.sin(theta)])
 
 
-def random_walk_path(b1, gamma: float, rng: np.random.Generator,
-                     max_retries: int = 200) -> SamplePath:
+def random_walk_path(b1, gamma: float, rng: np.random.Generator) -> SamplePath:
     """Free random walk from a boundary point, stopped at the region edge.
 
     Each step advances by Uniform(0, gamma) at an independent Uniform(0, 2pi)
     angle. The first point that would leave the unit square terminates the
     walk and is discarded, so all returned points are in-region. A walk that
-    dies with fewer than two points is re-rolled up to ``max_retries`` times.
+    dies with fewer than two points is re-rolled up to WALK_RETRIES times.
     """
     if gamma <= 0:
         raise ConfigurationError("gamma must be > 0")
     start = np.asarray(b1, dtype=float)
     chunk = 64
-    for _ in range(max_retries):
+    for _ in range(WALK_RETRIES):
         segments = [start[None, :]]
         current = start
         alive = True
@@ -258,7 +243,7 @@ def random_walk_path(b1, gamma: float, rng: np.random.Generator,
             return SamplePath(points=points)
     raise PathGenerationError(
         f"random walk from {tuple(start)} kept exiting immediately "
-        f"({max_retries} attempts, gamma={gamma})"
+        f"({WALK_RETRIES} attempts, gamma={gamma})"
     )
 
 

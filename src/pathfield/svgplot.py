@@ -94,7 +94,7 @@ def trajectory_svg(groups: list) -> str:
     return _document(width, height, body)
 
 
-def condition_svg(title: str, curves: list, width=520, height=380) -> str:
+def condition_svg(title: str, curves: list) -> str:
     """Line chart of mean condition number (log scale) against m/n.
 
     ``curves`` is a list of (label, xs, ys); non-finite ys are dropped.
@@ -107,6 +107,7 @@ def condition_svg(title: str, curves: list, width=520, height=380) -> str:
     if not cleaned:
         raise NoFiniteValues(f"no finite condition numbers to plot for {title!r}")
 
+    width, height = 520, 380
     left, right, top, bottom = 64, 24, 36, 46
     plot_w = width - left - right
     plot_h = height - top - bottom

@@ -68,6 +68,19 @@ class SweepSpec:
                     f"location-unaware mode is undefined for schemes {unsupported}; "
                     "run them in a separate location-aware sweep"
                 )
+        cells = self.cells()
+        for i, (scheme, b, m, gamma, aware) in enumerate(cells):
+            if cells[i] in cells[:i]:
+                raise ConfigurationError(
+                    f"the grid repeats cell ({scheme.value}, b={b}, m={m}, gamma={gamma:g}"
+                    f"{'' if aware else ', unaware'}); m is round(multiple * n)")
+
+    def cells(self) -> list:
+        """The (scheme, b, m, gamma, aware) cells in run order; m = round(multiple * n)."""
+        grid = product(self.schemes, self.b_values, self.m_multiples, self.gamma_values,
+                       self.aware)
+        return [(scheme, b, int(round(mult * (2 * b + 1) ** 2)), gamma, aware)
+                for scheme, b, mult, gamma, aware in grid]
 
     @classmethod
     def from_file(cls, path, overrides=()) -> "SweepSpec":
@@ -296,10 +309,7 @@ def run_sweep(spec: SweepSpec, progress=None) -> SweepResult:
     nan means. `progress`, if given, is called with each finished CellResult.
     """
     cells = []
-    for scheme, b, mult, gamma, aware in product(
-            spec.schemes, spec.b_values, spec.m_multiples, spec.gamma_values, spec.aware):
-        n = (2 * b + 1) ** 2
-        m = int(round(mult * n))
+    for scheme, b, m, gamma, aware in spec.cells():
         conds = []
         errors = []
         excluded = 0

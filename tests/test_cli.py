@@ -51,7 +51,6 @@ def test_paths_same_seed_identical_bytes(tmp_path):
     assert (out_a / "trajectories.svg").read_bytes() == (out_b / "trajectories.svg").read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore:line point sampling")
 def test_paths_all_schemes_panel_per_scheme(tmp_path):
     out = tmp_path / "out"
     rc = main(["paths", "--m", "5", "--p", "6", "--out", str(out)])
@@ -69,6 +68,7 @@ def test_paths_invalid_scheme_is_usage_error(tmp_path, capsys):
         (["--gamma", "inf"], ["gamma"]),
         (["--m", "0"], ["m must be"]),
         (["--p", "1"], ["p must be"]),
+        (["--seed", "-1"], ["seed must be"]),
     ]
     out = tmp_path / "out"
     for argv, expected in cases:
@@ -139,6 +139,11 @@ def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
         (["--iters", "0"], ["error: --iters:"]),
         (["--p", "1"], ["error: --p:"]),
         (["--noise-sigma", "-1"], ["error: --noise-sigma:"]),
+        (["--scheme", "scattered,scattered"], ["repeats cell (scattered, b=3, m=74"]),
+        (["--m", "2,2"], ["repeats cell (", "m=98"]),
+        (["--b", "0"], ["repeats cell (", "b=0, m=2,"]),
+        (["--scheme", "bee_hive", "--unaware", "--b", "0"],
+         ["repeats cell (bee_hive, b=0, m=2, gamma=0.05, unaware)"]),
     ]
     out = tmp_path / "out"
     for argv, expected in cases:
@@ -153,9 +158,8 @@ def test_sweep_all_singular_cell_is_excluded_and_warned(tmp_path, capsys):
     # At gamma = 10 almost every line keeps only its boundary start point, and
     # rows at boundary points alone leave the system rank deficient.
     out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="line point sampling"):
-        rc = main(["sweep", "--scheme", "line_boundary_points", "--b", "1", "--m", "2",
-                   "--gamma", "10", "--iters", "3", "--no-reconstruct", "--out", str(out)])
+    rc = main(["sweep", "--scheme", "line_boundary_points", "--b", "1", "--m", "2",
+               "--gamma", "10", "--iters", "3", "--no-reconstruct", "--out", str(out)])
     assert rc == 0
     (row,) = csv.DictReader((out / "sweep.csv").read_text().splitlines())
     assert row["excluded"] == "3"
@@ -253,7 +257,6 @@ def test_plot_empty_csv_errors_without_output(tmp_path, capsys):
     assert not plots.exists() or not list(plots.glob("*.svg"))
 
 
-@pytest.mark.filterwarnings("ignore:line point sampling")
 def test_plot_skips_all_singular_scheme_and_draws_the_rest(tmp_path, capsys):
     # gamma = 10 leaves one sample per line: every line-points draw is singular.
     sweep_out = tmp_path / "sweep"

@@ -135,6 +135,16 @@ def test_spec_rejects_empty_lists():
         quick_spec(gamma_values=[])
 
 
+def test_spec_cells_are_the_grid_in_run_order():
+    spec = quick_spec(b_values=[1, 2], m_multiples=[1.5, 2.0], aware=[True, False],
+                      schemes=[Scheme.BEE_HIVE])
+    assert spec.cells() == [(Scheme.BEE_HIVE, b, m, 0.05, aware)
+                            for b, ms in ((1, (14, 18)), (2, (38, 50)))
+                            for m in ms for aware in (True, False)]
+    assert [(c.b, c.m, c.aware) for c in run_sweep(spec).cells] == \
+        [(b, m, aware) for _, b, m, _, aware in spec.cells()]
+
+
 def test_spec_rejects_unaware_for_unsupported_scheme():
     with pytest.raises(ConfigurationError, match="unaware"):
         quick_spec(schemes=[Scheme.RANDOM_WALK], aware=[True, False])
