@@ -36,11 +36,18 @@ def phasors(t, b: int) -> np.ndarray:
 
     Every Fourier evaluation in the package is built from this table: a 2-D
     phasor exp(j 2 pi (k x + l y)) is the product of the x table's k entry and
-    the y table's l entry.
+    the y table's l entry. Column k > 0 is column k - 1 times exp(j 2 pi t) and
+    column -k its conjugate, so a wider table's columns -b..b equal this one exactly.
     """
-    k = np.arange(-b, b + 1)
-    table = 2j * np.pi * np.multiply.outer(np.asarray(t, dtype=float), k)
-    return np.exp(table, out=table)
+    t = np.asarray(t, dtype=float)
+    # One contiguous row per k: a value gets the same arithmetic wherever it sits.
+    table = np.empty((2 * b + 1, t.size), dtype=complex)
+    table[b] = 1.0
+    step = np.exp(2j * np.pi * t.ravel())
+    for k in range(b + 1, 2 * b + 1):
+        np.multiply(table[k - 1], step, out=table[k])
+    np.conjugate(table[:b:-1], out=table[:b])
+    return table.T.reshape(t.shape + (2 * b + 1,))
 
 
 def fourier_sum(coeffs: np.ndarray, x, y):
@@ -54,15 +61,9 @@ def fourier_sum(coeffs: np.ndarray, x, y):
     if coeffs.shape != (size, size) or size % 2 == 0:
         raise ValueError("coefficient grid must be square with odd side")
     b = (size - 1) // 2
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    xf = np.broadcast_to(x, shape).ravel()
-    yf = np.broadcast_to(y, shape).ravel()
-    vals = ((phasors(xf, b) @ coeffs) * phasors(yf, b)).sum(axis=1)
-    if shape == ():
-        return complex(vals[0])
-    return vals.reshape(shape)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    vals = ((phasors(x.ravel(), b) @ coeffs) * phasors(y.ravel(), b)).sum(axis=1)
+    return complex(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,11 @@ every other scheme one mean row per path.
 
 Point rows are never formed: their Gram is Toeplitz-block-Toeplitz in the
 harmonic differences, and X a and X* g are products with per-axis tables.
+A value eigensolves its Gram at most once (`spectrum`).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,21 +66,24 @@ class Sensing:
     @classmethod
     def from_points(cls, points, b: int) -> "Sensing":
         """Point rows at each (x, y) location, kept as per-axis phasor tables."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        wide_x, wide_y = phasors(pts[:, 0], 2 * b), phasors(pts[:, 1], 2 * b)
+        x, y = np.atleast_2d(np.asarray(points, dtype=float)).T
         # G[(k, l), (k', l')] = d[k' - k + 2b, l' - l + 2b], where
         # d[u + 2b, v + 2b] = sum_p exp(j 2 pi (u x_p + v y_p)) for u, v = -2b..2b.
-        d = wide_x.T @ wide_y
+        d = phasors(x, 2 * b).T @ phasors(y, 2 * b)
         kl = harmonics(b)
         gram = d[kl[None, :, 0] - kl[:, None, 0] + 2 * b, kl[None, :, 1] - kl[:, None, 1] + 2 * b]
-        band = slice(b, 3 * b + 1)  # k = -b..b within -2b..2b
-        return cls(gram, (len(pts), (2 * b + 1) ** 2), tables=(wide_x[:, band], wide_y[:, band]))
+        return cls(gram, (len(x), (2 * b + 1) ** 2), tables=(phasors(x, b), phasors(y, b)))
 
     @classmethod
     def from_rows(cls, rows) -> "Sensing":
         """A dense (m, n) matrix, such as one mean phasor row per path."""
         rows = np.asarray(rows, dtype=complex)
         return cls(rows.conj().T @ rows, rows.shape, rows=rows)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The Gram eigenvalues in ascending order, computed once per value."""
+        return np.linalg.eigvalsh(self.gram)
 
     def forward(self, a) -> np.ndarray:
         """X a for a coefficient vector in ``harmonics`` order."""

@@ -266,14 +266,19 @@ class SweepResult:
         if len(rows) == 1:
             raise ValueError(f"{source}: no result rows")
         cells = []
+        seen = {}  # (scheme, b, m, gamma, aware) -> line of its first row
         for lineno, row in enumerate(rows[1:], start=2):
             if len(row) != len(RESULT_HEADER):
                 raise ValueError(f"{source} line {lineno}: expected {len(RESULT_HEADER)} fields")
             try:
-                cells.append(CellResult(*(_PARSE[f.type](value)
-                                          for f, value in zip(fields(CellResult), row))))
+                cell = CellResult(*(_PARSE[f.type](value)
+                                    for f, value in zip(fields(CellResult), row)))
             except ValueError as exc:
                 raise ValueError(f"{source} line {lineno}: {exc}") from None
+            first = seen.setdefault((cell.scheme, cell.b, cell.m, cell.gamma, cell.aware), lineno)
+            if first != lineno:
+                raise ValueError(f"{source} line {lineno}: repeats the cell of line {first}")
+            cells.append(cell)
         return cls(cells=cells)
 
 

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +200,21 @@ def test_rank_missing_cell_is_runtime_error(ranking_csv, capsys):
     rc = main(["rank", "--results", str(ranking_csv), "--m", "999", "--gamma", "0.1"])
     assert rc == 3
     assert "no cell" in capsys.readouterr().err
+
+
+def test_rank_rejects_a_csv_that_repeats_its_cells(tmp_path, capsys):
+    # Two runs of the ci sweep concatenated: every cell appears twice, which
+    # no choice of b can disambiguate.
+    config = Path(__file__).parents[1] / "configs" / "ci.cfg"
+    assert main(["sweep", "--config", str(config), "--iters", "1", "--no-reconstruct",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines(keepends=True)
+    doubled = tmp_path / "doubled.csv"
+    doubled.write_text("".join(lines + lines[1:]))
+    capsys.readouterr()
+    rc = main(["rank", "--results", str(doubled), "--b", "3", "--m", "74", "--gamma", "0.05"])
+    assert rc == 3
+    assert f"line {len(lines) + 1}: repeats the cell of line 2" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

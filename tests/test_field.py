@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pathfield.field import BandlimitedField, fourier_sum, generate_random_field, harmonics
+from pathfield.field import (BandlimitedField, fourier_sum, generate_random_field, harmonics,
+                             phasors)
 
 
 def make_field(b, assignments):
@@ -126,3 +127,21 @@ def test_fourier_sum_scalar_and_array_agree():
     scalar = fourier_sum(field.coeffs, 0.3, 0.4)
     array = fourier_sum(field.coeffs, np.array([0.3]), np.array([0.4]))
     assert scalar == array[0]
+
+
+@pytest.mark.parametrize("b", [0, 1, 3, 10, 20])
+def test_phasors_match_the_exponential_oracle(b):
+    # The recurrence's error grows with |k| like the angle rounding of the
+    # direct 2 pi t k product: both stay below 1e-13 for |t| <= 2, |k| <= 20.
+    k = np.arange(-b, b + 1)
+    t = np.random.default_rng(b).uniform(-1.0, 2.0, 2000)
+    table = phasors(t, b)
+    assert table.shape == (2000, 2 * b + 1)
+    assert np.abs(table - np.exp(2j * np.pi * np.multiply.outer(t, k))).max() <= 1e-13
+    scalar = phasors(t[7], b)
+    assert scalar.shape == (2 * b + 1,)
+    assert np.abs(scalar - np.exp(2j * np.pi * t[7] * k)).max() <= 1e-13
+    assert np.array_equal(scalar, table[7])
+    # Negative harmonics are exact conjugates of the positive ones.
+    assert np.array_equal(table[:, :b], table[:, :b:-1].conj())
+    assert np.array_equal(table[:, b], np.ones(2000))

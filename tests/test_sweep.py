@@ -6,6 +6,7 @@ import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pathfield
@@ -269,6 +270,15 @@ def test_result_csv_rejects_empty_body():
         SweepResult.from_csv_text(header)
 
 
+def test_result_csv_rejects_a_repeated_cell():
+    header = "scheme,b,m,gamma,aware,mean_cond,std_cond,mean_rel_err,excluded\n"
+    row = "scattered,1,14,0.05,true,2.0,0.1,0.0,0\n"
+    other = "scattered,1,14,0.05,false,2.0,0.1,0.0,0\n"
+    assert len(SweepResult.from_csv_text(header + row + other).cells) == 2
+    with pytest.raises(ValueError, match="line 4: repeats the cell of line 2"):
+        SweepResult.from_csv_text(header + row + other + row)
+
+
 def test_result_csv_names_offending_line():
     header = "scheme,b,m,gamma,aware,mean_cond,std_cond,mean_rel_err,excluded\n"
     bad = header + "scattered,1,14,0.05,true,2.0,0.1,0.0,0\nscattered,1,oops,0.05,true,2,0.1,0,0\n"
@@ -376,3 +386,26 @@ def test_point_trial_never_allocates_the_dense_matrix():
         tracemalloc.stop()
     assert math.isfinite(cond) and rel_err < 1e-3
     assert peak < rows * config.n * 16 / 2
+
+
+@pytest.mark.parametrize("reconstruct", [True, False])
+def test_trial_runs_one_gram_eigensolve(monkeypatch, reconstruct):
+    # The condition number and the solve's singularity check share one
+    # spectrum; the solve itself factorises by LU, not by eigendecomposition.
+    calls = []
+
+    def spy(name):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=74, b=3, gamma=0.05,
+                          noise_sigma=0.01, seed=3)
+    cond, rel_err = run_trial(config, reconstruct=reconstruct)
+    assert math.isfinite(cond) and math.isfinite(rel_err) == reconstruct
+    assert calls == ["eigvalsh"]
