@@ -6,17 +6,18 @@ from .paths import (
     PathGenerationError,
     Point,
     POINT_SCHEMES,
+    PathSet,
     SamplePath,
     Scheme,
     SchemeConfig,
     UNAWARE_SCHEMES,
-    directed_walk,
+    directed_walks,
     generate_paths,
-    line_path,
+    line_paths,
     paths_to_csv,
-    random_walk_path,
+    random_walks,
     same_edge,
-    sample_boundary_point,
+    sample_boundary_points,
     sample_scattered,
 )
 from .sensing import Sensing, build_matrix, point_rows

@@ -1,4 +1,4 @@
-"""Random sampling paths over the unit square.
+"""Random sampling paths over the unit square, drawn in batches.
 
 Eight schemes are supported, all built from two primitives: a step rule that
 advances by a Uniform(0, gamma) distance along some angle, and an affine
@@ -6,6 +6,11 @@ correction that pins a free random walk's endpoints to prescribed targets
 (a discrete Brownian-bridge construction). Schemes differ in where endpoints
 are drawn (boundary vs. interior), whether the walk direction is fixed or
 random, and whether the path closes on itself (bee-and-hive loops).
+
+A cell's m paths form one ragged `PathSet`: every path's points back to back
+in one (P, 2) array, with `offsets` marking where each path starts. Every
+generator draws its random numbers as whole arrays for all m paths at once,
+in the order its docstring states; no Python loop runs once per path.
 """
 
 import csv
@@ -20,22 +25,26 @@ __all__ = [
     "Scheme",
     "Point",
     "SamplePath",
+    "PathSet",
     "SchemeConfig",
     "ConfigurationError",
     "PathGenerationError",
     "POINT_SCHEMES",
     "UNAWARE_SCHEMES",
     "sample_scattered",
-    "sample_boundary_point",
+    "sample_boundary_points",
     "same_edge",
-    "line_path",
-    "random_walk_path",
-    "directed_walk",
+    "line_paths",
+    "random_walks",
+    "directed_walks",
     "generate_paths",
     "paths_to_csv",
 ]
 
 WALK_RETRIES = 200
+# Each of the k random walks still running draws max(16, WALK_ROUND // k)
+# steps per round: long rounds for the few heavy-tailed walks left at the end.
+WALK_ROUND = 1024
 
 
 class ConfigurationError(ValueError):
@@ -83,25 +92,68 @@ class Point(NamedTuple):
     y: float
 
 
-@dataclass
+@dataclass(slots=True)
 class SamplePath:
-    """Ordered sampling locations plus the metadata a location-unaware
-    reconstruction is allowed to use (declared endpoints or hive center)."""
+    """One path of a `PathSet`: its ordered sampling locations plus the
+    metadata a location-unaware reconstruction is allowed to use (declared
+    endpoints or hive center)."""
 
     points: np.ndarray
     endpoints: tuple[Point, Point] | None = None
     hive: Point | None = None
 
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.size == 0 or pts.shape[1] != 2:
-            raise ValueError("a path needs at least one (x, y) point")
-        if not np.isfinite(pts).all():
-            raise ValueError("path points must be finite")
-        self.points = pts
-
     def __len__(self) -> int:
         return len(self.points)
+
+
+@dataclass(frozen=True, eq=False)
+class PathSet:
+    """A cell's m paths in one ragged array.
+
+    Path i is ``points[offsets[i]:offsets[i + 1]]``; the m + 1 offsets rise
+    from 0 to P, by at least one point per path. ``endpoints`` (m, 2, 2) holds
+    each path's declared start and end and ``hives`` (m, 2) each loop's
+    center, or None. Iterating yields one `SamplePath` view per path.
+    """
+
+    points: np.ndarray
+    offsets: np.ndarray
+    endpoints: np.ndarray | None = None
+    hives: np.ndarray | None = None
+
+    def __post_init__(self):
+        offsets, points = np.asarray(self.offsets), np.asarray(self.points, dtype=float)
+        if len(offsets) < 2 or offsets[0] != 0 or (np.diff(offsets) < 1).any() \
+                or points.shape != (offsets[-1], 2) or not np.isfinite(points).all():
+            raise ValueError("a PathSet needs finite (P, 2) points and offsets rising "
+                             "from 0 to P by at least 1 per path")
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "points", points)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Points per path."""
+        return np.diff(self.offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i: int) -> SamplePath:
+        i = range(len(self))[i]
+        return _view(self.points[self.offsets[i]:self.offsets[i + 1]],
+                     None if self.endpoints is None else self.endpoints[i].tolist(),
+                     None if self.hives is None else self.hives[i].tolist())
+
+    def __iter__(self):
+        m = len(self)
+        return map(_view, np.split(self.points, self.offsets[1:-1]),
+                   [None] * m if self.endpoints is None else self.endpoints.tolist(),
+                   [None] * m if self.hives is None else self.hives.tolist())
+
+
+def _view(points: np.ndarray, end, hive) -> SamplePath:
+    return SamplePath(points, None if end is None else (Point(*end[0]), Point(*end[1])),
+                      None if hive is None else Point(*hive))
 
 
 @dataclass
@@ -150,194 +202,196 @@ def sample_scattered(m: int, rng: np.random.Generator) -> np.ndarray:
     return rng.random((m, 2))
 
 
-def sample_boundary_point(rng: np.random.Generator) -> Point:
-    """One point uniform over the unit-square perimeter.
+def sample_boundary_points(count: int, rng: np.random.Generator) -> np.ndarray:
+    """count points uniform over the unit-square perimeter, shape (count, 2).
 
-    Picks one of the four edges with probability 1/4, then a uniform offset
-    along it, which is the uniform distribution on the perimeter since all
-    edges have equal length.
+    Each point's edge (bottom, right, top, left) has probability 1/4 and its
+    offset along it is uniform; all edges are drawn first, then all offsets.
     """
-    edge = int(rng.integers(0, 4))
-    u = float(rng.random())
-    if edge == 0:
-        return Point(u, 0.0)
-    if edge == 1:
-        return Point(1.0, u)
-    if edge == 2:
-        return Point(u, 1.0)
-    return Point(0.0, u)
+    edge = rng.integers(0, 4, size=count)
+    u = rng.random(count)
+    along_x = edge % 2 == 0
+    return np.column_stack([np.where(along_x, u, edge == 1), np.where(along_x, edge == 2, u)])
 
 
-def same_edge(p1, p2) -> bool:
-    """True when both points lie on a common edge of the unit square."""
-    return any(p1[i] == p2[i] and p1[i] in (0.0, 1.0) for i in (0, 1))
+def same_edge(p1, p2):
+    """True where both points lie on a common edge of the unit square; points
+    are (..., 2) arrays."""
+    p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
+    return ((p1 == p2) & ((p1 == 0.0) | (p1 == 1.0))).any(axis=-1)
 
 
-def line_path(b1, b2, gamma: float, rng: np.random.Generator) -> SamplePath:
-    """Samples along the straight segment from b1 toward b2.
+def _steps(rng: np.random.Generator, gamma: float, shape: tuple) -> np.ndarray:
+    """Walk steps, shape + (2,): all lengths Uniform(0, gamma), then all angles Uniform(0, 2pi)."""
+    d = rng.uniform(0.0, gamma, size=shape)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=shape)
+    return np.stack([d * np.cos(theta), d * np.sin(theta)], axis=-1)
 
-    The first sample sits at b1 and consecutive spacings are i.i.d.
-    Uniform(0, gamma); a step that would pass b2 ends the path, so every
-    sample lies on the segment and b2 itself is generally not sampled.
-    """
-    if gamma <= 0:
+
+def _pointset(owner: np.ndarray, points: np.ndarray, m: int, **meta) -> PathSet:
+    """The PathSet of points tagged with their path, each path's in order."""
+    order = np.argsort(owner, kind="stable")
+    return PathSet(points[order], np.r_[0, np.cumsum(np.bincount(owner, minlength=m))], **meta)
+
+
+def _as_points(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).reshape(-1, 2)
+
+
+def _check_gamma(gamma: float) -> None:
+    if not gamma > 0:
         raise ConfigurationError("gamma must be > 0")
-    start = np.asarray(b1, dtype=float)
-    end = np.asarray(b2, dtype=float)
-    delta = end - start
-    length = float(np.hypot(delta[0], delta[1]))
-    if length == 0.0:
+
+
+def line_paths(starts, ends, gamma: float, rng: np.random.Generator) -> PathSet:
+    """Samples along each straight segment from starts[i] toward ends[i].
+
+    A path's first sample sits at its start and consecutive spacings are
+    i.i.d. Uniform(0, gamma); a step that would pass the end stops the path,
+    so every sample lies on the segment and the end is generally not sampled.
+    The gaps are one (m, W) draw, W = ceil(2.5 sqrt(2) / gamma) + 16 (mean
+    spacing gamma/2, chords up to sqrt(2)); the rare paths still short of
+    their end draw further (k, W) blocks together.
+    """
+    _check_gamma(gamma)
+    starts, ends = _as_points(starts), _as_points(ends)
+    delta = ends - starts
+    length = np.hypot(delta[:, 0], delta[:, 1])
+    if not (length > 0.0).all():
         raise ValueError("line endpoints must be distinct")
-    theta = float(np.arctan2(delta[1], delta[0]))
-    direction = np.array([np.cos(theta), np.sin(theta)])
-
-    # Mean spacing is gamma/2, so ~2*length/gamma draws are needed; draw in
-    # oversized blocks until the cumulative distance passes the far endpoint.
-    block = int(2.5 * length / gamma) + 16
-    gaps = rng.uniform(0.0, gamma, size=block)
-    dist = np.cumsum(gaps)
-    while dist[-1] < length:
-        gaps = rng.uniform(0.0, gamma, size=block)
-        dist = np.concatenate([dist, dist[-1] + np.cumsum(gaps)])
-    offsets = np.concatenate([[0.0], dist[dist <= length]])
-    points = start + offsets[:, None] * direction
-    return SamplePath(points=points, endpoints=(Point(*start), Point(*end)))
-
-
-def _steps(rng: np.random.Generator, gamma: float, count: int) -> np.ndarray:
-    """count walk steps, shape (count, 2): length Uniform(0, gamma), angle Uniform(0, 2pi)."""
-    d = rng.uniform(0.0, gamma, size=count)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    return np.column_stack([d * np.cos(theta), d * np.sin(theta)])
+    width = math.ceil(2.5 * math.sqrt(2.0) / gamma) + 16
+    rows = np.arange(len(starts))
+    reached = np.zeros(len(starts))
+    owner, dist = [rows], [reached.copy()]  # every path's first sample, at its start
+    while rows.size:
+        gaps = rng.uniform(0.0, gamma, (rows.size, width))
+        block = reached[rows, None] + np.cumsum(gaps, axis=1)
+        on = block <= length[rows, None]
+        owner.append(np.broadcast_to(rows[:, None], on.shape)[on])
+        dist.append(block[on])
+        reached[rows] = block[:, -1]
+        rows = rows[reached[rows] < length[rows]]
+    owner, dist = np.concatenate(owner), np.concatenate(dist)
+    points = starts[owner] + dist[:, None] * (delta / length[:, None])[owner]
+    return _pointset(owner, points, len(starts), endpoints=np.stack([starts, ends], axis=1))
 
 
-def random_walk_path(b1, gamma: float, rng: np.random.Generator) -> SamplePath:
-    """Free random walk from a boundary point, stopped at the region edge.
+def random_walks(starts, gamma: float, rng: np.random.Generator) -> PathSet:
+    """Free random walks, one from each start, each stopped at the region edge.
 
     Each step advances by Uniform(0, gamma) at an independent Uniform(0, 2pi)
-    angle. The first point that would leave the unit square terminates the
-    walk and is discarded, so all returned points are in-region. A walk that
-    dies with fewer than two points is re-rolled up to WALK_RETRIES times.
+    angle. The first point that would leave the unit square ends the walk and
+    is discarded, so all returned points are in-region. A walk whose first
+    step leaves is re-rolled from its start, up to WALK_RETRIES times, so every
+    walk has at least two points. The walks still running draw their steps
+    together, one round at a time.
     """
-    if gamma <= 0:
-        raise ConfigurationError("gamma must be > 0")
-    start = np.asarray(b1, dtype=float)
-    chunk = 64
-    for _ in range(WALK_RETRIES):
-        segments = [start[None, :]]
-        current = start
-        alive = True
-        while alive:
-            pos = current + np.cumsum(_steps(rng, gamma, chunk), axis=0)
-            inside = (pos[:, 0] >= 0.0) & (pos[:, 0] <= 1.0) \
-                & (pos[:, 1] >= 0.0) & (pos[:, 1] <= 1.0)
-            if inside.all():
-                segments.append(pos)
-                current = pos[-1]
-            else:
-                first_exit = int(np.argmin(inside))
-                segments.append(pos[:first_exit])
-                alive = False
-        points = np.vstack(segments)
-        if len(points) >= 2:
-            return SamplePath(points=points)
-    raise PathGenerationError(
-        f"random walk from {tuple(start)} kept exiting immediately "
-        f"({WALK_RETRIES} attempts, gamma={gamma})"
-    )
+    _check_gamma(gamma)
+    starts = _as_points(starts)
+    m = len(starts)
+    rows = np.arange(m)
+    current = starts.copy()
+    moved = np.zeros(m, dtype=bool)  # has a point besides its start
+    failures = np.zeros(m, dtype=np.int64)
+    owner, points = [rows], [starts]
+    while rows.size:
+        chunk = max(16, WALK_ROUND // rows.size)
+        pos = current[rows, None, :] + np.cumsum(_steps(rng, gamma, (rows.size, chunk)), axis=1)
+        inside = ((pos >= 0.0) & (pos <= 1.0)).all(axis=2)
+        stay = inside.all(axis=1)
+        exit_at = np.where(stay, chunk, inside.argmin(axis=1))
+        keep = np.arange(chunk) < exit_at[:, None]
+        owner.append(np.broadcast_to(rows[:, None], keep.shape)[keep])
+        points.append(pos[keep])
+        reroll = (exit_at == 0) & ~moved[rows]
+        moved[rows] |= exit_at > 0
+        failures[rows[reroll]] += 1
+        if failures.max() >= WALK_RETRIES:
+            raise PathGenerationError(
+                f"random walk from {tuple(starts[failures.argmax()])} kept exiting "
+                f"immediately ({WALK_RETRIES} attempts, gamma={gamma})")
+        current[rows[stay]] = pos[stay, -1]
+        rows = rows[stay | reroll]
+    return _pointset(np.concatenate(owner), np.concatenate(points), m)
 
 
-def directed_walk(b1, b2, p: int, gamma: float, rng: np.random.Generator,
-                  hive: Point | None = None) -> SamplePath:
-    """p-point free random walk from b1, affinely corrected to end at b2.
+def directed_walks(starts, ends, p: int, gamma: float, rng: np.random.Generator,
+                   hives=None) -> PathSet:
+    """p-point free random walks from starts[i], affinely corrected to end at ends[i].
 
-    The walk takes p-1 steps of the random_walk kind with no boundary
-    termination; point t (0-based) is then shifted by t/(p-1) times the
-    closing error b2 - walk[-1]. The correction factor is exactly 0 at the
-    first point and 1 at the last, so the returned path starts at b1 and
-    ends at b2 exactly. Intermediate points may leave the unit square; the
-    field's periodic extension covers them.
+    Each walk takes p-1 steps of the random-walk kind (one (m, p-1) draw of
+    lengths, then one of angles) with no boundary termination; point t
+    (0-based) is then shifted by t/(p-1) times the closing error
+    ends[i] - walk[-1]. The correction is exactly 0 at the first point and 1
+    at the last, so every path starts and ends on its targets exactly.
+    Intermediate points may leave the unit square; the field's periodic
+    extension covers them.
     """
     if p < 2:
         raise ConfigurationError("p must be >= 2")
-    if gamma <= 0:
-        raise ConfigurationError("gamma must be > 0")
-    start = np.asarray(b1, dtype=float)
-    end = np.asarray(b2, dtype=float)
-    free = np.vstack([start[None, :], start + np.cumsum(_steps(rng, gamma, p - 1), axis=0)])
-    frac = np.linspace(0.0, 1.0, p)[:, None]
-    points = free + frac * (end - free[-1])
-    points[0] = start
-    points[-1] = end
-    return SamplePath(points=points, endpoints=(Point(*start), Point(*end)), hive=hive)
+    _check_gamma(gamma)
+    starts, ends = _as_points(starts), _as_points(ends)
+    m = len(starts)
+    free = np.cumsum(np.concatenate([starts[:, None], _steps(rng, gamma, (m, p - 1))], axis=1),
+                     axis=1)
+    points = free + np.linspace(0.0, 1.0, p)[:, None] * (ends - free[:, -1])[:, None]
+    points[:, 0] = starts
+    points[:, -1] = ends
+    return PathSet(points.reshape(-1, 2), np.arange(m + 1) * p,
+                   endpoints=np.stack([starts, ends], axis=1), hives=hives)
 
 
-def _boundary_pair(rng: np.random.Generator, reject_same_edge: bool) -> tuple[Point, Point]:
-    while True:
-        p1 = sample_boundary_point(rng)
-        p2 = sample_boundary_point(rng)
-        if p1 == p2:
-            continue
-        if reject_same_edge and same_edge(p1, p2):
-            continue
-        return p1, p2
+def _endpoint_pairs(m: int, rng: np.random.Generator, boundary: bool,
+                    reject_same_edge: bool) -> np.ndarray:
+    """m distinct (start, end) pairs, shape (m, 2, 2), on the boundary or
+    uniform in the square. Rejected pairs are redrawn together, in path order."""
+    pairs = np.empty((m, 2, 2))
+    redraw = np.ones(m, dtype=bool)
+    while redraw.any():
+        k = int(redraw.sum())
+        pairs[redraw] = (sample_boundary_points(2 * k, rng) if boundary
+                         else rng.random((2 * k, 2))).reshape(k, 2, 2)
+        redraw = (pairs[:, 0] == pairs[:, 1]).all(axis=1)
+        if reject_same_edge:
+            redraw |= same_edge(pairs[:, 0], pairs[:, 1])
+    return pairs
 
 
-def _interior_pair(rng: np.random.Generator) -> tuple[Point, Point]:
-    while True:
-        p1 = Point(*rng.random(2))
-        p2 = Point(*rng.random(2))
-        if p1 != p2:
-            return p1, p2
-
-
-def generate_paths(config: SchemeConfig,
-                   rng: np.random.Generator | None = None) -> list[SamplePath]:
+def generate_paths(config: SchemeConfig, rng: np.random.Generator | None = None) -> PathSet:
     """All m sampling paths for one experiment cell.
 
     With no explicit rng the stream is seeded from config.seed, so identical
-    configs reproduce identical path lists. Same-edge boundary pairs are
-    redrawn for directed boundary walks only; straight boundary lines keep
-    them (they degenerate to sampling along one edge).
+    configs reproduce identical paths. Scattered points are one (m, 2) draw;
+    random walks draw their m boundary starts, bee hives their m centers, and
+    lines and directed walks their m endpoint pairs, each before their gaps
+    or steps. Same-edge boundary pairs are redrawn for directed boundary walks
+    only; straight boundary lines keep them (they degenerate to sampling
+    along one edge).
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    scheme = config.scheme
-
+    scheme, m, gamma = config.scheme, config.m, config.gamma
     if scheme is Scheme.SCATTERED:
-        pts = sample_scattered(config.m, rng)
-        return [SamplePath(points=pt[None, :]) for pt in pts]
-
-    out: list[SamplePath] = []
-    for _ in range(config.m):
-        if scheme in (Scheme.LINE_BOUNDARY_POINTS, Scheme.LINE_BOUNDARY_AVG):
-            b1, b2 = _boundary_pair(rng, reject_same_edge=False)
-            out.append(line_path(b1, b2, config.gamma, rng))
-        elif scheme is Scheme.LINE_INNER_AVG:
-            b1, b2 = _interior_pair(rng)
-            out.append(line_path(b1, b2, config.gamma, rng))
-        elif scheme is Scheme.RANDOM_WALK:
-            b1 = sample_boundary_point(rng)
-            out.append(random_walk_path(b1, config.gamma, rng))
-        elif scheme is Scheme.DIRECTED_BOUNDARY:
-            b1, b2 = _boundary_pair(rng, reject_same_edge=True)
-            out.append(directed_walk(b1, b2, config.p, config.gamma, rng))
-        elif scheme is Scheme.DIRECTED_INNER:
-            b1, b2 = _interior_pair(rng)
-            out.append(directed_walk(b1, b2, config.p, config.gamma, rng))
-        elif scheme is Scheme.BEE_HIVE:
-            hive = Point(*rng.random(2))
-            out.append(directed_walk(hive, hive, config.p, config.gamma, rng, hive=hive))
-        else:  # pragma: no cover - enum is exhaustive
-            raise ConfigurationError(f"unknown scheme {scheme!r}")
-    return out
+        return PathSet(sample_scattered(m, rng), np.arange(m + 1))
+    if scheme is Scheme.RANDOM_WALK:
+        return random_walks(sample_boundary_points(m, rng), gamma, rng)
+    if scheme is Scheme.BEE_HIVE:
+        hives = rng.random((m, 2))
+        return directed_walks(hives, hives, config.p, gamma, rng, hives=hives)
+    boundary = scheme in (Scheme.LINE_BOUNDARY_POINTS, Scheme.LINE_BOUNDARY_AVG,
+                          Scheme.DIRECTED_BOUNDARY)
+    pairs = _endpoint_pairs(m, rng, boundary, reject_same_edge=scheme is Scheme.DIRECTED_BOUNDARY)
+    if scheme in (Scheme.DIRECTED_BOUNDARY, Scheme.DIRECTED_INNER):
+        return directed_walks(pairs[:, 0], pairs[:, 1], config.p, gamma, rng)
+    return line_paths(pairs[:, 0], pairs[:, 1], gamma, rng)
 
 
-def paths_to_csv(paths: list[SamplePath], path) -> None:
+def paths_to_csv(paths: PathSet, path) -> None:
     """Write paths as rows (path_id, t, x, y) for external plotting."""
+    path_id = np.repeat(np.arange(len(paths)), paths.counts)
+    t = np.arange(len(path_id)) - paths.offsets[path_id]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path_id", "t", "x", "y"])
-        for i, sp in enumerate(paths):
-            for t, (x, y) in enumerate(sp.points):
-                writer.writerow([i, t, repr(float(x)), repr(float(y))])
+        x, y = paths.points.T.tolist()
+        writer.writerows(zip(path_id.tolist(), t.tolist(), map(repr, x), map(repr, y)))

@@ -16,7 +16,7 @@ from pathfield.paths import (
     Point,
     Scheme,
     SchemeConfig,
-    directed_walk,
+    directed_walks,
     generate_paths,
     same_edge,
 )
@@ -132,7 +132,7 @@ def test_criterion_06_bridge_endpoints_and_edge_rejection():
         b2 = Point(*rng.random(2))
         p = int(rng.integers(2, 40))
         gamma = float(rng.uniform(0.01, 0.2))
-        path = directed_walk(b1, b2, p, gamma, rng)
+        (path,) = directed_walks([b1], [b2], p, gamma, rng)
         worst = max(worst,
                     float(np.abs(path.points[0] - np.asarray(b1)).max()),
                     float(np.abs(path.points[-1] - np.asarray(b2)).max()))

@@ -274,18 +274,27 @@ def test_plot_empty_csv_errors_without_output(tmp_path, capsys):
 
 
 def test_plot_skips_all_singular_scheme_and_draws_the_rest(tmp_path, capsys):
-    # gamma = 10 leaves one sample per line: every line-points draw is singular.
+    # At gamma = 1e300 a line's first gap is 1e300 * u with u a multiple of
+    # 2^-53, so it reaches a second sample only when u = 0: each line keeps its
+    # start alone except with probability 2^-53. Rows at boundary points alone
+    # are rank deficient (sin 2 pi x sin 2 pi y vanishes on the boundary), so
+    # both boundary-line cells are all-singular except with probability below
+    # 2 * 3 * 18 * 2^-53 < 1.2e-14. Interior lines keep 18 uniform points, as
+    # scattered does, and are drawn.
     sweep_out = tmp_path / "sweep"
-    assert main(["sweep", "--scheme", "all", "--b", "1", "--m", "2", "--gamma", "10",
-                 "--iters", "3", "--no-reconstruct", "--out", str(sweep_out)]) == 0
+    schemes = [Scheme.SCATTERED, Scheme.LINE_BOUNDARY_POINTS, Scheme.LINE_BOUNDARY_AVG,
+               Scheme.LINE_INNER_AVG]
+    assert main(["sweep", "--scheme", ",".join(s.value for s in schemes), "--b", "1",
+                 "--m", "2", "--gamma", "1e300", "--iters", "3", "--no-reconstruct",
+                 "--out", str(sweep_out)]) == 0
     capsys.readouterr()
     plots = tmp_path / "plots"
     rc = main(["plot", "--results", str(sweep_out / "sweep.csv"), "--out", str(plots)])
     assert rc == 0
     drawn = sorted(p.name for p in plots.glob("cond_*.svg"))
-    assert drawn == sorted(f"cond_{s.value}.svg" for s in Scheme
-                           if s is not Scheme.LINE_BOUNDARY_POINTS)
-    assert "skipped line_boundary_points" in capsys.readouterr().err
+    assert drawn == ["cond_line_inner_avg.svg", "cond_scattered.svg"]
+    err = capsys.readouterr().err
+    assert "skipped line_boundary_points" in err and "skipped line_boundary_avg" in err
 
 
 def test_plot_with_no_drawable_scheme_exits_3_before_creating_out(tmp_path, capsys):

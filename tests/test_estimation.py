@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from pathfield.field import BandlimitedField, fourier_sum, generate_random_field
 from pathfield.paths import (
     POINT_SCHEMES,
     UNAWARE_SCHEMES,
-    SamplePath,
+    PathSet,
     Scheme,
     SchemeConfig,
     generate_paths,
@@ -72,13 +74,30 @@ def test_path_averaging_shrinks_noise_variance():
     p = 16
     sigma = 0.5
     fld = constant_field(0, 0.0)
-    path = SamplePath(points=np.random.default_rng(7).random((p, 2)))
+    path = PathSet(np.random.default_rng(7).random((p, 2)), np.array([0, p]))
     config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=1, b=0, gamma=0.1,
                           noise_sigma=sigma, seed=8)
     rng = np.random.default_rng(9)
-    draws = np.array([measure(fld, [path], config, rng)[0] for _ in range(10_000)])
+    draws = np.array([measure(fld, path, config, rng)[0] for _ in range(10_000)])
     expected = sigma ** 2 / p
     assert abs(draws.var() - expected) < 0.1 * expected
+
+
+def test_measure_evaluates_the_field_in_blocks():
+    # ~52k readings at b = 10: one whole per-axis table of them would take
+    # P x 21 x 16 B = ~17 MB. measure works through the kernel's blocks.
+    config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=1764, b=10, gamma=0.05,
+                          noise_sigma=0.01, seed=30)
+    paths = generate_paths(config)
+    fld = generate_random_field(10, np.random.default_rng(31))
+    tracemalloc.start()
+    try:
+        meas = measure(fld, paths, config, np.random.default_rng(32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(meas) == len(paths.points)
+    assert peak < len(paths.points) * 21 * 16 / 2
 
 
 def loop_measure(fld, paths, config, rng):

@@ -2,25 +2,34 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_paths
 
 from pathfield.estimation import condition_number
 from pathfield.paths import (
     ConfigurationError,
     PathGenerationError,
+    PathSet,
     Point,
-    SamplePath,
     Scheme,
     SchemeConfig,
-    directed_walk,
+    directed_walks,
     generate_paths,
-    line_path,
+    line_paths,
     paths_to_csv,
-    random_walk_path,
+    random_walks,
     same_edge,
-    sample_boundary_point,
+    sample_boundary_points,
     sample_scattered,
 )
 from pathfield.sensing import build_matrix
+
+# Properties run a fixed, derandomised set of examples and keep no database.
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+seeds = st.integers(0, 2 ** 32 - 1)
+gammas = st.floats(0.01, 0.3)
 
 
 # ---------------------------------------------------------------- scattered
@@ -51,34 +60,25 @@ def test_scattered_rejects_zero_count():
 # ------------------------------------------------------------ boundary draw
 
 def test_boundary_point_lies_on_perimeter():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        pt = sample_boundary_point(rng)
-        assert pt.x in (0.0, 1.0) or pt.y in (0.0, 1.0)
-        assert 0.0 <= pt.x <= 1.0 and 0.0 <= pt.y <= 1.0
+    pts = sample_boundary_points(200, np.random.default_rng(2))
+    assert pts.shape == (200, 2)
+    assert (np.isin(pts[:, 0], (0.0, 1.0)) | np.isin(pts[:, 1], (0.0, 1.0))).all()
+    assert ((pts >= 0.0) & (pts <= 1.0)).all()
 
 
 def test_boundary_edge_frequencies():
-    rng = np.random.default_rng(3)
-    counts = np.zeros(4)
     draws = 100_000
-    for _ in range(draws):
-        pt = sample_boundary_point(rng)
-        if pt.y == 0.0:
-            counts[0] += 1
-        elif pt.x == 1.0:
-            counts[1] += 1
-        elif pt.y == 1.0:
-            counts[2] += 1
-        else:
-            counts[3] += 1
+    x, y = sample_boundary_points(draws, np.random.default_rng(3)).T
+    # bottom, then right, then top, the rest left: a corner counts once
+    edge = np.select([y == 0.0, x == 1.0, y == 1.0], [0, 1, 2], default=3)
+    counts = np.bincount(edge, minlength=4)
     assert np.all(np.abs(counts / draws - 0.25) < 0.01)
 
 
 def test_boundary_point_deterministic():
-    p1 = sample_boundary_point(np.random.default_rng(4))
-    p2 = sample_boundary_point(np.random.default_rng(4))
-    assert p1 == p2
+    p1 = sample_boundary_points(5, np.random.default_rng(4))
+    p2 = sample_boundary_points(5, np.random.default_rng(4))
+    assert np.array_equal(p1, p2)
 
 
 def test_same_edge_detection():
@@ -99,6 +99,12 @@ def test_same_edge_detection():
 
 
 # ----------------------------------------------------------------- line path
+
+def line_path(b1, b2, gamma, rng):
+    """The one path of a batch of one."""
+    (path,) = line_paths([b1], [b2], gamma, rng)
+    return path
+
 
 def test_line_path_collinear_diagonal():
     path = line_path(Point(0, 0), Point(1, 1), 0.07, np.random.default_rng(5))
@@ -131,9 +137,9 @@ def test_line_path_consecutive_spacing_below_gamma():
 
 def test_line_path_expected_count():
     # unit chord with gamma=0.1: renewal theory gives ~20 spacings per path
-    rng = np.random.default_rng(8)
-    counts = [len(line_path(Point(0, 0), Point(1, 0), 0.1, rng)) for _ in range(10_000)]
-    assert 18.0 <= np.mean(counts) <= 22.0
+    paths = line_paths(np.zeros((10_000, 2)), np.tile([1.0, 0.0], (10_000, 1)), 0.1,
+                       np.random.default_rng(8))
+    assert 18.0 <= np.mean(paths.counts) <= 22.0
 
 
 class _CountingGapRng:
@@ -148,11 +154,11 @@ class _CountingGapRng:
 
 
 def test_line_path_draws_more_blocks_until_past_endpoint():
-    # One block holds int(2.5 * 1 / 0.1) + 16 = 41 gaps of 0.01, so reaching
-    # the far endpoint takes three blocks.
+    # A block holds ceil(2.5 * sqrt(2) / 0.1) + 16 = 52 gaps of 0.01 per path,
+    # so reaching the far endpoint takes a second block.
     rng = _CountingGapRng()
     path = line_path(Point(0, 0), Point(1, 0), 0.1, rng)
-    assert rng.calls == 3
+    assert rng.calls == 2
     assert len(path) == 100
     assert np.allclose(path.points[:, 1], 0.0)
     assert np.allclose(np.diff(path.points[:, 0]), 0.01)
@@ -163,14 +169,15 @@ def test_line_path_rejects_bad_input():
     with pytest.raises(ConfigurationError):
         line_path(Point(0, 0), Point(1, 0), 0.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        line_path(Point(0.5, 0.5), Point(0.5, 0.5), 0.1, np.random.default_rng(0))
+        line_paths([Point(0, 0), Point(0.5, 0.5)], [Point(1, 0), Point(0.5, 0.5)], 0.1,
+                   np.random.default_rng(0))
 
 
 # --------------------------------------------------------------- random walk
 
 def test_random_walk_stays_inside_and_steps_bounded():
     gamma = 0.08
-    path = random_walk_path(Point(0.0, 0.5), gamma, np.random.default_rng(10))
+    (path,) = random_walks([Point(0.0, 0.5)], gamma, np.random.default_rng(10))
     assert len(path) >= 2
     assert (path.points >= 0).all() and (path.points <= 1).all()
     steps = np.linalg.norm(np.diff(path.points, axis=0), axis=1)
@@ -179,8 +186,9 @@ def test_random_walk_stays_inside_and_steps_bounded():
 
 def test_random_walk_small_gamma_walks_longer():
     rng = np.random.default_rng(11)
-    short_steps = [len(random_walk_path(Point(0.0, 0.5), 0.2, rng)) for _ in range(1000)]
-    long_steps = [len(random_walk_path(Point(0.0, 0.5), 0.01, rng)) for _ in range(1000)]
+    starts = np.tile([0.0, 0.5], (1000, 1))
+    short_steps = random_walks(starts, 0.2, rng).counts
+    long_steps = random_walks(starts, 0.01, rng).counts
     assert np.mean(long_steps) > np.mean(short_steps)
 
 
@@ -195,7 +203,7 @@ class _OutwardRng:
 
 def test_random_walk_retry_cap():
     with pytest.raises(PathGenerationError):
-        random_walk_path(Point(0.0, 0.5), 0.1, _OutwardRng())
+        random_walks([Point(0.0, 0.5), Point(0.5, 0.5)], 0.1, _OutwardRng())
 
 
 # ------------------------------------------------------------- directed walk
@@ -203,14 +211,15 @@ def test_random_walk_retry_cap():
 def test_directed_walk_endpoints_exact():
     rng = np.random.default_rng(12)
     b1, b2 = Point(0.1, 0.0), Point(1.0, 0.7)
-    path = directed_walk(b1, b2, 25, 0.05, rng)
+    (path,) = directed_walks([b1], [b2], 25, 0.05, rng)
     assert len(path) == 25
     assert np.array_equal(path.points[0], [0.1, 0.0])
     assert np.array_equal(path.points[-1], [1.0, 0.7])
 
 
 def test_directed_walk_degenerate_gamma_collapses_to_point():
-    path = directed_walk(Point(0.5, 0.5), Point(0.5, 0.5), 20, 1e-12, np.random.default_rng(13))
+    (path,) = directed_walks([Point(0.5, 0.5)], [Point(0.5, 0.5)], 20, 1e-12,
+                             np.random.default_rng(13))
     assert np.allclose(path.points, 0.5, atol=1e-11)
 
 
@@ -220,7 +229,7 @@ def test_directed_walk_correction_is_affine_in_t():
     p = 12
     b1, b2 = Point(0.2, 0.2), Point(0.9, 0.4)
     state = rng.bit_generator.state
-    path = directed_walk(b1, b2, p, 0.1, rng)
+    (path,) = directed_walks([b1], [b2], p, 0.1, rng)
     rng2 = np.random.default_rng(14)
     rng2.bit_generator.state = state
     d = rng2.uniform(0.0, 0.1, size=p - 1)
@@ -235,7 +244,7 @@ def test_directed_walk_correction_is_affine_in_t():
 
 def test_directed_walk_rejects_short_walks():
     with pytest.raises(ConfigurationError):
-        directed_walk(Point(0, 0), Point(1, 1), 1, 0.1, np.random.default_rng(0))
+        directed_walks([Point(0, 0)], [Point(1, 1)], 1, 0.1, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------- scheme config
@@ -347,6 +356,114 @@ def test_paths_to_csv_layout(tmp_path):
     assert float(y) == paths[0].points[0, 1]
 
 
-def test_sample_path_rejects_empty_points():
+def test_pathset_rejects_empty_or_non_finite_points():
     with pytest.raises(ValueError):
-        SamplePath(points=np.empty((0, 2)))
+        PathSet(np.empty((0, 2)), np.zeros(1, dtype=int))
+    with pytest.raises(ValueError):
+        PathSet(np.array([[0.1, np.nan]]), np.array([0, 1]))
+    with pytest.raises(ValueError):
+        PathSet(np.zeros((3, 2)), np.array([0, 2, 2, 3]))  # an empty path
+
+
+# ------------------------------------------------- batched generator properties
+
+def _ends(pathset):
+    return pathset.points[pathset.offsets[:-1]], pathset.points[pathset.offsets[1:] - 1]
+
+
+@PROPERTY
+@given(seed=seeds, m=st.integers(1, 20), p=st.integers(2, 40), gamma=gammas)
+def test_bridge_endpoints_are_exact(seed, m, p, gamma):
+    rng = np.random.default_rng(seed)
+    starts, ends = rng.random((m, 2)), rng.random((m, 2))
+    paths = directed_walks(starts, ends, p, gamma, rng)
+    first, last = _ends(paths)
+    assert np.array_equal(first, starts) and np.array_equal(last, ends)
+    assert np.array_equal(paths.counts, np.full(m, p))
+
+
+@PROPERTY
+@given(seed=seeds, m=st.integers(1, 20), gamma=gammas)
+def test_line_samples_lie_on_the_segment_closer_than_gamma(seed, m, gamma):
+    rng = np.random.default_rng(seed)
+    starts, ends = rng.random((m, 2)), rng.random((m, 2))
+    paths = line_paths(starts, ends, gamma, rng)
+    assert np.array_equal(_ends(paths)[0], starts)
+    for path, start, end in zip(paths, starts, ends):
+        length = np.linalg.norm(end - start)
+        direction = (end - start) / length
+        rel = path.points - start
+        assert np.abs(rel[:, 0] * direction[1] - rel[:, 1] * direction[0]).max() <= 1e-12
+        along = rel @ direction
+        assert along.min() >= 0.0 and along.max() <= length + 1e-12
+        assert (np.diff(along) >= 0.0).all()
+        assert (np.linalg.norm(np.diff(path.points, axis=0), axis=1) < gamma + 1e-12).all()
+
+
+@PROPERTY
+@given(seed=seeds, m=st.integers(1, 20), gamma=gammas)
+def test_random_walk_points_stay_in_the_square(seed, m, gamma):
+    rng = np.random.default_rng(seed)
+    starts = sample_boundary_points(m, rng)
+    paths = random_walks(starts, gamma, rng)
+    assert np.array_equal(_ends(paths)[0], starts)
+    assert ((paths.points >= 0.0) & (paths.points <= 1.0)).all()
+    assert (paths.counts >= 2).all()
+    steps = np.linalg.norm(np.diff(paths.points, axis=0), axis=1)
+    within = np.ones(len(steps), dtype=bool)
+    within[paths.offsets[1:-1] - 1] = False  # the step from one walk into the next
+    assert (steps[within] < gamma + 1e-12).all()
+
+
+@PROPERTY
+@given(seed=seeds, scheme=st.sampled_from(list(Scheme)), m=st.integers(1, 30),
+       p=st.integers(2, 12), gamma=gammas)
+def test_offsets_are_consistent(seed, scheme, m, p, gamma):
+    config = SchemeConfig(scheme=scheme, m=m, b=1, gamma=gamma, p=p, seed=seed)
+    paths = generate_paths(config)
+    offsets = paths.offsets
+    assert len(paths) == m and offsets[0] == 0 and offsets[-1] == len(paths.points)
+    assert (np.diff(offsets) >= 1).all()
+    if scheme is Scheme.RANDOM_WALK:
+        assert (paths.counts >= 2).all()
+    assert sum(len(path) for path in paths) == len(paths.points)
+
+
+# ------------------------------------------- against the per-path reference
+
+def _draws(generate, scheme, seeds_=range(60)):
+    """Point counts of every path, and the kappa of every draw, over seeds."""
+    counts, kappas = [], []
+    for seed in seeds_:
+        config = SchemeConfig(scheme=scheme, m=50, b=2, gamma=0.08, p=9, seed=seed)
+        paths = generate(config)
+        counts += [len(path) for path in paths]
+        kappas.append(condition_number(build_matrix(paths, config)))
+    return np.array(counts, dtype=float), np.array(kappas)
+
+
+def _agree(a, b) -> bool:
+    """Sample statistics a and b (values, standard errors) within 5 joint standard errors."""
+    (va, sa), (vb, sb) = a, b
+    return abs(va - vb) <= 5.0 * np.hypot(sa, sb)
+
+
+def _mean(x):
+    return x.mean(), x.std() / np.sqrt(len(x))
+
+
+def _var(x):
+    centred = (x - x.mean()) ** 2
+    return centred.mean(), centred.std() / np.sqrt(len(x))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_batched_generators_match_the_per_path_reference_in_distribution(scheme):
+    counts, kappas = _draws(generate_paths, scheme)
+    ref_counts, ref_kappas = _draws(reference_paths.generate_paths, scheme)
+    assert _agree(_mean(counts), _mean(ref_counts))
+    assert _agree(_var(counts), _var(ref_counts))
+    # Each median kappa lies between the other sample's 15th and 85th percentiles.
+    for k, other in ((kappas, ref_kappas), (ref_kappas, kappas)):
+        low, high = np.percentile(other, [15, 85])
+        assert low <= np.median(k) <= high

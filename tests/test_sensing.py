@@ -7,19 +7,22 @@ from pathfield.paths import (
     UNAWARE_SCHEMES,
     ConfigurationError,
     Point,
-    SamplePath,
+    PathSet,
     Scheme,
     SchemeConfig,
     generate_paths,
-    line_path,
+    line_paths,
 )
-from pathfield.sensing import build_matrix, point_rows
+from pathfield import sensing
+from pathfield.sensing import Sensing, build_matrix, point_rows
+
+EPS = np.finfo(float).eps
 
 
 def averaged_matrix(points, b):
     """The one-row sensing matrix of a single averaging path over `points`."""
     config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=1, b=b)
-    return build_matrix([SamplePath(points=points)], config).dense()
+    return build_matrix(PathSet(points, np.array([0, len(points)])), config).dense()
 
 
 # ------------------------------------------------------------------ rows
@@ -90,7 +93,7 @@ def test_averaging_schemes_have_row_per_path(scheme):
     assert X.shape == (12, 9)
     assert (np.abs(X) <= 1.0 + 1e-12).all()
     for row, path in zip(X, paths):
-        assert np.array_equal(row, point_rows(path.points, 1).mean(axis=0))
+        assert np.abs(row - point_rows(path.points, 1).mean(axis=0)).max() <= 4 * EPS
 
 
 def test_column_count_for_every_kind():
@@ -126,7 +129,7 @@ def test_unaware_averaged_kind():
     assert X.shape == (7, 9)
     for row, path in zip(X, paths):
         expected = point_rows(np.linspace(*path.endpoints, len(path)), 1).mean(axis=0)
-        assert np.array_equal(row, expected)
+        assert np.abs(row - expected).max() <= 4 * EPS
 
 
 def test_unaware_hive_matrix_equals_scattered_matrix_at_hives():
@@ -152,7 +155,7 @@ def test_unaware_mode_rejected_where_undefined(scheme):
 def test_unaware_mode_requires_endpoint_metadata():
     config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=2, b=1, gamma=0.1,
                           location_aware=False, seed=8)
-    bare = [SamplePath(points=np.array([[0.1, 0.2], [0.3, 0.4]]))]
+    bare = PathSet(np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([0, 2]))
     with pytest.raises(ConfigurationError, match="endpoints"):
         build_matrix(bare, config)
 
@@ -160,7 +163,7 @@ def test_unaware_mode_requires_endpoint_metadata():
 def test_build_matrix_rejects_empty_path_list():
     config = SchemeConfig(scheme=Scheme.SCATTERED, m=1, b=1)
     with pytest.raises(ValueError):
-        build_matrix([], config)
+        build_matrix(PathSet(np.empty((0, 2)), np.zeros(1, dtype=int)), config)
 
 
 # ------------------------------------- aware/unaware convergence (oracle)
@@ -174,7 +177,7 @@ def test_averaged_row_converges_to_unaware_row_as_gamma_shrinks():
     gaps_aware = []
     gaps_oracle = []
     for i, gamma in enumerate((0.05, 0.01, 0.002)):
-        path = line_path(b1, b2, gamma, np.random.default_rng(100 + i))
+        (path,) = line_paths([b1], [b2], gamma, np.random.default_rng(100 + i))
         aware = averaged_matrix(path.points, b)[0]
         unaware = point_rows(np.linspace(b1, b2, len(path)), b).mean(axis=0)
         gaps_aware.append(np.abs(aware - unaware).max())
@@ -222,21 +225,23 @@ def test_build_matrix_matches_dense_oracle(scheme, aware, b):
     expected = oracle_matrix(paths, config)
     assert X.shape == expected.shape
     assert np.abs(X.dense() - expected).max() <= 1e-12
-    # The operator without the matrix: Gram, X a and X* g.
+    # The operator without the matrix: Gram, X* g and X* (g - X a).
     rng = np.random.default_rng(b)
     a = rng.standard_normal(X.shape[1]) + 1j * rng.standard_normal(X.shape[1])
     g = rng.standard_normal(X.shape[0])
-    for got, want in [(X.gram, expected.conj().T @ expected), (X.forward(a), expected @ a),
+    for got, want in [(X.gram, expected.conj().T @ expected),
                       (X.adjoint(g), expected.conj().T @ g),
-                      (X.adjoint(g * 1j), expected.conj().T @ (g * 1j))]:
+                      (X.adjoint(g * 1j), expected.conj().T @ (g * 1j)),
+                      (X.adjoint(g, a), expected.conj().T @ (g - expected @ a))]:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_unaware_single_sample_path_is_pinned_to_first_endpoint():
     config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=1, b=2,
                           location_aware=False)
-    path = SamplePath(points=[[0.4, 0.6]], endpoints=(Point(0.1, 0.0), Point(0.9, 1.0)))
-    X = build_matrix([path], config).dense()
+    path = PathSet(np.array([[0.4, 0.6]]), np.array([0, 1]),
+                   endpoints=np.array([[[0.1, 0.0], [0.9, 1.0]]]))
+    X = build_matrix(path, config).dense()
     assert np.array_equal(X, point_rows([Point(0.1, 0.0)], 2))
 
 
@@ -245,3 +250,38 @@ def test_point_tables_are_slices_of_the_double_bandwidth_tables():
     for b in range(6):
         assert np.array_equal(phasors(t, 2 * b)[:, b:3 * b + 1], phasors(t, b))
 
+
+
+# ------------------------------------------------ blocked kernel (oracles)
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_point_gram_does_not_depend_on_the_block_size(monkeypatch, b):
+    pts = np.random.default_rng(80).random((300, 2))
+    dense = point_rows(pts, b)
+    rng = np.random.default_rng(81)
+    a = rng.standard_normal(dense.shape[1]) + 1j * rng.standard_normal(dense.shape[1])
+    g = rng.standard_normal(len(pts))
+    results = {}
+    for block in (1, 7, len(pts)):
+        monkeypatch.setattr(sensing, "BLOCK", block)
+        X = Sensing.from_points(pts, b)
+        results[block] = X.gram
+        # X* g and the fused X* (g - X a) agree with the dense matrix at every block size.
+        for got, want in [(X.adjoint(g), dense.conj().T @ g),
+                          (X.adjoint(g, a), dense.conj().T @ (g - dense @ a))]:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for block in (1, 7):
+        assert np.abs(results[block] - results[len(pts)]).max() <= EPS * len(pts)
+
+
+@pytest.mark.parametrize("block", [48, sensing.BLOCK])
+def test_blocked_mean_rows_match_per_path_means(monkeypatch, block):
+    # A 48-point block is a group of three 16-point sub-blocks: paths straddle
+    # groups, and most paths end in a zero-padded sub-block.
+    monkeypatch.setattr(sensing, "BLOCK", block)
+    for scheme in [s for s in Scheme if s not in POINT_SCHEMES]:
+        config = SchemeConfig(scheme=scheme, m=15, b=3, gamma=0.04, p=21, seed=82)
+        paths = generate_paths(config)
+        X = build_matrix(paths, config).dense()
+        for row, path in zip(X, paths):
+            assert np.abs(row - point_rows(path.points, 3).mean(axis=0)).max() <= 4 * EPS

@@ -4,7 +4,9 @@
 from one generator seeded per trial. The digest below covers all three draws
 for one small trial per scheme, location-aware and -unaware, so any change to
 what a seed produces fails here. A deliberate stream change updates the digest
-and says so in CHANGES.md.
+and says so in CHANGES.md. The digest last changed when every generator
+started to draw all m paths of a cell as whole arrays (endpoint pairs first,
+then gaps or steps) instead of drawing path by path.
 
 Values are rounded to 10 decimals before hashing: path points go through
 sin/cos, whose last bits may differ between numpy builds, and a changed stream
@@ -19,7 +21,7 @@ from pathfield.estimation import measure
 from pathfield.field import BandlimitedField, generate_random_field
 from pathfield.paths import UNAWARE_SCHEMES, Scheme, SchemeConfig, generate_paths
 
-STREAM_DIGEST = "2facf57ad69db077c1fd718a9d0e80a9569835664b6d2f5734b56f8fc93b7f83"
+STREAM_DIGEST = "776db4090d561d0c95b7d66f879f7531d6bcccaaa90f66cdc9f556f6e318d8f0"
 
 CASES = [(s, True) for s in Scheme] + [(s, False) for s in Scheme if s in UNAWARE_SCHEMES]
 

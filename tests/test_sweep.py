@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pathfield
-from pathfield.estimation import SingularSystemError
+from pathfield import sweep
 from pathfield.paths import ConfigurationError, Scheme, SchemeConfig, generate_paths
 from pathfield.sweep import (
     CellResult,
@@ -97,14 +97,26 @@ def test_noise_propagates_to_rel_err():
 
 
 def test_singular_solves_are_excluded(monkeypatch):
-    def singular(*args):
-        raise SingularSystemError("forced")
-    monkeypatch.setattr("pathfield.sweep.reconstruct_and_score", singular)
-    result = run_sweep(quick_spec(iterations=3))
-    (cell,) = result.cells
-    assert cell.excluded == 3
-    assert math.isnan(cell.mean_cond) and math.isnan(cell.std_cond)
-    assert math.isnan(cell.mean_rel_err)
+    # A trial solves only after a finite kappa, and the solve checks the same
+    # spectrum, so no singular solve is left to catch. At gamma = 1e300 every
+    # boundary line keeps its boundary start alone (but with probability
+    # 2^-53), and rows at boundary points alone are rank deficient.
+    solved = []
+    real = sweep.reconstruct_and_score
+
+    def spy(fld, X, g):
+        solved.append(X.shape[0])
+        return real(fld, X, g)
+
+    monkeypatch.setattr("pathfield.sweep.reconstruct_and_score", spy)
+    spec = quick_spec(schemes=[Scheme.SCATTERED, Scheme.LINE_BOUNDARY_POINTS],
+                      gamma_values=[1e300], iterations=3)
+    scattered, lines = run_sweep(spec).cells
+    assert lines.excluded == 3
+    assert math.isnan(lines.mean_cond) and math.isnan(lines.std_cond)
+    assert math.isnan(lines.mean_rel_err)
+    assert scattered.excluded == 0 and math.isfinite(scattered.mean_rel_err)
+    assert solved == [scattered.m] * 3
 
 
 def test_reconstruct_flag_skips_errors():
