@@ -4,7 +4,6 @@ from .field import BandlimitedField, fourier_sum, generate_random_field, harmoni
 from .paths import (
     ConfigurationError,
     PathGenerationError,
-    Point,
     POINT_SCHEMES,
     PathSet,
     SamplePath,

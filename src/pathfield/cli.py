@@ -28,8 +28,7 @@ SWEEP_FLAGS = {
 
 def cmd_paths(args) -> int:
     configs = [
-        SchemeConfig(scheme=scheme, m=args.m, b=args.b, gamma=args.gamma,
-                     p=args.p, seed=args.seed)
+        SchemeConfig(scheme=scheme, m=args.m, gamma=args.gamma, p=args.p, seed=args.seed)
         for scheme in parse_schemes(args.scheme)
     ]
     out = Path(args.out)
@@ -126,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_paths.add_argument("--scheme", default="all",
                          help=f"comma-separated scheme names or 'all' ({', '.join(SCHEME_NAMES)})")
     p_paths.add_argument("--m", type=int, default=20, help="paths (or points) to generate")
-    p_paths.add_argument("--b", type=int, default=3, help="bandwidth parameter")
     p_paths.add_argument("--gamma", type=float, default=0.05, help="step-size upper bound")
     p_paths.add_argument("--p", type=int, default=25, help="points per directed walk")
     p_paths.add_argument("--seed", type=int, default=0)

@@ -8,7 +8,8 @@ are drawn (boundary vs. interior), whether the walk direction is fixed or
 random, and whether the path closes on itself (bee-and-hive loops).
 
 A cell's m paths form one ragged `PathSet`: every path's points back to back
-in one (P, 2) array, with `offsets` marking where each path starts. Every
+in one (P, 2) array, with `offsets` marking where each path starts; indexing
+or iterating a set yields `SamplePath` views, slices of its arrays. Every
 generator draws its random numbers as whole arrays for all m paths at once,
 in the order its docstring states; no Python loop runs once per path.
 """
@@ -17,13 +18,11 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Scheme",
-    "Point",
     "SamplePath",
     "PathSet",
     "SchemeConfig",
@@ -87,20 +86,16 @@ UNAWARE_SCHEMES = frozenset(
 )
 
 
-class Point(NamedTuple):
-    x: float
-    y: float
-
-
 @dataclass(slots=True)
 class SamplePath:
-    """One path of a `PathSet`: its ordered sampling locations plus the
-    metadata a location-unaware reconstruction is allowed to use (declared
-    endpoints or hive center)."""
+    """One path of a `PathSet`: its ordered sampling locations (c, 2) plus the
+    metadata a location-unaware reconstruction is allowed to use, its declared
+    endpoints (2, 2) or hive center (2,). All three are views of the set's
+    arrays, or None."""
 
     points: np.ndarray
-    endpoints: tuple[Point, Point] | None = None
-    hive: Point | None = None
+    endpoints: np.ndarray | None = None
+    hive: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -113,7 +108,8 @@ class PathSet:
     Path i is ``points[offsets[i]:offsets[i + 1]]``; the m + 1 offsets rise
     from 0 to P, by at least one point per path. ``endpoints`` (m, 2, 2) holds
     each path's declared start and end and ``hives`` (m, 2) each loop's
-    center, or None. Iterating yields one `SamplePath` view per path.
+    center, or None. ``paths[i]`` is path i's `SamplePath` view, and
+    iterating yields one view per path.
     """
 
     points: np.ndarray
@@ -140,20 +136,12 @@ class PathSet:
 
     def __getitem__(self, i: int) -> SamplePath:
         i = range(len(self))[i]
-        return _view(self.points[self.offsets[i]:self.offsets[i + 1]],
-                     None if self.endpoints is None else self.endpoints[i].tolist(),
-                     None if self.hives is None else self.hives[i].tolist())
+        return SamplePath(self.points[self.offsets[i]:self.offsets[i + 1]],
+                          None if self.endpoints is None else self.endpoints[i],
+                          None if self.hives is None else self.hives[i])
 
     def __iter__(self):
-        m = len(self)
-        return map(_view, np.split(self.points, self.offsets[1:-1]),
-                   [None] * m if self.endpoints is None else self.endpoints.tolist(),
-                   [None] * m if self.hives is None else self.hives.tolist())
-
-
-def _view(points: np.ndarray, end, hive) -> SamplePath:
-    return SamplePath(points, None if end is None else (Point(*end[0]), Point(*end[1])),
-                      None if hive is None else Point(*hive))
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass

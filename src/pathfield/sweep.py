@@ -138,13 +138,6 @@ def parse_schemes(value: str) -> list:
     return [Scheme(name) for name in names]
 
 
-def _finite(value: str) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return number
-
-
 def _list_of(parse):
     return lambda value: [parse(v) for v in _items(value)]
 
@@ -175,11 +168,11 @@ CONFIG_KEYS = {
 _PARSERS = {
     "schemes": parse_schemes,
     "b_values": _list_of(int),
-    "m_multiples": _list_of(_finite),
-    "gamma_values": _list_of(_finite),
+    "m_multiples": _list_of(float),
+    "gamma_values": _list_of(float),
     "iterations": int,
     "base_seed": int,
-    "noise_sigma": _finite,
+    "noise_sigma": float,
     "aware": _list_of(_parse_bool),
     "p": int,
     "reconstruct": _parse_bool,
@@ -188,13 +181,14 @@ _PARSERS = {
 _RULES = {
     "schemes": (bool, "at least one scheme is required"),
     "b_values": (lambda v: v and all(b >= 0 for b in v), "b values must be >= 0"),
-    "m_multiples": (lambda v: v and all(mult >= 1.0 for mult in v),
-                    "m multiples must be >= 1 (m >= n keeps the system solvable)"),
-    "gamma_values": (lambda v: v and all(g > 0 for g in v), "gamma values must be > 0"),
+    "m_multiples": (lambda v: v and all(1.0 <= mult < math.inf for mult in v),
+                    "m multiples must be finite and >= 1 (m >= n keeps the system solvable)"),
+    "gamma_values": (lambda v: v and all(0 < g < math.inf for g in v),
+                     "gamma values must be finite and > 0"),
     "iterations": (lambda v: v >= 1, "iterations must be >= 1"),
     "aware": (bool, "at least one awareness flag is required"),
     "p": (lambda v: v >= 2, "p must be >= 2"),
-    "noise_sigma": (lambda v: v >= 0, "noise_sigma must be >= 0"),
+    "noise_sigma": (lambda v: 0 <= v < math.inf, "noise_sigma must be finite and >= 0"),
 }
 
 
@@ -304,12 +298,12 @@ def run_trial(config: SchemeConfig, reconstruct: bool = True):
     return cond, reconstruct_and_score(fld, X, meas)
 
 
-def run_sweep(spec: SweepSpec, progress=None) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run every cell of the spec; deterministic given spec.base_seed.
 
     Numerically singular draws are excluded from the averages and counted in
     the cell's `excluded` field; a cell whose draws were all singular reports
-    nan means. `progress`, if given, is called with each finished CellResult.
+    nan means.
     """
     cells = []
     for scheme, b, m, gamma, aware in spec.cells():
@@ -329,16 +323,13 @@ def run_sweep(spec: SweepSpec, progress=None) -> SweepResult:
             conds.append(cond)
             if math.isfinite(rel_err):
                 errors.append(rel_err)
-        cell = CellResult(
+        cells.append(CellResult(
             scheme=scheme, b=b, m=m, gamma=gamma, aware=aware,
             mean_cond=float(np.mean(conds)) if conds else float("nan"),
             std_cond=float(np.std(conds)) if conds else float("nan"),
             mean_rel_err=float(np.mean(errors)) if errors else float("nan"),
             excluded=excluded,
-        )
-        cells.append(cell)
-        if progress is not None:
-            progress(cell)
+        ))
     return SweepResult(cells=cells)
 
 

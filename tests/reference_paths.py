@@ -10,7 +10,6 @@ import numpy as np
 from pathfield.paths import (
     PathGenerationError,
     PathSet,
-    Point,
     SamplePath,
     Scheme,
     SchemeConfig,
@@ -19,10 +18,10 @@ from pathfield.paths import (
 )
 
 
-def sample_boundary_point(rng: np.random.Generator) -> Point:
+def sample_boundary_point(rng: np.random.Generator) -> tuple:
     edge = int(rng.integers(0, 4))
     u = float(rng.random())
-    return [Point(u, 0.0), Point(1.0, u), Point(u, 1.0), Point(0.0, u)][edge]
+    return [(u, 0.0), (1.0, u), (u, 1.0), (0.0, u)][edge]
 
 
 def line_path(b1, b2, gamma: float, rng: np.random.Generator) -> SamplePath:
@@ -38,7 +37,7 @@ def line_path(b1, b2, gamma: float, rng: np.random.Generator) -> SamplePath:
         dist = np.concatenate([dist, dist[-1] + np.cumsum(rng.uniform(0.0, gamma, size=block))])
     offsets = np.concatenate([[0.0], dist[dist <= length]])
     return SamplePath(points=start + offsets[:, None] * direction,
-                      endpoints=(Point(*start), Point(*end)))
+                      endpoints=(tuple(start), tuple(end)))
 
 
 def _steps(rng: np.random.Generator, gamma: float, count: int) -> np.ndarray:
@@ -67,14 +66,14 @@ def random_walk_path(b1, gamma: float, rng: np.random.Generator) -> SamplePath:
 
 
 def directed_walk(b1, b2, p: int, gamma: float, rng: np.random.Generator,
-                  hive: Point | None = None) -> SamplePath:
+                  hive: tuple | None = None) -> SamplePath:
     start = np.asarray(b1, dtype=float)
     end = np.asarray(b2, dtype=float)
     free = np.vstack([start[None, :], start + np.cumsum(_steps(rng, gamma, p - 1), axis=0)])
     points = free + np.linspace(0.0, 1.0, p)[:, None] * (end - free[-1])
     points[0] = start
     points[-1] = end
-    return SamplePath(points=points, endpoints=(Point(*start), Point(*end)), hive=hive)
+    return SamplePath(points=points, endpoints=(tuple(start), tuple(end)), hive=hive)
 
 
 def _boundary_pair(rng, reject_same_edge: bool) -> tuple:
@@ -86,7 +85,7 @@ def _boundary_pair(rng, reject_same_edge: bool) -> tuple:
 
 def _interior_pair(rng) -> tuple:
     while True:
-        p1, p2 = Point(*rng.random(2)), Point(*rng.random(2))
+        p1, p2 = tuple(rng.random(2)), tuple(rng.random(2))
         if p1 != p2:
             return p1, p2
 
@@ -121,6 +120,6 @@ def generate_paths(config: SchemeConfig, rng: np.random.Generator | None = None)
         elif scheme is Scheme.DIRECTED_INNER:
             out.append(directed_walk(*_interior_pair(rng), p, gamma, rng))
         else:
-            hive = Point(*rng.random(2))
+            hive = tuple(rng.random(2))
             out.append(directed_walk(hive, hive, p, gamma, rng, hive=hive))
     return as_pathset(out)

@@ -13,7 +13,6 @@ from pathfield.cli import main
 from pathfield.estimation import condition_number, measure, reconstruct_and_score
 from pathfield.field import generate_random_field
 from pathfield.paths import (
-    Point,
     Scheme,
     SchemeConfig,
     directed_walks,
@@ -128,8 +127,8 @@ def test_criterion_06_bridge_endpoints_and_edge_rejection():
     rng = np.random.default_rng(60)
     worst = 0.0
     for _ in range(10_000):
-        b1 = Point(*rng.random(2))
-        b2 = Point(*rng.random(2))
+        b1 = tuple(rng.random(2))
+        b2 = tuple(rng.random(2))
         p = int(rng.integers(2, 40))
         gamma = float(rng.uniform(0.01, 0.2))
         (path,) = directed_walks([b1], [b2], p, gamma, rng)

@@ -133,6 +133,8 @@ def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
         (["--b", "x"], ["error: --b:"]),
         (["--b", "1#2"], ["error: --b:"]),
         (["--gamma", "abc"], ["error: --gamma:"]),
+        (["--gamma", "inf"], ["error: --gamma: gamma values must be finite and > 0"]),
+        (["--m", "2,inf"], ["error: --m: m multiples must be finite"]),
         (["--m", "1.5,q"], ["error: --m:"]),
         (["--scheme", "zigzag"], ["error: --scheme:", "scattered"]),
         (["--noise-sigma", "nan"], ["error: --noise-sigma:"]),

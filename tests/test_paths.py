@@ -12,7 +12,6 @@ from pathfield.paths import (
     ConfigurationError,
     PathGenerationError,
     PathSet,
-    Point,
     Scheme,
     SchemeConfig,
     directed_walks,
@@ -82,17 +81,17 @@ def test_boundary_point_deterministic():
 
 
 def test_same_edge_detection():
-    assert same_edge(Point(0.2, 0.0), Point(0.9, 0.0))
-    assert same_edge(Point(1.0, 0.1), Point(1.0, 0.8))
-    assert not same_edge(Point(0.2, 0.0), Point(0.2, 1.0))
-    assert same_edge(Point(0.0, 0.0), Point(1.0, 0.0))  # corner shares the bottom edge
+    assert same_edge((0.2, 0.0), (0.9, 0.0))
+    assert same_edge((1.0, 0.1), (1.0, 0.8))
+    assert not same_edge((0.2, 0.0), (0.2, 1.0))
+    assert same_edge((0.0, 0.0), (1.0, 0.0))  # corner shares the bottom edge
 
     def edges(pt):
         """Edges 0..3 (bottom, right, top, left) the point lies on."""
         x, y = pt
         return {e for e, on in enumerate([y == 0.0, x == 1.0, y == 1.0, x == 0.0]) if on}
 
-    lattice = [Point(x, y) for x in (0.0, 0.5, 1.0) for y in (0.0, 0.5, 1.0)]
+    lattice = [(x, y) for x in (0.0, 0.5, 1.0) for y in (0.0, 0.5, 1.0)]
     for p1 in lattice:
         for p2 in lattice:
             assert same_edge(p1, p2) == bool(edges(p1) & edges(p2)), (p1, p2)
@@ -107,15 +106,15 @@ def line_path(b1, b2, gamma, rng):
 
 
 def test_line_path_collinear_diagonal():
-    path = line_path(Point(0, 0), Point(1, 1), 0.07, np.random.default_rng(5))
+    path = line_path((0, 0), (1, 1), 0.07, np.random.default_rng(5))
     assert np.allclose(path.points[:, 0], path.points[:, 1], atol=1e-12)
 
 
 def test_line_path_starts_at_b1_and_stays_on_segment():
     rng = np.random.default_rng(6)
-    path = line_path(Point(0.1, 0.9), Point(0.8, 0.2), 0.05, rng)
+    path = line_path((0.1, 0.9), (0.8, 0.2), 0.05, rng)
     assert np.array_equal(path.points[0], [0.1, 0.9])
-    assert path.endpoints == (Point(0.1, 0.9), Point(0.8, 0.2))
+    assert np.array_equal(path.endpoints, ((0.1, 0.9), (0.8, 0.2)))
     # every point within the segment's bounding box and collinear
     p1 = np.array([0.1, 0.9])
     p2 = np.array([0.8, 0.2])
@@ -130,7 +129,7 @@ def test_line_path_starts_at_b1_and_stays_on_segment():
 
 def test_line_path_consecutive_spacing_below_gamma():
     gamma = 0.09
-    path = line_path(Point(0, 0), Point(1, 0), gamma, np.random.default_rng(7))
+    path = line_path((0, 0), (1, 0), gamma, np.random.default_rng(7))
     steps = np.linalg.norm(np.diff(path.points, axis=0), axis=1)
     assert (steps < gamma).all()
 
@@ -157,7 +156,7 @@ def test_line_path_draws_more_blocks_until_past_endpoint():
     # A block holds ceil(2.5 * sqrt(2) / 0.1) + 16 = 52 gaps of 0.01 per path,
     # so reaching the far endpoint takes a second block.
     rng = _CountingGapRng()
-    path = line_path(Point(0, 0), Point(1, 0), 0.1, rng)
+    path = line_path((0, 0), (1, 0), 0.1, rng)
     assert rng.calls == 2
     assert len(path) == 100
     assert np.allclose(path.points[:, 1], 0.0)
@@ -167,17 +166,16 @@ def test_line_path_draws_more_blocks_until_past_endpoint():
 
 def test_line_path_rejects_bad_input():
     with pytest.raises(ConfigurationError):
-        line_path(Point(0, 0), Point(1, 0), 0.0, np.random.default_rng(0))
+        line_path((0, 0), (1, 0), 0.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        line_paths([Point(0, 0), Point(0.5, 0.5)], [Point(1, 0), Point(0.5, 0.5)], 0.1,
-                   np.random.default_rng(0))
+        line_paths([(0, 0), (0.5, 0.5)], [(1, 0), (0.5, 0.5)], 0.1, np.random.default_rng(0))
 
 
 # --------------------------------------------------------------- random walk
 
 def test_random_walk_stays_inside_and_steps_bounded():
     gamma = 0.08
-    (path,) = random_walks([Point(0.0, 0.5)], gamma, np.random.default_rng(10))
+    (path,) = random_walks([(0.0, 0.5)], gamma, np.random.default_rng(10))
     assert len(path) >= 2
     assert (path.points >= 0).all() and (path.points <= 1).all()
     steps = np.linalg.norm(np.diff(path.points, axis=0), axis=1)
@@ -203,14 +201,14 @@ class _OutwardRng:
 
 def test_random_walk_retry_cap():
     with pytest.raises(PathGenerationError):
-        random_walks([Point(0.0, 0.5), Point(0.5, 0.5)], 0.1, _OutwardRng())
+        random_walks([(0.0, 0.5), (0.5, 0.5)], 0.1, _OutwardRng())
 
 
 # ------------------------------------------------------------- directed walk
 
 def test_directed_walk_endpoints_exact():
     rng = np.random.default_rng(12)
-    b1, b2 = Point(0.1, 0.0), Point(1.0, 0.7)
+    b1, b2 = (0.1, 0.0), (1.0, 0.7)
     (path,) = directed_walks([b1], [b2], 25, 0.05, rng)
     assert len(path) == 25
     assert np.array_equal(path.points[0], [0.1, 0.0])
@@ -218,7 +216,7 @@ def test_directed_walk_endpoints_exact():
 
 
 def test_directed_walk_degenerate_gamma_collapses_to_point():
-    (path,) = directed_walks([Point(0.5, 0.5)], [Point(0.5, 0.5)], 20, 1e-12,
+    (path,) = directed_walks([(0.5, 0.5)], [(0.5, 0.5)], 20, 1e-12,
                              np.random.default_rng(13))
     assert np.allclose(path.points, 0.5, atol=1e-11)
 
@@ -227,7 +225,7 @@ def test_directed_walk_correction_is_affine_in_t():
     # correction factors are equispaced: second differences of the shift vanish
     rng = np.random.default_rng(14)
     p = 12
-    b1, b2 = Point(0.2, 0.2), Point(0.9, 0.4)
+    b1, b2 = (0.2, 0.2), (0.9, 0.4)
     state = rng.bit_generator.state
     (path,) = directed_walks([b1], [b2], p, 0.1, rng)
     rng2 = np.random.default_rng(14)
@@ -244,7 +242,7 @@ def test_directed_walk_correction_is_affine_in_t():
 
 def test_directed_walk_rejects_short_walks():
     with pytest.raises(ConfigurationError):
-        directed_walks([Point(0, 0)], [Point(1, 1)], 1, 0.1, np.random.default_rng(0))
+        directed_walks([(0, 0)], [(1, 1)], 1, 0.1, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------- scheme config
@@ -337,7 +335,7 @@ def test_generate_paths_deterministic_from_config_seed():
     assert len(first) == len(second)
     for a, b in zip(first, second):
         assert np.array_equal(a.points, b.points)
-        assert a.endpoints == b.endpoints
+        assert np.array_equal(a.endpoints, b.endpoints)
 
 
 # -------------------------------------------------------------- serialization
@@ -354,6 +352,25 @@ def test_paths_to_csv_layout(tmp_path):
     assert (pid, t) == ("0", "0")
     assert float(x) == paths[0].points[0, 0]
     assert float(y) == paths[0].points[0, 1]
+
+
+def test_path_views_are_slices_of_the_set():
+    for scheme in Scheme:
+        paths = generate_paths(SchemeConfig(scheme=scheme, m=12, b=1, gamma=0.1, p=7, seed=4))
+        views = list(paths)
+        assert len(views) == len(paths)
+        for i, view in enumerate(views):
+            assert np.array_equal(view.points,
+                                  paths.points[paths.offsets[i]:paths.offsets[i + 1]])
+            for name, whole, shape in (("points", paths.points, (len(view), 2)),
+                                       ("endpoints", paths.endpoints, (2, 2)),
+                                       ("hive", paths.hives, (2,))):
+                got, indexed = getattr(view, name), getattr(paths[i], name)
+                if whole is None:
+                    assert got is None and indexed is None, (scheme, name)
+                else:
+                    assert got.shape == shape and np.array_equal(got, indexed)
+                    assert np.shares_memory(got, whole), (scheme, name)
 
 
 def test_pathset_rejects_empty_or_non_finite_points():

@@ -141,6 +141,17 @@ def test_spec_rejects_m_below_n():
         quick_spec(m_multiples=[0.5])
 
 
+def test_spec_rejects_non_finite_values():
+    # The spec rejects these itself, before any trial runs or any m is
+    # rounded from multiple * n; no config parser needs to catch them first.
+    with pytest.raises(ConfigurationError, match="gamma values must be finite"):
+        quick_spec(gamma_values=[math.inf])
+    with pytest.raises(ConfigurationError, match="noise_sigma must be finite"):
+        quick_spec(noise_sigma=math.inf)
+    with pytest.raises(ConfigurationError, match="m multiples must be finite"):
+        quick_spec(m_multiples=[math.inf])
+
+
 def test_spec_rejects_empty_lists():
     with pytest.raises(ConfigurationError):
         quick_spec(schemes=[])
