@@ -19,11 +19,13 @@ from .paths import (
     sample_boundary_points,
     sample_scattered,
 )
-from .sensing import Sensing, build_matrix, point_rows
-from .estimation import (
+from .sensing import (
+    Sensing,
     SingularSystemError,
+    build_matrix,
     condition_number,
     measure,
+    point_rows,
     reconstruct_and_score,
 )
 from .sweep import (

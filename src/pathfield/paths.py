@@ -227,8 +227,8 @@ def _as_points(values) -> np.ndarray:
 
 
 def _check_gamma(gamma: float) -> None:
-    if not gamma > 0:
-        raise ConfigurationError("gamma must be > 0")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ConfigurationError("gamma must be finite and > 0")
 
 
 def line_paths(starts, ends, gamma: float, rng: np.random.Generator) -> PathSet:

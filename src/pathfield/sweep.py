@@ -1,10 +1,10 @@
 """Seeded Monte Carlo sweeps over schemes, sample counts, and step sizes.
 
 Each sweep cell (scheme, b, m, gamma, awareness) runs a number of independent
-trials: fresh random field, fresh paths, sensing matrix, condition number,
-and optionally a least-squares reconstruction. Per-trial seeds are derived by
-hashing the cell key, so results are independent of execution order and of
-the other cells in the sweep.
+trials: fresh random field and paths, then from `sensing` the sensing matrix,
+its condition number and, optionally, readings and a least-squares
+reconstruction. Per-trial seeds are derived by hashing the cell key, so results
+are independent of execution order and of the other cells in the sweep.
 """
 
 import csv
@@ -17,10 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimation import condition_number, measure, reconstruct_and_score
 from .field import generate_random_field
 from .paths import ConfigurationError, Scheme, SchemeConfig, UNAWARE_SCHEMES, generate_paths
-from .sensing import build_matrix
+from .sensing import build_matrix, condition_number, measure, reconstruct_and_score
 
 __all__ = [
     "SweepSpec",
@@ -68,6 +67,9 @@ class SweepSpec:
                     f"location-unaware mode is undefined for schemes {unsupported}; "
                     "run them in a separate location-aware sweep"
                 )
+        for mult, b in product(self.m_multiples, self.b_values):
+            if not math.isfinite(mult * (2 * b + 1) ** 2):
+                raise ConfigurationError(f"m multiple {mult:g} times n at b={b} is not finite")
         cells = self.cells()
         for i, (scheme, b, m, gamma, aware) in enumerate(cells):
             if cells[i] in cells[:i]:

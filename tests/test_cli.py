@@ -135,6 +135,8 @@ def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
         (["--gamma", "abc"], ["error: --gamma:"]),
         (["--gamma", "inf"], ["error: --gamma: gamma values must be finite and > 0"]),
         (["--m", "2,inf"], ["error: --m: m multiples must be finite"]),
+        (["--m", "1e308", "--scheme", "scattered", "--iters", "1"],
+         ["m multiple 1e+308", "b=3", "not finite"]),
         (["--m", "1.5,q"], ["error: --m:"]),
         (["--scheme", "zigzag"], ["error: --scheme:", "scattered"]),
         (["--noise-sigma", "nan"], ["error: --noise-sigma:"]),

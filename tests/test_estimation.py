@@ -3,13 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pathfield.estimation import (
-    SINGULAR_RATIO,
-    SingularSystemError,
-    condition_number,
-    measure,
-    reconstruct_and_score,
-)
 from pathfield.field import BandlimitedField, fourier_sum, generate_random_field
 from pathfield.paths import (
     POINT_SCHEMES,
@@ -19,7 +12,16 @@ from pathfield.paths import (
     SchemeConfig,
     generate_paths,
 )
-from pathfield.sensing import build_matrix, point_rows
+from pathfield.sensing import (
+    SINGULAR_RATIO,
+    Sensing,
+    SingularSystemError,
+    build_matrix,
+    condition_number,
+    measure,
+    point_rows,
+    reconstruct_and_score,
+)
 
 EPS = np.finfo(float).eps
 
@@ -133,7 +135,7 @@ def test_exact_recovery_from_synthetic_measurements():
     fld = generate_random_field(1, rng)
     X = point_rows(rng.random((50, 2)), 1)
     g = (X @ fld.vector()).real
-    assert reconstruct_and_score(fld, X, g) <= 1e-8
+    assert reconstruct_and_score(fld, Sensing.from_rows(X), g) <= 1e-8
 
 
 def test_square_orthogonal_case_matches_adjoint_formula():
@@ -145,19 +147,19 @@ def test_square_orthogonal_case_matches_adjoint_formula():
     g = rng.standard_normal(X.shape[0])
     adjoint = (X.conj().T @ g / X.shape[0]).reshape(2 * b + 1, 2 * b + 1)
     fld = BandlimitedField(b=b, coeffs=adjoint)
-    assert reconstruct_and_score(fld, X, g) <= 1e-12
+    assert reconstruct_and_score(fld, Sensing.from_rows(X), g) <= 1e-12
 
 
 def test_underdetermined_rejected():
     rng = np.random.default_rng(12)
-    X = point_rows(rng.random((5, 2)), 1)  # 5 rows, 9 cols
+    X = Sensing.from_rows(point_rows(rng.random((5, 2)), 1))  # 5 rows, 9 cols
     with pytest.raises(ValueError, match="underdetermined"):
         reconstruct_and_score(generate_random_field(1, rng), X, np.zeros(5))
 
 
 def test_measurement_length_mismatch_rejected():
     rng = np.random.default_rng(13)
-    X = point_rows(rng.random((12, 2)), 1)
+    X = Sensing.from_rows(point_rows(rng.random((12, 2)), 1))
     with pytest.raises(ValueError, match="measurements"):
         reconstruct_and_score(generate_random_field(1, rng), X, np.zeros(11))
 
@@ -167,7 +169,7 @@ def test_rank_deficient_system_raises():
     X = np.tile(point_rows(np.array([[0.3, 0.4]]), 1), (12, 1))
     fld = generate_random_field(1, np.random.default_rng(28))
     with pytest.raises(SingularSystemError):
-        reconstruct_and_score(fld, X, np.zeros(12))
+        reconstruct_and_score(fld, Sensing.from_rows(X), np.zeros(12))
 
 
 # --------------------------------------------------------- condition number
@@ -175,11 +177,12 @@ def test_rank_deficient_system_raises():
 def test_condition_of_unitary_scaled_matrix_is_one():
     b = 2
     X = point_rows(uniform_grid_points(b), b)
-    assert condition_number(X) == pytest.approx(1.0, abs=1e-10)
+    assert condition_number(Sensing.from_rows(X)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_condition_of_diagonal_matrix():
-    assert condition_number(np.diag([2.0, 1.0])) == pytest.approx(2.0, abs=1e-12)
+    X = Sensing.from_rows(np.diag([2.0, 1.0]))
+    assert condition_number(X) == pytest.approx(2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("b", [1, 2, 3])
@@ -189,7 +192,7 @@ def test_dft_grid_orthogonality_oracle(b):
     m, n = X.shape
     gram = X.conj().T @ X
     assert np.abs(gram - m * np.eye(n)).max() <= 1e-10 * m
-    assert abs(condition_number(X) - 1.0) <= 1e-10
+    assert abs(condition_number(Sensing.from_rows(X)) - 1.0) <= 1e-10
 
 
 def test_gram_route_matches_svd_route():
@@ -198,12 +201,12 @@ def test_gram_route_matches_svd_route():
         A = rng.standard_normal((50, 9)) + 1j * rng.standard_normal((50, 9))
         sv = np.linalg.svd(A, compute_uv=False)
         direct = sv.max() / sv.min()
-        assert abs(condition_number(A) - direct) <= 1e-6 * direct
+        assert abs(condition_number(Sensing.from_rows(A)) - direct) <= 1e-6 * direct
 
 
 def test_condition_number_sentinel_for_singular():
     X = np.tile(point_rows(np.array([[0.3, 0.4]]), 1), (12, 1))
-    assert condition_number(X) == np.inf
+    assert condition_number(Sensing.from_rows(X)) == np.inf
 
 
 def test_one_singularity_rule_for_condition_and_solve():
@@ -214,31 +217,45 @@ def test_one_singularity_rule_for_condition_and_solve():
     def diag(ratio):
         return np.diag([1.0] * 8 + [ratio])
 
+    def kappa(rows):
+        return condition_number(Sensing.from_rows(rows))
+
     # sigma ratio 2e-7 lies above the 1e-7 rule on both routes
-    assert condition_number(np.diag([1.0, 2e-7])) == pytest.approx(5e6, rel=1e-9)
-    assert condition_number(diag(2e-7)) == pytest.approx(5e6, rel=1e-9)
-    assert reconstruct_and_score(fld, diag(2e-7), diag(2e-7) @ fld.vector()) <= 1e-8
+    assert kappa(np.diag([1.0, 2e-7])) == pytest.approx(5e6, rel=1e-9)
+    assert kappa(diag(2e-7)) == pytest.approx(5e6, rel=1e-9)
+    X = Sensing.from_rows(diag(2e-7))
+    assert reconstruct_and_score(fld, X, diag(2e-7) @ fld.vector()) <= 1e-8
     # sigma ratios 5e-8 and 1e-8 lie below it on both routes
     for ratio in (5e-8, 1e-8):
-        assert condition_number(np.diag([1.0, ratio])) == np.inf
-        assert condition_number(diag(ratio)) == np.inf
+        assert kappa(np.diag([1.0, ratio])) == np.inf
+        assert kappa(diag(ratio)) == np.inf
         with pytest.raises(SingularSystemError):
-            reconstruct_and_score(fld, diag(ratio), np.ones(9))
+            reconstruct_and_score(fld, Sensing.from_rows(diag(ratio)), np.ones(9))
     with pytest.raises(SingularSystemError):
-        reconstruct_and_score(fld, np.zeros((9, 9)), np.zeros(9))
-    assert condition_number(np.diag([1.0, 1e-6])) == pytest.approx(1e6, rel=1e-9)
+        reconstruct_and_score(fld, Sensing.from_rows(np.zeros((9, 9))), np.zeros(9))
+    assert kappa(np.diag([1.0, 1e-6])) == pytest.approx(1e6, rel=1e-9)
+
+
+def test_plain_array_is_rejected():
+    # conditioning and the solve take a Sensing value only
+    rng = np.random.default_rng(30)
+    X = point_rows(rng.random((12, 2)), 1)
+    with pytest.raises(AttributeError):
+        condition_number(X)
+    with pytest.raises(AttributeError):
+        reconstruct_and_score(generate_random_field(1, rng), X, np.zeros(12))
 
 
 def test_condition_number_rejects_zero_matrix():
     with pytest.raises(ValueError):
-        condition_number(np.zeros((4, 4)))
+        condition_number(Sensing.from_rows(np.zeros((4, 4))))
 
 
 def test_condition_number_at_least_one():
     rng = np.random.default_rng(15)
     for _ in range(20):
         X = point_rows(rng.random((30, 2)), 1)
-        assert condition_number(X) >= 1.0
+        assert condition_number(Sensing.from_rows(X)) >= 1.0
 
 
 # ---------------------------------------------------- reconstruct_and_score
@@ -298,7 +315,7 @@ def test_noise_error_scales_with_pseudoinverse_norm():
         sq = np.empty(trials)
         for t in range(trials):
             noisy = clean + rng.normal(0.0, sigma, size=clean.shape)
-            sq[t] = (reconstruct_and_score(fld, X, noisy) * norm) ** 2
+            sq[t] = (reconstruct_and_score(fld, Sensing.from_rows(X), noisy) * norm) ** 2
         mses[sigma] = sq.mean()
         assert abs(mses[sigma] - sigma ** 2 * pinv_norm_sq) <= 0.2 * sigma ** 2 * pinv_norm_sq
     assert abs(mses[0.04] / mses[0.01] - 16.0) <= 0.2 * 16.0

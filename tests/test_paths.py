@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import reference_paths
 
-from pathfield.estimation import condition_number
 from pathfield.paths import (
     ConfigurationError,
     PathGenerationError,
@@ -23,7 +22,7 @@ from pathfield.paths import (
     sample_boundary_points,
     sample_scattered,
 )
-from pathfield.sensing import build_matrix
+from pathfield.sensing import build_matrix, condition_number
 
 # Properties run a fixed, derandomised set of examples and keep no database.
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -167,6 +166,12 @@ def test_line_path_draws_more_blocks_until_past_endpoint():
 def test_line_path_rejects_bad_input():
     with pytest.raises(ConfigurationError):
         line_path((0, 0), (1, 0), 0.0, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    for generate in (lambda: line_paths([(0, 0)], [(1, 0)], np.inf, rng),
+                     lambda: random_walks([(0, 0.5)], np.inf, rng),
+                     lambda: directed_walks([(0, 0)], [(1, 1)], 5, np.inf, rng)):
+        with pytest.raises(ConfigurationError, match="finite"):
+            generate()
     with pytest.raises(ValueError):
         line_paths([(0, 0), (0.5, 0.5)], [(1, 0), (0.5, 0.5)], 0.1, np.random.default_rng(0))
 

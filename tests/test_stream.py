@@ -17,9 +17,9 @@ import hashlib
 
 import numpy as np
 
-from pathfield.estimation import measure
 from pathfield.field import BandlimitedField, generate_random_field
 from pathfield.paths import UNAWARE_SCHEMES, Scheme, SchemeConfig, generate_paths
+from pathfield.sensing import measure
 
 STREAM_DIGEST = "776db4090d561d0c95b7d66f879f7531d6bcccaaa90f66cdc9f556f6e318d8f0"
 
