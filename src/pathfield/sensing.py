@@ -17,18 +17,30 @@ tables of fixed-size blocks of points, so no table is ever whole (the
 structure of Feichtinger, Groechenig and Strohmer's ACT method). The point
 Gram sums it over all points at bandwidth 2b; a mean row sums it over one
 path's points at bandwidth b and divides by the path's length. Point rows are
-never formed: X* g and X* (g - X a) rebuild the tables block by block. A value
+never formed: R^T g and R^T (g - R a) rebuild the tables block by block. A value
 eigensolves its Gram at most once (`spectrum`).
+
+The field is real, so a phasor row's entries at (k, l) and (-k, -l) are
+conjugates. The operator works in real coordinates: it is R = X Q for the
+complex phasor matrix X and the unitary Q that pairs harmonic i of
+``harmonics(b)`` with its mirror n-1-i. With c = (n-1)/2 the index of (0, 0),
+Q* a = [(a_i + a_{n-1-i})/sqrt 2; a_c; -j (a_i - a_{n-1-i})/sqrt 2] over
+i < c, which is [sqrt 2 Re a_i; a_c; sqrt 2 Im a_i] for the field's
+coefficients; a phasor row becomes [sqrt 2 cos; 1; -sqrt 2 sin] of
+2 pi (k x + l y). R has X's singular values and ||c - Q* a|| = ||Q c - a||, so
+kappa and the score mean the same as in complex coordinates, while the Gram,
+its eigensolve and the solves are real. The tables and the kernel stay
+complex; each map between the coordinates is O(n).
 
 `measure` returns one reading per row of `build_matrix`'s operator.
 Conditioning and recovery take only a `Sensing` value and work on its n x n
-Gram G = X*X, never on an SVD of X, and both read `Sensing.spectrum`. `condition_number`, the package's only
-condition number, is sqrt(lambda_max/lambda_min) of G.
-`reconstruct_and_score` applies the same SINGULAR_RATIO rule to the same
-eigenvalues, solves G a = X* g by LU and corrects a twice with X* (g - X a),
-each formed in one pass over the rows (Bjorck's corrected semi-normal
-equations). Its score, the relative coefficient error, is also the field's
-relative L2 error (Parseval).
+Gram G = R^T R, never on an SVD, and both read `Sensing.spectrum`.
+`condition_number`, the package's only condition number, is
+sqrt(lambda_max/lambda_min) of G. `reconstruct_and_score` applies the same
+SINGULAR_RATIO rule to the same eigenvalues, solves G c = R^T g by LU and
+corrects c twice with R^T (g - R c), each formed in one pass over the rows
+(Bjorck's corrected semi-normal equations). Its score, the relative
+coefficient error, is also the field's relative L2 error (Parseval).
 """
 
 import math
@@ -69,6 +81,8 @@ SINGULAR_RATIO = 1e-7
 # only up to kappa ~ 3e6; two reach every kappa SINGULAR_RATIO admits.
 CORRECTION_STEPS = 2
 
+_SQRT_HALF = math.sqrt(0.5)
+
 
 def blocks(count: int):
     """Slices of BLOCK consecutive indices that cover range(count)."""
@@ -85,9 +99,24 @@ def point_rows(points, b: int) -> np.ndarray:
     return (ex[:, :, None] * ey[:, None, :]).reshape(len(ex), -1)
 
 
+def _real(w: np.ndarray) -> np.ndarray:
+    """Re(w Q) for complex rows w over harmonics(b): [cos; const; sin] parts."""
+    c = w.shape[-1] // 2
+    lo, hi = w[..., :c], w[..., :c:-1]
+    return np.concatenate([(lo.real + hi.real) * _SQRT_HALF, w[..., c:c + 1].real,
+                           (hi.imag - lo.imag) * _SQRT_HALF], axis=-1)
+
+
+def _complex(a: np.ndarray) -> np.ndarray:
+    """Q a: the conjugate-symmetric coefficients with real coordinates a."""
+    c = len(a) // 2
+    z = (a[:c] + 1j * a[c + 1:]) * _SQRT_HALF
+    return np.concatenate([z, a[c:c + 1], z[::-1].conj()])
+
+
 def _mean_rows(points: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
-    """One mean phasor row per path: E_x^T E_y summed over the path's
-    zero-padded sub-blocks, BLOCK points of sub-blocks at a time."""
+    """One mean phasor row per path in real coordinates: E_x^T E_y summed over
+    the path's zero-padded sub-blocks, BLOCK points of sub-blocks at a time."""
     counts = np.diff(offsets)
     subs = -(-counts // SUB_BLOCK)
     owner = np.repeat(np.arange(len(counts)), subs)  # the path of each sub-block
@@ -103,16 +132,17 @@ def _mean_rows(points: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
         paths = owner[part]
         starts = np.flatnonzero(np.r_[True, paths[1:] != paths[:-1]])  # each path's run
         sums[paths[starts]] += np.add.reduceat(ex.transpose(0, 2, 1) @ ey, starts, axis=0)
-    return sums.reshape(len(counts), -1) / counts[:, None]
+    return _real(sums.reshape(len(counts), -1)) / counts[:, None]
 
 
 @dataclass(frozen=True, eq=False)
 class Sensing:
-    """One trial's sensing matrix X (``shape`` rows x n) and its Gram X*X.
+    """One trial's real sensing matrix R = X Q (``shape`` rows x n) and its Gram R^T R.
 
     Point rows (`from_points`) keep only their (rows, 2) locations; mean rows
-    (`from_rows`) keep the dense rows. ``adjoint(g)`` is X* g, ``adjoint(g, a)``
-    is X* (g - X a) and ``dense()`` is X; columns follow ``harmonics(b)``.
+    (`from_rows`) keep the dense rows. ``adjoint(g)`` is R^T g, ``adjoint(g, a)``
+    is R^T (g - R a) and ``dense()`` is R; columns are the real coordinates
+    of ``harmonics(b)`` (module docstring).
     """
 
     gram: np.ndarray
@@ -131,14 +161,23 @@ class Sensing:
             ex, ey = _tables(points[s], 2 * b)
             d += ex.T @ ey
         kl = harmonics(b)
-        gram = d[kl[None, :, 0] - kl[:, None, 0] + 2 * b, kl[None, :, 1] - kl[:, None, 1] + 2 * b]
-        return cls(gram, (len(points), (2 * b + 1) ** 2), points=points)
+        G = d[kl[None, :, 0] - kl[:, None, 0] + 2 * b, kl[None, :, 1] - kl[:, None, 1] + 2 * b]
+        # Q* G Q from G's blocks, with G[n-1-i, n-1-j] = conj(G[i, j]).
+        c = len(kl) // 2
+        T, W, e = G[:c, :c], G[:c, :c:-1], math.sqrt(2) * G[:c, c:c + 1]
+        cs = W.imag - T.imag
+        gram = np.block([[T.real + W.real, e.real, cs],
+                         [e.real.T, G[c:c + 1, c:c + 1].real, e.imag.T],
+                         [cs.T, e.imag, T.real - W.real]])
+        return cls(gram, (len(points), len(kl)), points=points)
 
     @classmethod
     def from_rows(cls, rows) -> "Sensing":
-        """A dense (m, n) matrix, such as one mean phasor row per path."""
-        rows = np.asarray(rows, dtype=complex)
-        return cls(rows.conj().T @ rows, rows.shape, rows=rows)
+        """A dense real (m, n) matrix, such as one mean row per path, taken as R."""
+        if np.iscomplexobj(rows):
+            raise TypeError("sensing rows must be real coordinates")
+        rows = np.asarray(rows, dtype=float)
+        return cls(rows.T @ rows, rows.shape, rows=rows)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -146,24 +185,25 @@ class Sensing:
         return np.linalg.eigvalsh(self.gram)
 
     def adjoint(self, g, a=None) -> np.ndarray:
-        """X* g for one value per row; X* (g - X a) when a is given, in one
-        pass over the point blocks."""
+        """R^T g for one real value per row; R^T (g - R a) when a is given, in
+        one pass over the point blocks."""
         if self.rows is not None:
-            return self.rows.conj().T @ (g if a is None else g - self.rows @ a)
+            return self.rows.T @ (g if a is None else g - self.rows @ a)
         b = (math.isqrt(self.shape[1]) - 1) // 2
+        u = None if a is None else _complex(a).reshape(2 * b + 1, -1)
         acc = 0.0
         for s in blocks(self.shape[0]):
             ex, ey = _tables(self.points[s], b)
-            r = g[s] if a is None else g[s] - ((ex @ np.reshape(a, (2 * b + 1, -1))) * ey).sum(1)
-            # conj(E_x)^T diag(r) conj(E_y), conjugated once at the end.
-            acc = acc + ex.T @ (np.conj(r)[:, None] * ey)
-        return acc.conj().ravel()
+            r = g[s] if a is None else g[s] - ((ex @ u) * ey).sum(1).real
+            # R^T r = Re(Q^T X^T r) for real r, and X^T r = E_x^T diag(r) E_y.
+            acc = acc + ex.T @ (r[:, None] * ey)
+        return _real(acc.ravel())
 
     def dense(self) -> np.ndarray:
-        """The m x n matrix; for point rows it equals ``point_rows`` bit for bit."""
+        """The m x n matrix R; for point rows, ``point_rows`` in real coordinates."""
         if self.rows is not None:
             return self.rows
-        return point_rows(self.points, (math.isqrt(self.shape[1]) - 1) // 2)
+        return _real(point_rows(self.points, (math.isqrt(self.shape[1]) - 1) // 2))
 
 
 def _unaware_locations(paths: PathSet, scheme: Scheme) -> tuple:
@@ -257,7 +297,7 @@ def reconstruct_and_score(field: BandlimitedField, S: Sensing, g) -> float:
     below SINGULAR_RATIO. The harmonics are orthonormal on the unit square, so
     the error norm is also the field's RMSE there (Parseval).
     """
-    values = np.asarray(g).ravel()
+    values = np.asarray(g, dtype=float).ravel()
     m, n = S.shape
     if m < n:
         raise ValueError(f"underdetermined system: {m} measurements for {n} coefficients")
@@ -268,5 +308,5 @@ def reconstruct_and_score(field: BandlimitedField, S: Sensing, g) -> float:
     estimate = np.linalg.solve(S.gram, S.adjoint(values))
     for _ in range(CORRECTION_STEPS):
         estimate += np.linalg.solve(S.gram, S.adjoint(values, estimate))
-    truth = field.vector()
+    truth = _real(field.vector().conj())  # Q* a, real for a real field
     return float(np.linalg.norm(estimate - truth) / np.linalg.norm(truth))

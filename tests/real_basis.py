@@ -1,0 +1,53 @@
+"""Dense oracle for the real coordinates of the sensing operator.
+
+Q is built here from its definition, not from pathfield.sensing. Harmonic i
+of ``harmonics(b)`` and its mirror n-1-i (k and l negated) form a pair, and
+c = (n-1)/2 is the index of (0, 0). Column i < c of Q is
+(e_i + e_{n-1-i})/sqrt 2, column c is e_c and column c+1+i is
+j (e_i - e_{n-1-i})/sqrt 2. Q is unitary, so the sensing matrix R = X Q has
+the singular values of the complex phasor matrix X, and the coordinates of a
+coefficient vector a are Q* a.
+"""
+
+import numpy as np
+
+
+def real_basis(n: int) -> np.ndarray:
+    """The unitary n x n Q, for odd n."""
+    c = (n - 1) // 2
+    Q = np.zeros((n, n), dtype=complex)
+    Q[c, c] = 1.0
+    for i in range(c):
+        Q[i, i] = Q[n - 1 - i, i] = 1 / np.sqrt(2)
+        Q[i, c + 1 + i] = 1j / np.sqrt(2)
+        Q[n - 1 - i, c + 1 + i] = -1j / np.sqrt(2)
+    return Q
+
+
+def real_rows(X) -> np.ndarray:
+    """X Q for complex phasor rows X, whose imaginary part vanishes."""
+    R = np.asarray(X) @ real_basis(np.shape(X)[-1])
+    assert np.abs(R.imag).max() <= 1e-12
+    return R.real
+
+
+def complex_rows(R) -> np.ndarray:
+    """R Q*: rows in real coordinates back in phasor coordinates."""
+    return np.asarray(R) @ real_basis(np.shape(R)[-1]).conj().T
+
+
+def real_coeffs(a) -> np.ndarray:
+    """Q* a for conjugate-symmetric coefficients a, whose result is real."""
+    c = real_basis(len(a)).conj().T @ a
+    assert np.abs(c.imag).max() <= 1e-12 * max(1.0, np.abs(a).max())
+    return c.real
+
+
+def complex_coeffs(c) -> np.ndarray:
+    """Q c: coefficients in phasor coordinates from real coordinates c."""
+    return real_basis(len(c)) @ c
+
+
+def realified(A) -> np.ndarray:
+    """The real matrix [[Re A, -Im A], [Im A, Re A]]: A's singular values, each twice."""
+    return np.block([[A.real, -A.imag], [A.imag, A.real]])

@@ -27,6 +27,7 @@ from pathfield.sensing import (
     reconstruct_and_score,
 )
 from pathfield.sweep import SweepSpec, check_bound_trend, rank_schemes, run_sweep
+from real_basis import real_rows, realified
 
 RANDOM_PATH_SCHEMES = [s for s in Scheme if s is not Scheme.SCATTERED]
 
@@ -104,7 +105,7 @@ def test_criterion_04_dft_grid_oracle(b):
     X = point_rows(np.column_stack([gx.ravel(), gy.ravel()]), b)
     m, n = X.shape
     gram_gap = np.abs(X.conj().T @ X - m * np.eye(n)).max()
-    cond_gap = abs(condition_number(Sensing.from_rows(X)) - 1.0)
+    cond_gap = abs(condition_number(Sensing.from_rows(real_rows(X))) - 1.0)
     ok = gram_gap <= 1e-10 and cond_gap <= 1e-10
     assert report(4, f"uniform-grid orthogonality (b={b})", ok,
                   f"|X*X - mI|={gram_gap:.2e}, |C2-1|={cond_gap:.2e}")
@@ -185,7 +186,7 @@ def test_criterion_09_gram_vs_svd_oracle():
         A = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         sv = np.linalg.svd(A, compute_uv=False)
         direct = sv.max() / sv.min()
-        worst = max(worst, abs(condition_number(Sensing.from_rows(A)) - direct) / direct)
+        worst = max(worst, abs(condition_number(Sensing.from_rows(realified(A))) - direct) / direct)
     ok = worst <= 1e-6
     assert report(9, "Gram-eigenvalue condition matches SVD", ok,
                   f"worst rel gap {worst:.2e}")

@@ -22,6 +22,7 @@ from pathfield.sensing import (
     point_rows,
     reconstruct_and_score,
 )
+from real_basis import complex_coeffs, real_coeffs, real_rows, realified
 
 EPS = np.finfo(float).eps
 
@@ -135,7 +136,7 @@ def test_exact_recovery_from_synthetic_measurements():
     fld = generate_random_field(1, rng)
     X = point_rows(rng.random((50, 2)), 1)
     g = (X @ fld.vector()).real
-    assert reconstruct_and_score(fld, Sensing.from_rows(X), g) <= 1e-8
+    assert reconstruct_and_score(fld, Sensing.from_rows(real_rows(X)), g) <= 1e-8
 
 
 def test_square_orthogonal_case_matches_adjoint_formula():
@@ -147,19 +148,19 @@ def test_square_orthogonal_case_matches_adjoint_formula():
     g = rng.standard_normal(X.shape[0])
     adjoint = (X.conj().T @ g / X.shape[0]).reshape(2 * b + 1, 2 * b + 1)
     fld = BandlimitedField(b=b, coeffs=adjoint)
-    assert reconstruct_and_score(fld, Sensing.from_rows(X), g) <= 1e-12
+    assert reconstruct_and_score(fld, Sensing.from_rows(real_rows(X)), g) <= 1e-12
 
 
 def test_underdetermined_rejected():
     rng = np.random.default_rng(12)
-    X = Sensing.from_rows(point_rows(rng.random((5, 2)), 1))  # 5 rows, 9 cols
+    X = Sensing.from_rows(real_rows(point_rows(rng.random((5, 2)), 1)))  # 5 rows, 9 cols
     with pytest.raises(ValueError, match="underdetermined"):
         reconstruct_and_score(generate_random_field(1, rng), X, np.zeros(5))
 
 
 def test_measurement_length_mismatch_rejected():
     rng = np.random.default_rng(13)
-    X = Sensing.from_rows(point_rows(rng.random((12, 2)), 1))
+    X = Sensing.from_rows(real_rows(point_rows(rng.random((12, 2)), 1)))
     with pytest.raises(ValueError, match="measurements"):
         reconstruct_and_score(generate_random_field(1, rng), X, np.zeros(11))
 
@@ -169,7 +170,7 @@ def test_rank_deficient_system_raises():
     X = np.tile(point_rows(np.array([[0.3, 0.4]]), 1), (12, 1))
     fld = generate_random_field(1, np.random.default_rng(28))
     with pytest.raises(SingularSystemError):
-        reconstruct_and_score(fld, Sensing.from_rows(X), np.zeros(12))
+        reconstruct_and_score(fld, Sensing.from_rows(real_rows(X)), np.zeros(12))
 
 
 # --------------------------------------------------------- condition number
@@ -177,7 +178,7 @@ def test_rank_deficient_system_raises():
 def test_condition_of_unitary_scaled_matrix_is_one():
     b = 2
     X = point_rows(uniform_grid_points(b), b)
-    assert condition_number(Sensing.from_rows(X)) == pytest.approx(1.0, abs=1e-10)
+    assert condition_number(Sensing.from_rows(real_rows(X))) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_condition_of_diagonal_matrix():
@@ -192,7 +193,7 @@ def test_dft_grid_orthogonality_oracle(b):
     m, n = X.shape
     gram = X.conj().T @ X
     assert np.abs(gram - m * np.eye(n)).max() <= 1e-10 * m
-    assert abs(condition_number(Sensing.from_rows(X)) - 1.0) <= 1e-10
+    assert abs(condition_number(Sensing.from_rows(real_rows(X))) - 1.0) <= 1e-10
 
 
 def test_gram_route_matches_svd_route():
@@ -201,12 +202,12 @@ def test_gram_route_matches_svd_route():
         A = rng.standard_normal((50, 9)) + 1j * rng.standard_normal((50, 9))
         sv = np.linalg.svd(A, compute_uv=False)
         direct = sv.max() / sv.min()
-        assert abs(condition_number(Sensing.from_rows(A)) - direct) <= 1e-6 * direct
+        assert abs(condition_number(Sensing.from_rows(realified(A))) - direct) <= 1e-6 * direct
 
 
 def test_condition_number_sentinel_for_singular():
     X = np.tile(point_rows(np.array([[0.3, 0.4]]), 1), (12, 1))
-    assert condition_number(Sensing.from_rows(X)) == np.inf
+    assert condition_number(Sensing.from_rows(real_rows(X))) == np.inf
 
 
 def test_one_singularity_rule_for_condition_and_solve():
@@ -224,7 +225,7 @@ def test_one_singularity_rule_for_condition_and_solve():
     assert kappa(np.diag([1.0, 2e-7])) == pytest.approx(5e6, rel=1e-9)
     assert kappa(diag(2e-7)) == pytest.approx(5e6, rel=1e-9)
     X = Sensing.from_rows(diag(2e-7))
-    assert reconstruct_and_score(fld, X, diag(2e-7) @ fld.vector()) <= 1e-8
+    assert reconstruct_and_score(fld, X, diag(2e-7) @ real_coeffs(fld.vector())) <= 1e-8
     # sigma ratios 5e-8 and 1e-8 lie below it on both routes
     for ratio in (5e-8, 1e-8):
         assert kappa(np.diag([1.0, ratio])) == np.inf
@@ -255,7 +256,7 @@ def test_condition_number_at_least_one():
     rng = np.random.default_rng(15)
     for _ in range(20):
         X = point_rows(rng.random((30, 2)), 1)
-        assert condition_number(Sensing.from_rows(X)) >= 1.0
+        assert condition_number(Sensing.from_rows(real_rows(X))) >= 1.0
 
 
 # ---------------------------------------------------- reconstruct_and_score
@@ -293,7 +294,7 @@ def test_field_rmse_matches_grid_rmse(scheme):
     X = build_matrix(paths, config)
     g = measure(fld, paths, config, rng)
     rel = reconstruct_and_score(fld, X, g)
-    estimate = np.linalg.lstsq(X.dense(), g, rcond=None)[0].reshape(7, 7)
+    estimate = complex_coeffs(np.linalg.lstsq(X.dense(), g, rcond=None)[0]).reshape(7, 7)
     axis = np.arange(64) / 64
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     gap = fourier_sum(estimate, gx, gy).real - fld.evaluate(gx, gy)
@@ -309,13 +310,14 @@ def test_noise_error_scales_with_pseudoinverse_norm():
     clean = (X @ fld.vector()).real
     norm = np.linalg.norm(fld.vector())
     pinv_norm_sq = np.linalg.norm(np.linalg.pinv(X), "fro") ** 2
+    S = Sensing.from_rows(real_rows(X))
     trials = 2000
     mses = {}
     for sigma in (0.01, 0.02, 0.04):
         sq = np.empty(trials)
         for t in range(trials):
             noisy = clean + rng.normal(0.0, sigma, size=clean.shape)
-            sq[t] = (reconstruct_and_score(fld, Sensing.from_rows(X), noisy) * norm) ** 2
+            sq[t] = (reconstruct_and_score(fld, S, noisy) * norm) ** 2
         mses[sigma] = sq.mean()
         assert abs(mses[sigma] - sigma ** 2 * pinv_norm_sq) <= 0.2 * sigma ** 2 * pinv_norm_sq
     assert abs(mses[0.04] / mses[0.01] - 16.0) <= 0.2 * 16.0
@@ -331,7 +333,7 @@ def oracle_check(config):
     X = build_matrix(paths, config)
     g = measure(fld, paths, config, rng)
     dense = X.dense()
-    assert np.abs(X.gram - dense.conj().T @ dense).max() <= 1e-12 * len(dense)
+    assert np.abs(X.gram - dense.T @ dense).max() <= 1e-12 * len(dense)
     sv = np.linalg.svd(dense, compute_uv=False)
     kappa = sv[0] / sv[-1]
     cond = condition_number(X)
@@ -339,7 +341,7 @@ def oracle_check(config):
         assert cond == np.inf
         return kappa
     assert abs(cond - kappa) <= max(1e-12, 10 * EPS * kappa ** 2) * kappa
-    truth = fld.vector()
+    truth = real_coeffs(fld.vector())
     estimate = np.linalg.lstsq(dense, g, rcond=None)[0]
     oracle = np.linalg.norm(estimate - truth) / np.linalg.norm(truth)
     tol = max(1e-10, 100 * EPS * kappa)

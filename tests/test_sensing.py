@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pathfield.field import harmonics, phasors
+from pathfield.field import generate_random_field, harmonics, phasors
 from pathfield.paths import (
     POINT_SCHEMES,
     UNAWARE_SCHEMES,
@@ -14,14 +14,48 @@ from pathfield.paths import (
 )
 from pathfield import sensing
 from pathfield.sensing import Sensing, build_matrix, point_rows
+from real_basis import complex_rows, real_basis, real_rows
 
 EPS = np.finfo(float).eps
 
 
 def averaged_matrix(points, b):
-    """The one-row sensing matrix of a single averaging path over `points`."""
+    """The one-row sensing matrix of a single averaging path over `points`,
+    in phasor coordinates."""
     config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=1, b=b)
-    return build_matrix(PathSet(points, np.array([0, len(points)])), config).dense()
+    return complex_rows(build_matrix(PathSet(points, np.array([0, len(points)])), config).dense())
+
+
+def point_matrix(locations, b):
+    """Point rows at `locations` in the operator's real coordinates."""
+    return Sensing.from_points(locations, b).dense()
+
+
+# ------------------------------------------------------- real coordinates
+
+@pytest.mark.parametrize("b", [0, 1, 2, 3, 4])
+def test_real_basis_is_unitary_and_makes_field_coefficients_real(b):
+    n = (2 * b + 1) ** 2
+    Q = real_basis(n)
+    assert np.abs(Q.conj().T @ Q - np.eye(n)).max() <= 1e-15
+    a = generate_random_field(b, np.random.default_rng(b)).vector()
+    coords = Q.conj().T @ a
+    assert np.abs(coords.imag).max() <= 1e-15 * np.abs(a).max()
+    assert np.linalg.norm(coords.real) == pytest.approx(np.linalg.norm(a), rel=1e-14)
+
+
+def test_point_rows_in_real_coordinates_are_cos_const_sin():
+    # A phasor row maps to [sqrt 2 cos; 1; -sqrt 2 sin] of 2 pi (k x + l y).
+    x, y = 0.3, 0.7
+    c = 12
+    angles = 2 * np.pi * (harmonics(2)[:c] @ [x, y])
+    expected = np.r_[np.sqrt(2) * np.cos(angles), 1.0, -np.sqrt(2) * np.sin(angles)]
+    assert np.abs(point_matrix([(x, y)], 2)[0] - expected).max() <= 1e-14
+
+
+def test_rows_must_be_real():
+    with pytest.raises(TypeError, match="real"):
+        Sensing.from_rows(point_rows([(0.3, 0.4)], 1))
 
 
 # ------------------------------------------------------------------ rows
@@ -46,7 +80,9 @@ def test_point_rows_unit_modulus():
 
 def test_averaged_row_of_single_point_equals_point_row():
     points = np.array([[0.3, 0.7]])
-    assert np.array_equal(averaged_matrix(points, 2), point_rows(points, 2))
+    config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=1, b=2)
+    X = build_matrix(PathSet(points, np.array([0, 1])), config).dense()
+    assert np.array_equal(X, point_matrix(points, 2))
 
 
 def test_averaged_row_two_point_cancellation():
@@ -69,8 +105,8 @@ def test_scattered_matrix_is_point_exact():
     paths = generate_paths(config)
     X = build_matrix(paths, config).dense()
     assert X.shape == (30, 25)
-    assert np.array_equal(X, point_rows(np.vstack([p.points for p in paths]), 2))
-    assert np.allclose(np.abs(X), 1.0, atol=1e-12)
+    assert np.array_equal(X, point_matrix(np.vstack([p.points for p in paths]), 2))
+    assert np.allclose(np.abs(complex_rows(X)), 1.0, atol=1e-12)
 
 
 def test_line_points_matrix_has_row_per_sample():
@@ -78,7 +114,7 @@ def test_line_points_matrix_has_row_per_sample():
     paths = generate_paths(config)
     X = build_matrix(paths, config).dense()
     assert X.shape == (sum(len(p) for p in paths), 9)
-    assert np.array_equal(X, point_rows(np.vstack([p.points for p in paths]), 1))
+    assert np.array_equal(X, point_matrix(np.vstack([p.points for p in paths]), 1))
 
 
 @pytest.mark.parametrize("scheme", [
@@ -88,7 +124,7 @@ def test_line_points_matrix_has_row_per_sample():
 def test_averaging_schemes_have_row_per_path(scheme):
     config = SchemeConfig(scheme=scheme, m=12, b=1, gamma=0.08, p=8, seed=2)
     paths = generate_paths(config)
-    X = build_matrix(paths, config).dense()
+    X = complex_rows(build_matrix(paths, config).dense())
     assert X.shape == (12, 9)
     assert (np.abs(X) <= 1.0 + 1e-12).all()
     for row, path in zip(X, paths):
@@ -116,7 +152,7 @@ def test_unaware_line_points_rows_match_sample_counts():
     X = build_matrix(paths, config).dense()
     assert X.shape[0] == sum(len(p) for p in paths)
     first = paths[0]
-    expected = point_rows(np.linspace(*first.endpoints, len(first)), 1)
+    expected = point_matrix(np.linspace(*first.endpoints, len(first)), 1)
     assert np.array_equal(X[:len(first)], expected)
 
 
@@ -124,7 +160,7 @@ def test_unaware_averaged_kind():
     config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=7, b=1, gamma=0.05,
                           location_aware=False, seed=5)
     paths = generate_paths(config)
-    X = build_matrix(paths, config).dense()
+    X = complex_rows(build_matrix(paths, config).dense())
     assert X.shape == (7, 9)
     for row, path in zip(X, paths):
         expected = point_rows(np.linspace(*path.endpoints, len(path)), 1).mean(axis=0)
@@ -137,7 +173,7 @@ def test_unaware_hive_matrix_equals_scattered_matrix_at_hives():
     paths = generate_paths(config)
     X = build_matrix(paths, config).dense()
     hives = np.asarray([p.hive for p in paths], dtype=float)
-    assert np.array_equal(X, point_rows(hives, 2))
+    assert np.array_equal(X, point_matrix(hives, 2))
 
 
 @pytest.mark.parametrize("scheme", [
@@ -222,16 +258,20 @@ def test_build_matrix_matches_dense_oracle(scheme, aware, b):
     paths = generate_paths(config)
     X = build_matrix(paths, config)
     expected = oracle_matrix(paths, config)
+    Q = real_basis(expected.shape[1])
     assert X.shape == expected.shape
-    assert np.abs(X.dense() - expected).max() <= 1e-12
-    # The operator without the matrix: Gram, X* g and X* (g - X a).
+    # The phasor matrix is real in the paired cos/sin coordinates.
+    assert np.abs((expected @ Q).imag).max() <= 1e-12
+    assert np.abs(X.dense() - (expected @ Q).real).max() <= 1e-12
+    # The operator without the matrix: Gram, R^T g and R^T (g - R a), each the
+    # complex oracle pushed through Q.
     rng = np.random.default_rng(b)
-    a = rng.standard_normal(X.shape[1]) + 1j * rng.standard_normal(X.shape[1])
+    a = rng.standard_normal(X.shape[1])
     g = rng.standard_normal(X.shape[0])
-    for got, want in [(X.gram, expected.conj().T @ expected),
-                      (X.adjoint(g), expected.conj().T @ g),
-                      (X.adjoint(g * 1j), expected.conj().T @ (g * 1j)),
-                      (X.adjoint(g, a), expected.conj().T @ (g - expected @ a))]:
+    back = Q.conj().T
+    for got, want in [(X.gram, back @ expected.conj().T @ expected @ Q),
+                      (X.adjoint(g), back @ expected.conj().T @ g),
+                      (X.adjoint(g, a), back @ expected.conj().T @ (g - expected @ Q @ a))]:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -241,7 +281,7 @@ def test_unaware_single_sample_path_is_pinned_to_first_endpoint():
     path = PathSet(np.array([[0.4, 0.6]]), np.array([0, 1]),
                    endpoints=np.array([[[0.1, 0.0], [0.9, 1.0]]]))
     X = build_matrix(path, config).dense()
-    assert np.array_equal(X, point_rows([(0.1, 0.0)], 2))
+    assert np.array_equal(X, point_matrix([(0.1, 0.0)], 2))
 
 
 def test_point_tables_are_slices_of_the_double_bandwidth_tables():
@@ -256,9 +296,9 @@ def test_point_tables_are_slices_of_the_double_bandwidth_tables():
 @pytest.mark.parametrize("b", [1, 3])
 def test_point_gram_does_not_depend_on_the_block_size(monkeypatch, b):
     pts = np.random.default_rng(80).random((300, 2))
-    dense = point_rows(pts, b)
+    dense = real_rows(point_rows(pts, b))
     rng = np.random.default_rng(81)
-    a = rng.standard_normal(dense.shape[1]) + 1j * rng.standard_normal(dense.shape[1])
+    a = rng.standard_normal(dense.shape[1])
     g = rng.standard_normal(len(pts))
     results = {}
     for block in (1, 7, len(pts)):
@@ -266,8 +306,8 @@ def test_point_gram_does_not_depend_on_the_block_size(monkeypatch, b):
         X = Sensing.from_points(pts, b)
         results[block] = X.gram
         # X* g and the fused X* (g - X a) agree with the dense matrix at every block size.
-        for got, want in [(X.adjoint(g), dense.conj().T @ g),
-                          (X.adjoint(g, a), dense.conj().T @ (g - dense @ a))]:
+        for got, want in [(X.adjoint(g), dense.T @ g),
+                          (X.adjoint(g, a), dense.T @ (g - dense @ a))]:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     for block in (1, 7):
         assert np.abs(results[block] - results[len(pts)]).max() <= EPS * len(pts)
@@ -284,6 +324,6 @@ def test_blocked_mean_rows_match_per_path_means(monkeypatch, block):
         for scheme in [s for s in Scheme if s not in POINT_SCHEMES]:
             config = SchemeConfig(scheme=scheme, m=m, b=3, gamma=gamma, p=21, seed=seed)
             paths = generate_paths(config)
-            X = build_matrix(paths, config).dense()
+            X = complex_rows(build_matrix(paths, config).dense())
             for row, path in zip(X, paths):
                 assert np.abs(row - point_rows(path.points, 3).mean(axis=0)).max() <= 4 * EPS

@@ -414,21 +414,25 @@ def test_point_trial_never_allocates_the_dense_matrix():
 @pytest.mark.parametrize("reconstruct", [True, False])
 def test_trial_runs_one_gram_eigensolve(monkeypatch, reconstruct):
     # The condition number and the solve's singularity check share one
-    # spectrum; the solve itself factorises by LU, not by eigendecomposition.
+    # spectrum; the solve itself factorises by LU, not by eigendecomposition,
+    # once and then once per correction. All of it runs in real arithmetic.
     calls = []
 
     def spy(name):
         real = getattr(np.linalg, name)
 
         def counted(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, args[0].dtype))
             return real(*args, **kwargs)
         return counted
 
-    for name in ("eigvalsh", "eigh"):
+    for name in ("eigvalsh", "eigh", "solve"):
         monkeypatch.setattr(np.linalg, name, spy(name))
-    config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=74, b=3, gamma=0.05,
-                          noise_sigma=0.01, seed=3)
-    cond, rel_err = run_trial(config, reconstruct=reconstruct)
-    assert math.isfinite(cond) and math.isfinite(rel_err) == reconstruct
-    assert calls == ["eigvalsh"]
+    for scheme in (Scheme.LINE_BOUNDARY_POINTS, Scheme.LINE_BOUNDARY_AVG):
+        calls.clear()
+        config = SchemeConfig(scheme=scheme, m=74, b=3, gamma=0.05,
+                              noise_sigma=0.01, seed=3)
+        cond, rel_err = run_trial(config, reconstruct=reconstruct)
+        assert math.isfinite(cond) and math.isfinite(rel_err) == reconstruct
+        assert [name for name, _ in calls] == ["eigvalsh"] + ["solve"] * (3 if reconstruct else 0)
+        assert all(dtype == np.float64 for _, dtype in calls)
