@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BandlimitedField", "generate_random_field", "harmonics", "phasors", "fourier_sum"]
+__all__ = ["BandlimitedField", "generate_random_field", "harmonics", "half_phasors", "phasors",
+           "real_sum", "fourier_sum"]
 
 
 def harmonics(b: int) -> np.ndarray:
@@ -31,23 +32,45 @@ def harmonics(b: int) -> np.ndarray:
     return np.column_stack([kk.ravel(), ll.ravel()])
 
 
+def _powers(table: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row k = exp(j 2 pi t)^k, made as row k - 1 times exp(j 2 pi t): one
+    contiguous row per k, so a value gets the same arithmetic wherever it sits."""
+    table[0] = 1.0
+    step = np.exp(2j * np.pi * t)
+    for k in range(1, len(table)):
+        np.multiply(table[k - 1], step, out=table[k])
+    return table
+
+
+def half_phasors(t, b: int) -> np.ndarray:
+    """Columns k = 0..b of ``phasors(t, b)``, bit for bit: shape t.shape + (b+1,)."""
+    t = np.asarray(t, dtype=float)
+    table = _powers(np.empty((b + 1, t.size), dtype=complex), t.ravel())
+    return table.T.reshape(t.shape + (b + 1,))
+
+
 def phasors(t, b: int) -> np.ndarray:
     """Per-axis phasor table exp(j 2 pi t k) for k = -b..b, shape t.shape + (2b+1,).
 
-    Every Fourier evaluation in the package is built from this table: a 2-D
-    phasor exp(j 2 pi (k x + l y)) is the product of the x table's k entry and
-    the y table's l entry. Column k > 0 is column k - 1 times exp(j 2 pi t) and
-    column -k its conjugate, so a wider table's columns -b..b equal this one exactly.
+    A 2-D phasor exp(j 2 pi (k x + l y)) is the product of the x table's k
+    entry and the y table's l entry; sums over a real field's harmonics take
+    ``half_phasors`` for x (``real_sum``). Column k > 0 is column k - 1 times
+    exp(j 2 pi t) and column -k its conjugate, so a wider table's columns -b..b
+    equal this one exactly.
     """
     t = np.asarray(t, dtype=float)
-    # One contiguous row per k: a value gets the same arithmetic wherever it sits.
     table = np.empty((2 * b + 1, t.size), dtype=complex)
-    table[b] = 1.0
-    step = np.exp(2j * np.pi * t.ravel())
-    for k in range(b + 1, 2 * b + 1):
-        np.multiply(table[k - 1], step, out=table[k])
+    _powers(table[b:], t.ravel())
     np.conjugate(table[:b:-1], out=table[:b])
     return table.T.reshape(t.shape + (2 * b + 1,))
+
+
+def real_sum(coeffs: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    """Re sum_{k,l} a[k,l] ex[k] ey[l] per row, ``ex`` a half x table: a is conjugate-
+    symmetric, so its (-k, -l) term conjugates its (k, l) term and rows k > 0 count twice."""
+    b = len(coeffs) // 2
+    folded = coeffs[b:] * np.r_[1.0, np.full(b, 2.0)][:, None]
+    return np.einsum("pl,pl->p", ex @ folded, ey).real
 
 
 def fourier_sum(coeffs: np.ndarray, x, y):
@@ -97,7 +120,9 @@ class BandlimitedField:
 
     def evaluate(self, x, y):
         """Real field value g(x, y); scalars or broadcastable arrays."""
-        return fourier_sum(self.coeffs, x, y).real
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        vals = real_sum(self.coeffs, half_phasors(x.ravel(), self.b), phasors(y.ravel(), self.b))
+        return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
 
 
 def generate_random_field(b: int, rng: np.random.Generator) -> BandlimitedField:

@@ -30,7 +30,10 @@ coefficients; a phasor row becomes [sqrt 2 cos; 1; -sqrt 2 sin] of
 2 pi (k x + l y). R has X's singular values and ||c - Q* a|| = ||Q c - a||, so
 kappa and the score mean the same as in complex coordinates, while the Gram,
 its eigensolve and the solves are real. The tables and the kernel stay
-complex; each map between the coordinates is O(n).
+complex, and each map between the coordinates is O(n). A kernel product
+D[u, v] is conjugate-symmetric, D[-u, -v] = conj D[u, v], so only its rows
+u >= 0 are formed (x table `half_phasors`) and the rest mirrored; R a takes the
+same half with the k > 0 coefficients doubled (`real_sum`), as `measure` does.
 
 `measure` returns one reading per row of `build_matrix`'s operator.
 Conditioning and recovery take only a `Sensing` value and work on its n x n
@@ -49,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .field import BandlimitedField, harmonics, phasors
+from .field import BandlimitedField, half_phasors, harmonics, phasors, real_sum
 from .paths import (ConfigurationError, PathSet, Scheme, SchemeConfig, POINT_SCHEMES,
                     UNAWARE_SCHEMES)
 
@@ -90,12 +93,19 @@ def blocks(count: int):
 
 
 def _tables(points: np.ndarray, b: int) -> tuple:
-    return phasors(points[..., 0], b), phasors(points[..., 1], b)
+    """The kernel's tables: k = 0..b for x (``half_phasors``), l = -b..b for y."""
+    return half_phasors(points[..., 0], b), phasors(points[..., 1], b)
+
+
+def _unfold(half: np.ndarray) -> np.ndarray:
+    """A conjugate-symmetric (..., 2K+1, 2K+1) product, d[-u, -v] = conj d[u, v],
+    from its (..., K+1, 2K+1) rows u = 0..K."""
+    return np.concatenate([half[..., :0:-1, ::-1].conj(), half], axis=-2)
 
 
 def point_rows(points, b: int) -> np.ndarray:
     """Phasor rows exp(j 2 pi (k x + l y)) for points of shape (m, 2)."""
-    ex, ey = _tables(np.atleast_2d(np.asarray(points, dtype=float)), b)
+    ex, ey = (phasors(t, b) for t in np.atleast_2d(np.asarray(points, dtype=float)).T)
     return (ex[:, :, None] * ey[:, None, :]).reshape(len(ex), -1)
 
 
@@ -124,7 +134,7 @@ def _mean_rows(points: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
     index = first[:, None] + SUB_BLOCK * np.arange(len(owner))[:, None] + np.arange(SUB_BLOCK)
     padding = index >= offsets[1:][owner, None]
     index[padding] = 0
-    sums = np.zeros((len(counts), 2 * b + 1, 2 * b + 1), dtype=complex)
+    sums = np.zeros((len(counts), b + 1, 2 * b + 1), dtype=complex)
     group = BLOCK // SUB_BLOCK
     for part in (slice(lo, lo + group) for lo in range(0, len(owner), group)):
         ex, ey = _tables(points[index[part]], b)
@@ -132,7 +142,7 @@ def _mean_rows(points: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
         paths = owner[part]
         starts = np.flatnonzero(np.r_[True, paths[1:] != paths[:-1]])  # each path's run
         sums[paths[starts]] += np.add.reduceat(ex.transpose(0, 2, 1) @ ey, starts, axis=0)
-    return _real(sums.reshape(len(counts), -1)) / counts[:, None]
+    return _real(_unfold(sums).reshape(len(counts), -1)) / counts[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,20 +166,23 @@ class Sensing:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         # G[(k, l), (k', l')] = d[k' - k + 2b, l' - l + 2b], where
         # d[u + 2b, v + 2b] = sum_p exp(j 2 pi (u x_p + v y_p)) for u, v = -2b..2b.
-        d = np.zeros((4 * b + 1, 4 * b + 1), dtype=complex)
+        half = np.zeros((2 * b + 1, 4 * b + 1), dtype=complex)
         for s in blocks(len(points)):
             ex, ey = _tables(points[s], 2 * b)
-            d += ex.T @ ey
-        kl = harmonics(b)
-        G = d[kl[None, :, 0] - kl[:, None, 0] + 2 * b, kl[None, :, 1] - kl[:, None, 1] + 2 * b]
-        # Q* G Q from G's blocks, with G[n-1-i, n-1-j] = conj(G[i, j]).
-        c = len(kl) // 2
-        T, W, e = G[:c, :c], G[:c, :c:-1], math.sqrt(2) * G[:c, c:c + 1]
+            half += ex.T @ ey
+        d = _unfold(half)
+        # Q* G Q from G's blocks T = G[:c, :c], W = G[:c, :c:-1] and e = sqrt 2
+        # G[:c, c], read from d, with G[n-1-i, n-1-j] = conj(G[i, j]).
+        c = (2 * b + 1) ** 2 // 2
+        k, l = harmonics(b)[:c].T
+        T = d[k[None, :] - k[:, None] + 2 * b, l[None, :] - l[:, None] + 2 * b]
+        W = d[2 * b - k[None, :] - k[:, None], 2 * b - l[None, :] - l[:, None]]
+        e = math.sqrt(2) * d[2 * b - k, 2 * b - l][:, None]
         cs = W.imag - T.imag
         gram = np.block([[T.real + W.real, e.real, cs],
-                         [e.real.T, G[c:c + 1, c:c + 1].real, e.imag.T],
+                         [e.real.T, d[2 * b, 2 * b].real, e.imag.T],
                          [cs.T, e.imag, T.real - W.real]])
-        return cls(gram, (len(points), len(kl)), points=points)
+        return cls(gram, (len(points), 2 * c + 1), points=points)
 
     @classmethod
     def from_rows(cls, rows) -> "Sensing":
@@ -194,10 +207,10 @@ class Sensing:
         acc = 0.0
         for s in blocks(self.shape[0]):
             ex, ey = _tables(self.points[s], b)
-            r = g[s] if a is None else g[s] - ((ex @ u) * ey).sum(1).real
+            r = g[s] if a is None else g[s] - real_sum(u, ex, ey)
             # R^T r = Re(Q^T X^T r) for real r, and X^T r = E_x^T diag(r) E_y.
-            acc = acc + ex.T @ (r[:, None] * ey)
-        return _real(acc.ravel())
+            acc = acc + (ex.T * r) @ ey
+        return _real(_unfold(acc).ravel())
 
     def dense(self) -> np.ndarray:
         """The m x n matrix R; for point rows, ``point_rows`` in real coordinates."""

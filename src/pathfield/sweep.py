@@ -35,6 +35,9 @@ __all__ = [
 
 SCHEME_NAMES = [s.value for s in Scheme]
 
+# The most bytes a cell may ask for one array, judged from its b and m alone.
+CELL_BYTES = 2 ** 30
+
 
 @dataclass
 class SweepSpec:
@@ -72,10 +75,16 @@ class SweepSpec:
                 raise ConfigurationError(f"m multiple {mult:g} times n at b={b} is not finite")
         cells = self.cells()
         for i, (scheme, b, m, gamma, aware) in enumerate(cells):
+            name = (f"cell ({scheme.value}, b={b}, m={m}, gamma={gamma:g}"
+                    f"{'' if aware else ', unaware'})")
+            n = (2 * b + 1) ** 2
+            for what, size in (("n x n Gram", 8 * n * n), ("m x n mean rows", 8 * m * n),
+                               ("sample points", 16 * m)):
+                if size > CELL_BYTES:
+                    raise ConfigurationError(f"{name} needs {size} bytes for its {what}, "
+                                             f"over the {CELL_BYTES}-byte budget")
             if cells[i] in cells[:i]:
-                raise ConfigurationError(
-                    f"the grid repeats cell ({scheme.value}, b={b}, m={m}, gamma={gamma:g}"
-                    f"{'' if aware else ', unaware'}); m is round(multiple * n)")
+                raise ConfigurationError(f"the grid repeats {name}; m is round(multiple * n)")
 
     def cells(self) -> list:
         """The (scheme, b, m, gamma, aware) cells in run order; m = round(multiple * n)."""

@@ -138,6 +138,12 @@ def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
         (["--m", "1e308", "--scheme", "scattered", "--iters", "1"],
          ["m multiple 1e+308", "b=3", "not finite"]),
         (["--m", "1.5,q"], ["error: --m:"]),
+        # Over the byte budget: refused from b and m alone, before any array exists.
+        (["--m", "1e6", "--b", "10", "--scheme", "scattered", "--iters", "1"],
+         ["cell (scattered, b=10, m=441000000, gamma=0.05)", "1555848000000 bytes",
+          "m x n mean rows"]),
+        (["--m", "1e308", "--b", "0", "--scheme", "scattered", "--iters", "1"],
+         ["cell (scattered, b=0, m=1000", "bytes for its m x n mean rows"]),
         (["--scheme", "zigzag"], ["error: --scheme:", "scattered"]),
         (["--noise-sigma", "nan"], ["error: --noise-sigma:"]),
         (["--config", str(good), "--iters", "two"], ["error: --iters:"]),

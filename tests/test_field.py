@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathfield.field import (BandlimitedField, fourier_sum, generate_random_field, harmonics,
-                             phasors)
+from pathfield.field import (BandlimitedField, fourier_sum, generate_random_field, half_phasors,
+                             harmonics, phasors)
+
+EPS = np.finfo(float).eps
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def make_field(b, assignments):
@@ -145,3 +150,34 @@ def test_phasors_match_the_exponential_oracle(b):
     # Negative harmonics are exact conjugates of the positive ones.
     assert np.array_equal(table[:, :b], table[:, :b:-1].conj())
     assert np.array_equal(table[:, b], np.ones(2000))
+
+
+def test_half_tables_are_the_nonnegative_columns_of_the_full_tables():
+    t = np.random.default_rng(79).uniform(-1.0, 2.0, 500)
+    for b in range(6):
+        assert np.array_equal(half_phasors(t, b), phasors(t, b)[:, b:])
+    grid = t.reshape(20, 25)
+    assert np.array_equal(half_phasors(grid, 3), phasors(grid, 3)[..., 3:])
+    assert np.array_equal(half_phasors(t[4], 3), phasors(t[4], 3)[3:])
+
+
+# (x shape, y shape) pairs: scalars, one array against a scalar, and a broadcast grid.
+SHAPES = [((), ()), ((7,), ()), ((), (5,)), ((3, 1), (4,)), ((6,), (6,))]
+
+
+@PROPERTY
+@given(b=st.integers(0, 6), seed=st.integers(0, 2**32 - 1), shapes=st.sampled_from(SHAPES))
+def test_evaluate_matches_the_full_table_oracle(b, seed, shapes):
+    # evaluate sums over the k >= 0 half of the x table with the k > 0 rows
+    # doubled; the oracle sums every (k, l) term and drops the imaginary part.
+    rng = np.random.default_rng(seed)
+    field = generate_random_field(b, rng)
+    x, y = (rng.uniform(-1.0, 2.0, shape) if shape else float(rng.uniform(-1.0, 2.0))
+            for shape in shapes)
+    got = field.evaluate(x, y)
+    want = fourier_sum(field.coeffs, x, y).real
+    if not shapes[0] and not shapes[1]:
+        assert type(got) is float
+    else:
+        assert got.shape == np.broadcast_shapes(*shapes)
+    assert np.abs(got - want).max() <= 4 * EPS * np.abs(field.coeffs).sum()

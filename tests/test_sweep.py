@@ -152,6 +152,26 @@ def test_spec_rejects_non_finite_values():
         quick_spec(m_multiples=[math.inf])
 
 
+def test_spec_rejects_a_cell_over_the_byte_budget(monkeypatch):
+    # (b, multiple, budget): the cell's largest array takes one byte more
+    # than the budget. b = 1, m = 18: mean rows 8 * 18 * 9 B. b = 1, m = n = 9:
+    # the Gram and the mean rows both take 648 B. b = 0, m = 2: points 32 B.
+    for b, mult, budget, what in ((1, 2.0, 1295, "1296 bytes for its m x n mean rows"),
+                                  (1, 1.0, 647, "648 bytes for its n x n Gram"),
+                                  (0, 2.0, 31, "32 bytes for its sample points")):
+        monkeypatch.setattr(sweep, "CELL_BYTES", budget + 1)
+        quick_spec(b_values=[b], m_multiples=[mult])
+        monkeypatch.setattr(sweep, "CELL_BYTES", budget)
+        with pytest.raises(ConfigurationError, match=f"^cell \\(scattered, b={b}, .*{what}"):
+            quick_spec(b_values=[b], m_multiples=[mult])
+
+
+def test_full_config_fits_the_byte_budget():
+    # Its largest cell is b = 10, m = 8n.
+    spec = SweepSpec.from_file(Path(__file__).parents[1] / "configs" / "full.cfg")
+    assert max(m for _, b, m, _, _ in spec.cells() if b == 10) == 8 * 441
+
+
 def test_spec_rejects_empty_lists():
     with pytest.raises(ConfigurationError):
         quick_spec(schemes=[])
