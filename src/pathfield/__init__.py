@@ -1,6 +1,6 @@
 """Random-path mobile sensing simulator for 2D bandlimited fields."""
 
-from .field import BandlimitedField, fourier_sum, generate_random_field, harmonics
+from .field import BandlimitedField, generate_random_field, harmonics
 from .paths import (
     ConfigurationError,
     PathGenerationError,
@@ -25,14 +25,12 @@ from .sensing import (
     build_matrix,
     condition_number,
     measure,
-    point_rows,
     reconstruct_and_score,
 )
 from .sweep import (
     CellResult,
     SweepResult,
     SweepSpec,
-    check_bound_trend,
     rank_schemes,
     run_sweep,
 )

@@ -38,8 +38,7 @@ def cmd_paths(args) -> int:
         paths = generate_paths(config)
         paths_to_csv(paths, out / PATHS_CSV.format(scheme=config.scheme.value))
         groups.append((config.scheme.value, paths))
-    if not args.no_svg:
-        (out / TRAJECTORY_SVG).write_text(trajectory_svg(groups))
+    (out / TRAJECTORY_SVG).write_text(trajectory_svg(groups))
     print(f"wrote {len(groups)} path set(s) to {out}")
     return 0
 
@@ -129,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_paths.add_argument("--p", type=int, default=25, help="points per directed walk")
     p_paths.add_argument("--seed", type=int, default=0)
     p_paths.add_argument("--out", default="out")
-    p_paths.add_argument("--no-svg", action="store_true", help="skip the SVG rendering")
     p_paths.set_defaults(func=cmd_paths)
 
     p_sweep = sub.add_parser(

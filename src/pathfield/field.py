@@ -8,6 +8,10 @@ with conjugate-symmetric coefficients, a[-k,-l] = conj(a[k,l]), so the series
 is real valued on the whole plane. A bandwidth-b field carries (2b+1)^2
 independent real parameters. The series is 1-periodic in both coordinates, so
 evaluation outside the unit square uses the periodic extension.
+
+A value is summed over the coefficient rows k >= 0 only, with rows k > 0
+doubled (`real_sum`). The full complex series it is checked against, one
+phasor row per point times ``coeffs.ravel()``, lives in ``tests/real_basis.py``.
 """
 
 from dataclasses import dataclass
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["BandlimitedField", "generate_random_field", "harmonics", "half_phasors", "phasors",
-           "real_sum", "fourier_sum"]
+           "real_sum"]
 
 
 def harmonics(b: int) -> np.ndarray:
@@ -65,28 +69,12 @@ def phasors(t, b: int) -> np.ndarray:
     return table.T.reshape(t.shape + (2 * b + 1,))
 
 
-def real_sum(coeffs: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
-    """Re sum_{k,l} a[k,l] ex[k] ey[l] per row, ``ex`` a half x table: a is conjugate-
-    symmetric, so its (-k, -l) term conjugates its (k, l) term and rows k > 0 count twice."""
-    b = len(coeffs) // 2
-    folded = coeffs[b:] * np.r_[1.0, np.full(b, 2.0)][:, None]
+def real_sum(half: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    """Re sum_{k,l} a[k,l] ex[k] ey[l] per row for conjugate-symmetric a, from its
+    rows k = 0..b (``half``, (b+1) x (2b+1)) and a half x table ``ex``: a's (-k, -l)
+    term conjugates its (k, l) term, so rows k > 0 count twice."""
+    folded = half * np.r_[1.0, np.full(len(half) - 1, 2.0)][:, None]
     return np.einsum("pl,pl->p", ex @ folded, ey).real
-
-
-def fourier_sum(coeffs: np.ndarray, x, y):
-    """Unreduced complex series value at (x, y) for a (2b+1)x(2b+1) grid.
-
-    Broadcasts over array inputs; returns a complex scalar for scalar inputs.
-    The grid is indexed as coeffs[k + b, l + b].
-    """
-    coeffs = np.asarray(coeffs)
-    size = coeffs.shape[0]
-    if coeffs.shape != (size, size) or size % 2 == 0:
-        raise ValueError("coefficient grid must be square with odd side")
-    b = (size - 1) // 2
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    vals = ((phasors(x.ravel(), b) @ coeffs) * phasors(y.ravel(), b)).sum(axis=1)
-    return complex(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -121,7 +109,8 @@ class BandlimitedField:
     def evaluate(self, x, y):
         """Real field value g(x, y); scalars or broadcastable arrays."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        vals = real_sum(self.coeffs, half_phasors(x.ravel(), self.b), phasors(y.ravel(), self.b))
+        vals = real_sum(self.coeffs[self.b:], half_phasors(x.ravel(), self.b),
+                        phasors(y.ravel(), self.b))
         return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
 
 

@@ -30,10 +30,15 @@ coefficients; a phasor row becomes [sqrt 2 cos; 1; -sqrt 2 sin] of
 2 pi (k x + l y). R has X's singular values and ||c - Q* a|| = ||Q c - a||, so
 kappa and the score mean the same as in complex coordinates, while the Gram,
 its eigensolve and the solves are real. The tables and the kernel stay
-complex, and each map between the coordinates is O(n). A kernel product
-D[u, v] is conjugate-symmetric, D[-u, -v] = conj D[u, v], so only its rows
-u >= 0 are formed (x table `half_phasors`) and the rest mirrored; R a takes the
-same half with the k > 0 coefficients doubled (`real_sum`), as `measure` does.
+complex. A kernel product D[u, v] is conjugate-symmetric, D[-u, -v] =
+conj D[u, v], so only its rows u >= 0 are formed (x table `half_phasors`), and
+that (b+1) x (2b+1) half is the only complex form the maps use, each O(n):
+real coordinates are read straight off it, since the mirrors n-1-i of the
+harmonics i < c are its entries after (0, 0); Q a is returned as its half; and
+R a sums that half with the k > 0 rows doubled (`real_sum`), as `measure`
+does. Only the point Gram, whose Toeplitz blocks read D at u < 0, mirrors the
+rest. The dense references, complex phasor rows and the whole of R, are
+`point_rows` and `dense_matrix` in ``tests/real_basis.py``.
 
 `measure` returns one reading per row of `build_matrix`'s operator.
 Conditioning and recovery take only a `Sensing` value and work on its n x n
@@ -58,7 +63,6 @@ from .paths import (ConfigurationError, PathSet, Scheme, SchemeConfig, POINT_SCH
 
 __all__ = [
     "Sensing",
-    "point_rows",
     "build_matrix",
     "SingularSystemError",
     "measure",
@@ -85,6 +89,7 @@ SINGULAR_RATIO = 1e-7
 CORRECTION_STEPS = 2
 
 _SQRT_HALF = math.sqrt(0.5)
+_SQRT_2 = math.sqrt(2.0)
 
 
 def blocks(count: int):
@@ -97,31 +102,23 @@ def _tables(points: np.ndarray, b: int) -> tuple:
     return half_phasors(points[..., 0], b), phasors(points[..., 1], b)
 
 
-def _unfold(half: np.ndarray) -> np.ndarray:
-    """A conjugate-symmetric (..., 2K+1, 2K+1) product, d[-u, -v] = conj d[u, v],
-    from its (..., K+1, 2K+1) rows u = 0..K."""
-    return np.concatenate([half[..., :0:-1, ::-1].conj(), half], axis=-2)
-
-
-def point_rows(points, b: int) -> np.ndarray:
-    """Phasor rows exp(j 2 pi (k x + l y)) for points of shape (m, 2)."""
-    ex, ey = (phasors(t, b) for t in np.atleast_2d(np.asarray(points, dtype=float)).T)
-    return (ex[:, :, None] * ey[:, None, :]).reshape(len(ex), -1)
-
-
-def _real(w: np.ndarray) -> np.ndarray:
-    """Re(w Q) for complex rows w over harmonics(b): [cos; const; sin] parts."""
-    c = w.shape[-1] // 2
-    lo, hi = w[..., :c], w[..., :c:-1]
-    return np.concatenate([(lo.real + hi.real) * _SQRT_HALF, w[..., c:c + 1].real,
-                           (hi.imag - lo.imag) * _SQRT_HALF], axis=-1)
+def _real(half: np.ndarray) -> np.ndarray:
+    """Re(w Q) for conjugate-symmetric rows w over harmonics(b), from their
+    (..., b+1, 2b+1) rows k >= 0: [sqrt 2 Re h; w_c; sqrt 2 Im h] for the
+    mirrors h_i = w[n-1-i] of the harmonics i < c."""
+    flat = half.reshape(half.shape[:-2] + (-1,))
+    b = half.shape[-2] - 1
+    h = flat[..., :b:-1]
+    return np.concatenate([h.real * _SQRT_2, flat[..., b:b + 1].real, h.imag * _SQRT_2], axis=-1)
 
 
 def _complex(a: np.ndarray) -> np.ndarray:
-    """Q a: the conjugate-symmetric coefficients with real coordinates a."""
+    """The (b+1) x (2b+1) rows k >= 0 of Q a: the conjugate-symmetric
+    coefficients with real coordinates a."""
     c = len(a) // 2
+    b = (math.isqrt(len(a)) - 1) // 2
     z = (a[:c] + 1j * a[c + 1:]) * _SQRT_HALF
-    return np.concatenate([z, a[c:c + 1], z[::-1].conj()])
+    return np.concatenate([z[c - b:], a[c:c + 1], z[::-1].conj()]).reshape(b + 1, -1)
 
 
 def _mean_rows(points: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
@@ -142,7 +139,7 @@ def _mean_rows(points: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
         paths = owner[part]
         starts = np.flatnonzero(np.r_[True, paths[1:] != paths[:-1]])  # each path's run
         sums[paths[starts]] += np.add.reduceat(ex.transpose(0, 2, 1) @ ey, starts, axis=0)
-    return _real(_unfold(sums).reshape(len(counts), -1)) / counts[:, None]
+    return _real(sums) / counts[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +147,9 @@ class Sensing:
     """One trial's real sensing matrix R = X Q (``shape`` rows x n) and its Gram R^T R.
 
     Point rows (`from_points`) keep only their (rows, 2) locations; mean rows
-    (`from_rows`) keep the dense rows. ``adjoint(g)`` is R^T g, ``adjoint(g, a)``
-    is R^T (g - R a) and ``dense()`` is R; columns are the real coordinates
-    of ``harmonics(b)`` (module docstring).
+    (`from_rows`) keep the dense rows. ``adjoint(g)`` is R^T g and ``adjoint(g, a)``
+    is R^T (g - R a); columns are the real coordinates of ``harmonics(b)``
+    (module docstring).
     """
 
     gram: np.ndarray
@@ -170,7 +167,7 @@ class Sensing:
         for s in blocks(len(points)):
             ex, ey = _tables(points[s], 2 * b)
             half += ex.T @ ey
-        d = _unfold(half)
+        d = np.concatenate([half[:0:-1, ::-1].conj(), half])  # d[-u, -v] = conj d[u, v]
         # Q* G Q from G's blocks T = G[:c, :c], W = G[:c, :c:-1] and e = sqrt 2
         # G[:c, c], read from d, with G[n-1-i, n-1-j] = conj(G[i, j]).
         c = (2 * b + 1) ** 2 // 2
@@ -203,20 +200,14 @@ class Sensing:
         if self.rows is not None:
             return self.rows.T @ (g if a is None else g - self.rows @ a)
         b = (math.isqrt(self.shape[1]) - 1) // 2
-        u = None if a is None else _complex(a).reshape(2 * b + 1, -1)
+        u = None if a is None else _complex(a)
         acc = 0.0
         for s in blocks(self.shape[0]):
             ex, ey = _tables(self.points[s], b)
             r = g[s] if a is None else g[s] - real_sum(u, ex, ey)
             # R^T r = Re(Q^T X^T r) for real r, and X^T r = E_x^T diag(r) E_y.
             acc = acc + (ex.T * r) @ ey
-        return _real(_unfold(acc).ravel())
-
-    def dense(self) -> np.ndarray:
-        """The m x n matrix R; for point rows, ``point_rows`` in real coordinates."""
-        if self.rows is not None:
-            return self.rows
-        return _real(point_rows(self.points, (math.isqrt(self.shape[1]) - 1) // 2))
+        return _real(acc)
 
 
 def _unaware_locations(paths: PathSet, scheme: Scheme) -> tuple:
@@ -297,8 +288,6 @@ def condition_number(S: Sensing) -> float:
     Returns inf when sigma_min/sigma_max falls below SINGULAR_RATIO
     (numerically singular draw).
     """
-    if not np.any(S.gram):
-        raise ValueError("condition number of an empty or zero matrix")
     return _kappa(S.spectrum)
 
 
@@ -321,5 +310,5 @@ def reconstruct_and_score(field: BandlimitedField, S: Sensing, g) -> float:
     estimate = np.linalg.solve(S.gram, S.adjoint(values))
     for _ in range(CORRECTION_STEPS):
         estimate += np.linalg.solve(S.gram, S.adjoint(values, estimate))
-    truth = _real(field.vector().conj())  # Q* a, real for a real field
+    truth = _real(field.coeffs[field.b:].conj())  # Q* a, real for a real field
     return float(np.linalg.norm(estimate - truth) / np.linalg.norm(truth))

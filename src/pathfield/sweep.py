@@ -26,10 +26,8 @@ __all__ = [
     "parse_schemes",
     "CellResult",
     "SweepResult",
-    "TrendGroup",
     "run_sweep",
     "trial_seed",
-    "check_bound_trend",
     "rank_schemes",
 ]
 
@@ -342,43 +340,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             excluded=excluded,
         ))
     return SweepResult(cells=cells)
-
-
-@dataclass
-class TrendGroup:
-    """Condition-number trend along m for one (scheme, b, gamma, aware) row."""
-
-    scheme: Scheme
-    b: int
-    gamma: float
-    aware: bool
-    monotone_ok: bool
-    violations: list
-    all_ge_one: bool
-
-
-def check_bound_trend(result: SweepResult) -> list[TrendGroup]:
-    """Empirical check that mean condition numbers do not grow with m.
-
-    A step up is tolerated when it stays within one standard deviation of
-    the previous cell. Groups with fewer than three m values are skipped.
-    """
-    report = []
-    for (scheme, b, gamma, aware), cells in result.curves().items():
-        if len(cells) < 3:
-            continue
-        means = [c.mean_cond for c in cells]
-        violations = [
-            i for i in range(len(cells) - 1)
-            if math.isfinite(means[i]) and math.isfinite(means[i + 1])
-            and means[i + 1] > means[i] + cells[i].std_cond
-        ]
-        report.append(TrendGroup(
-            scheme=scheme, b=b, gamma=gamma, aware=aware,
-            monotone_ok=not violations, violations=violations,
-            all_ge_one=all(v >= 1.0 for v in means if math.isfinite(v)),
-        ))
-    return report
 
 
 def rank_schemes(result: SweepResult, m: int, gamma: float,

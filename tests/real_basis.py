@@ -1,4 +1,4 @@
-"""Dense oracle for the real coordinates of the sensing operator.
+"""Dense oracles for the phasor rows and the real coordinates of the sensing operator.
 
 Q is built here from its definition, not from pathfield.sensing. Harmonic i
 of ``harmonics(b)`` and its mirror n-1-i (k and l negated) form a pair, and
@@ -7,9 +7,16 @@ c = (n-1)/2 is the index of (0, 0). Column i < c of Q is
 j (e_i - e_{n-1-i})/sqrt 2. Q is unitary, so the sensing matrix R = X Q has
 the singular values of the complex phasor matrix X, and the coordinates of a
 coefficient vector a are Q* a.
+
+``point_rows`` forms the complex phasor rows that pathfield never forms, and
+``dense_matrix`` a `Sensing` value's whole real matrix R from them.
 """
 
+import math
+
 import numpy as np
+
+from pathfield.field import phasors
 
 
 def real_basis(n: int) -> np.ndarray:
@@ -22,6 +29,20 @@ def real_basis(n: int) -> np.ndarray:
         Q[i, c + 1 + i] = 1j / np.sqrt(2)
         Q[n - 1 - i, c + 1 + i] = -1j / np.sqrt(2)
     return Q
+
+
+def point_rows(points, b: int) -> np.ndarray:
+    """Phasor rows exp(j 2 pi (k x + l y)) over harmonics(b) for points of shape (m, 2)."""
+    ex, ey = (phasors(t, b) for t in np.atleast_2d(np.asarray(points, dtype=float)).T)
+    return (ex[:, :, None] * ey[:, None, :]).reshape(len(ex), -1)
+
+
+def dense_matrix(S) -> np.ndarray:
+    """The m x n matrix R of a `Sensing` value: its mean rows as they are, or its
+    point rows pushed through Q."""
+    if S.rows is not None:
+        return S.rows
+    return real_rows(point_rows(S.points, (math.isqrt(S.shape[1]) - 1) // 2))
 
 
 def real_rows(X) -> np.ndarray:

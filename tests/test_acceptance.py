@@ -23,11 +23,11 @@ from pathfield.sensing import (
     build_matrix,
     condition_number,
     measure,
-    point_rows,
     reconstruct_and_score,
 )
-from pathfield.sweep import SweepSpec, check_bound_trend, rank_schemes, run_sweep
-from real_basis import real_rows, realified
+from pathfield.sweep import SweepSpec, rank_schemes, run_sweep
+from bound_trend import check_bound_trend
+from real_basis import dense_matrix, point_rows, real_rows, realified
 
 RANDOM_PATH_SCHEMES = [s for s in Scheme if s is not Scheme.SCATTERED]
 
@@ -171,7 +171,7 @@ def test_criterion_08_hive_matrix_equals_benchmark_at_hives():
         X_hive = build_matrix(paths, config)
         hives = np.asarray([p.hive for p in paths], dtype=float)
         X_bench = Sensing.from_points(hives, 3)
-        entries_equal &= np.array_equal(X_hive.dense(), X_bench.dense())
+        entries_equal &= np.array_equal(dense_matrix(X_hive), dense_matrix(X_bench))
         conds_equal &= condition_number(X_hive) == condition_number(X_bench)
     ok = entries_equal and conds_equal
     assert report(8, "unaware hive matrix identical to benchmark at hive centers", ok)

@@ -33,13 +33,11 @@ def test_paths_bee_hive_loops(tmp_path):
 
 def test_paths_scattered_single_point_records(tmp_path):
     out = tmp_path / "out"
-    rc = main(["paths", "--scheme", "scattered", "--m", "100", "--out", str(out),
-               "--no-svg"])
+    rc = main(["paths", "--scheme", "scattered", "--m", "100", "--out", str(out)])
     assert rc == 0
     grouped = read_paths_csv(out / "paths_scattered.csv")
     assert len(grouped) == 100
     assert all(len(pts) == 1 for pts in grouped.values())
-    assert not (out / "trajectories.svg").exists()
 
 
 def test_paths_same_seed_identical_bytes(tmp_path):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathfield.field import (BandlimitedField, fourier_sum, generate_random_field, half_phasors,
-                             harmonics, phasors)
+from pathfield.field import (BandlimitedField, generate_random_field, half_phasors, harmonics,
+                             phasors)
+from real_basis import point_rows
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -92,7 +93,7 @@ def test_imaginary_residual_bound():
     field = generate_random_field(4, np.random.default_rng(9))
     rng = np.random.default_rng(10)
     pts = rng.random((1000, 2))
-    residual = np.abs(fourier_sum(field.coeffs, pts[:, 0], pts[:, 1]).imag)
+    residual = np.abs((point_rows(pts, 4) @ field.vector()).imag)
     bound = 1e-10 * field.n * np.abs(field.coeffs).max()
     assert residual.max() <= bound
 
@@ -125,13 +126,6 @@ def test_coefficients_are_immutable():
     field = generate_random_field(1, np.random.default_rng(4))
     with pytest.raises(ValueError):
         field.coeffs[0, 0] = 0.0
-
-
-def test_fourier_sum_scalar_and_array_agree():
-    field = generate_random_field(2, np.random.default_rng(8))
-    scalar = fourier_sum(field.coeffs, 0.3, 0.4)
-    array = fourier_sum(field.coeffs, np.array([0.3]), np.array([0.4]))
-    assert scalar == array[0]
 
 
 @pytest.mark.parametrize("b", [0, 1, 3, 10, 20])
@@ -175,7 +169,9 @@ def test_evaluate_matches_the_full_table_oracle(b, seed, shapes):
     x, y = (rng.uniform(-1.0, 2.0, shape) if shape else float(rng.uniform(-1.0, 2.0))
             for shape in shapes)
     got = field.evaluate(x, y)
-    want = fourier_sum(field.coeffs, x, y).real
+    grid_x, grid_y = np.broadcast_arrays(x, y)
+    points = np.column_stack([grid_x.ravel(), grid_y.ravel()])
+    want = (point_rows(points, b) @ field.vector()).real.reshape(grid_x.shape)
     if not shapes[0] and not shapes[1]:
         assert type(got) is float
     else:

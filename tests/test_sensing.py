@@ -13,8 +13,8 @@ from pathfield.paths import (
     line_paths,
 )
 from pathfield import sensing
-from pathfield.sensing import Sensing, build_matrix, point_rows
-from real_basis import complex_rows, real_basis, real_rows
+from pathfield.sensing import Sensing, build_matrix
+from real_basis import complex_rows, dense_matrix, point_rows, real_basis, real_rows
 
 EPS = np.finfo(float).eps
 
@@ -23,12 +23,13 @@ def averaged_matrix(points, b):
     """The one-row sensing matrix of a single averaging path over `points`,
     in phasor coordinates."""
     config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=1, b=b)
-    return complex_rows(build_matrix(PathSet(points, np.array([0, len(points)])), config).dense())
+    paths = PathSet(points, np.array([0, len(points)]))
+    return complex_rows(dense_matrix(build_matrix(paths, config)))
 
 
 def point_matrix(locations, b):
     """Point rows at `locations` in the operator's real coordinates."""
-    return Sensing.from_points(locations, b).dense()
+    return dense_matrix(Sensing.from_points(locations, b))
 
 
 # ------------------------------------------------------- real coordinates
@@ -51,6 +52,9 @@ def test_point_rows_in_real_coordinates_are_cos_const_sin():
     angles = 2 * np.pi * (harmonics(2)[:c] @ [x, y])
     expected = np.r_[np.sqrt(2) * np.cos(angles), 1.0, -np.sqrt(2) * np.sin(angles)]
     assert np.abs(point_matrix([(x, y)], 2)[0] - expected).max() <= 1e-14
+    # The operator never forms the row; R^T g with g = [1] at one point is that row.
+    row = Sensing.from_points([(x, y)], 2).adjoint(np.ones(1))
+    assert np.abs(row - expected).max() <= 1e-14
 
 
 def test_rows_must_be_real():
@@ -81,7 +85,7 @@ def test_point_rows_unit_modulus():
 def test_averaged_row_of_single_point_equals_point_row():
     points = np.array([[0.3, 0.7]])
     config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=1, b=2)
-    X = build_matrix(PathSet(points, np.array([0, 1])), config).dense()
+    X = dense_matrix(build_matrix(PathSet(points, np.array([0, 1])), config))
     assert np.array_equal(X, point_matrix(points, 2))
 
 
@@ -103,7 +107,7 @@ def test_averaged_row_modulus_at_most_one():
 def test_scattered_matrix_is_point_exact():
     config = SchemeConfig(scheme=Scheme.SCATTERED, m=30, b=2, seed=0)
     paths = generate_paths(config)
-    X = build_matrix(paths, config).dense()
+    X = dense_matrix(build_matrix(paths, config))
     assert X.shape == (30, 25)
     assert np.array_equal(X, point_matrix(np.vstack([p.points for p in paths]), 2))
     assert np.allclose(np.abs(complex_rows(X)), 1.0, atol=1e-12)
@@ -112,7 +116,7 @@ def test_scattered_matrix_is_point_exact():
 def test_line_points_matrix_has_row_per_sample():
     config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=10, b=1, gamma=0.05, seed=1)
     paths = generate_paths(config)
-    X = build_matrix(paths, config).dense()
+    X = dense_matrix(build_matrix(paths, config))
     assert X.shape == (sum(len(p) for p in paths), 9)
     assert np.array_equal(X, point_matrix(np.vstack([p.points for p in paths]), 1))
 
@@ -124,7 +128,7 @@ def test_line_points_matrix_has_row_per_sample():
 def test_averaging_schemes_have_row_per_path(scheme):
     config = SchemeConfig(scheme=scheme, m=12, b=1, gamma=0.08, p=8, seed=2)
     paths = generate_paths(config)
-    X = complex_rows(build_matrix(paths, config).dense())
+    X = complex_rows(dense_matrix(build_matrix(paths, config)))
     assert X.shape == (12, 9)
     assert (np.abs(X) <= 1.0 + 1e-12).all()
     for row, path in zip(X, paths):
@@ -139,7 +143,7 @@ def test_column_count_for_every_kind():
     ]:
         config = SchemeConfig(scheme=scheme, m=9, b=2, gamma=0.1, p=6,
                               location_aware=aware, seed=3)
-        X = build_matrix(generate_paths(config), config).dense()
+        X = dense_matrix(build_matrix(generate_paths(config), config))
         assert X.shape[1] == 25
         # Columns follow harmonics(2): the (0, 0) column is the constant mean.
         assert np.allclose(X[:, 12], 1.0, atol=1e-12)
@@ -149,7 +153,7 @@ def test_unaware_line_points_rows_match_sample_counts():
     config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=8, b=1, gamma=0.05,
                           location_aware=False, seed=4)
     paths = generate_paths(config)
-    X = build_matrix(paths, config).dense()
+    X = dense_matrix(build_matrix(paths, config))
     assert X.shape[0] == sum(len(p) for p in paths)
     first = paths[0]
     expected = point_matrix(np.linspace(*first.endpoints, len(first)), 1)
@@ -160,7 +164,7 @@ def test_unaware_averaged_kind():
     config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=7, b=1, gamma=0.05,
                           location_aware=False, seed=5)
     paths = generate_paths(config)
-    X = complex_rows(build_matrix(paths, config).dense())
+    X = complex_rows(dense_matrix(build_matrix(paths, config)))
     assert X.shape == (7, 9)
     for row, path in zip(X, paths):
         expected = point_rows(np.linspace(*path.endpoints, len(path)), 1).mean(axis=0)
@@ -171,7 +175,7 @@ def test_unaware_hive_matrix_equals_scattered_matrix_at_hives():
     config = SchemeConfig(scheme=Scheme.BEE_HIVE, m=25, b=2, gamma=0.04, p=12,
                           location_aware=False, seed=6)
     paths = generate_paths(config)
-    X = build_matrix(paths, config).dense()
+    X = dense_matrix(build_matrix(paths, config))
     hives = np.asarray([p.hive for p in paths], dtype=float)
     assert np.array_equal(X, point_matrix(hives, 2))
 
@@ -262,7 +266,7 @@ def test_build_matrix_matches_dense_oracle(scheme, aware, b):
     assert X.shape == expected.shape
     # The phasor matrix is real in the paired cos/sin coordinates.
     assert np.abs((expected @ Q).imag).max() <= 1e-12
-    assert np.abs(X.dense() - (expected @ Q).real).max() <= 1e-12
+    assert np.abs(dense_matrix(X) - (expected @ Q).real).max() <= 1e-12
     # The operator without the matrix: Gram, R^T g and R^T (g - R a), each the
     # complex oracle pushed through Q.
     rng = np.random.default_rng(b)
@@ -280,7 +284,7 @@ def test_unaware_single_sample_path_is_pinned_to_first_endpoint():
                           location_aware=False)
     path = PathSet(np.array([[0.4, 0.6]]), np.array([0, 1]),
                    endpoints=np.array([[[0.1, 0.0], [0.9, 1.0]]]))
-    X = build_matrix(path, config).dense()
+    X = dense_matrix(build_matrix(path, config))
     assert np.array_equal(X, point_matrix([(0.1, 0.0)], 2))
 
 
@@ -324,6 +328,6 @@ def test_blocked_mean_rows_match_per_path_means(monkeypatch, block):
         for scheme in [s for s in Scheme if s not in POINT_SCHEMES]:
             config = SchemeConfig(scheme=scheme, m=m, b=3, gamma=gamma, p=21, seed=seed)
             paths = generate_paths(config)
-            X = complex_rows(build_matrix(paths, config).dense())
+            X = complex_rows(dense_matrix(build_matrix(paths, config)))
             for row, path in zip(X, paths):
                 assert np.abs(row - point_rows(path.points, 3).mean(axis=0)).max() <= 4 * EPS

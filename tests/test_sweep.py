@@ -16,12 +16,12 @@ from pathfield.sweep import (
     CellResult,
     SweepResult,
     SweepSpec,
-    check_bound_trend,
     rank_schemes,
     run_sweep,
     run_trial,
     trial_seed,
 )
+from bound_trend import check_bound_trend
 
 
 def quick_spec(**kwargs):
@@ -166,10 +166,15 @@ def test_spec_rejects_a_cell_over_the_byte_budget(monkeypatch):
             quick_spec(b_values=[b], m_multiples=[mult])
 
 
-def test_full_config_fits_the_byte_budget():
-    # Its largest cell is b = 10, m = 8n.
-    spec = SweepSpec.from_file(Path(__file__).parents[1] / "configs" / "full.cfg")
-    assert max(m for _, b, m, _, _ in spec.cells() if b == 10) == 8 * 441
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[path.name for path in CONFIGS])
+def test_full_config_fits_the_byte_budget(path):
+    # Every shipped config parses and fits; full.cfg's largest cell is b = 10, m = 8n.
+    spec = SweepSpec.from_file(path)
+    if path.name == "full.cfg":
+        assert max(m for _, b, m, _, _ in spec.cells() if b == 10) == 8 * 441
 
 
 def test_spec_rejects_empty_lists():
