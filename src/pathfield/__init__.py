@@ -10,14 +10,8 @@ from .paths import (
     Scheme,
     SchemeConfig,
     UNAWARE_SCHEMES,
-    directed_walks,
     generate_paths,
-    line_paths,
     paths_to_csv,
-    random_walks,
-    same_edge,
-    sample_boundary_points,
-    sample_scattered,
 )
 from .sensing import (
     Sensing,

@@ -20,8 +20,8 @@ CONDITION_SVG = "cond_{scheme}.svg"
 
 # Sweep flag -> the config key it sets, which is also its argparse dest.
 SWEEP_FLAGS = {
-    "--scheme": "scheme", "--b": "b", "--m": "m", "--gamma": "gamma", "--p": "p",
-    "--iters": "iters", "--seed": "seed", "--noise-sigma": "noise_sigma",
+    "--scheme": "schemes", "--b": "b", "--m": "m_multiples", "--gamma": "gamma", "--p": "p",
+    "--iters": "iterations", "--seed": "seed", "--noise-sigma": "noise_sigma",
     "--unaware": "aware", "--no-reconstruct": "reconstruct",
 }
 
@@ -135,12 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
                       f"(columns {','.join(RESULT_HEADER)})",
     )
     p_sweep.add_argument("--config", help="sweep config file (key = value lines, '#' comments)")
-    p_sweep.add_argument("--scheme", help="override: comma-separated schemes or 'all'")
+    p_sweep.add_argument("--scheme", dest="schemes",
+                         help="override: comma-separated schemes or 'all'")
     p_sweep.add_argument("--b", help="override: comma-separated bandwidths")
-    p_sweep.add_argument("--m", help="override: comma-separated m multiples of n=(2b+1)^2")
+    p_sweep.add_argument("--m", dest="m_multiples",
+                         help="override: comma-separated m multiples of n=(2b+1)^2")
     p_sweep.add_argument("--gamma", help="override: comma-separated step-size bounds")
     p_sweep.add_argument("--p", help="override: points per directed walk")
-    p_sweep.add_argument("--iters", help="override: trials per cell")
+    p_sweep.add_argument("--iters", dest="iterations", help="override: trials per cell")
     p_sweep.add_argument("--seed", help="override: base seed")
     p_sweep.add_argument("--noise-sigma", help="override: measurement noise std dev")
     p_sweep.add_argument("--unaware", dest="aware", action="store_const", const="false",

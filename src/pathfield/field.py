@@ -25,9 +25,9 @@ __all__ = ["BandlimitedField", "generate_random_field", "harmonics", "half_phaso
 def harmonics(b: int) -> np.ndarray:
     """All (k, l) harmonic pairs of a bandwidth-b field, shape ((2b+1)^2, 2).
 
-    Row-major with k as the outer index, k and l each running -b..b. Sensing
-    matrices use the same ordering for their columns, so coefficient vectors
-    obtained from ``BandlimitedField.vector()`` line up with matrix columns.
+    Row-major with k as the outer index, k and l each running -b..b: the
+    order of ``BandlimitedField.coeffs.ravel()``. Sensing pairs harmonic i
+    with its mirror n-1-i to form its real cos/sin coordinates.
     """
     if b < 0:
         raise ValueError("bandwidth b must be >= 0")
@@ -101,10 +101,6 @@ class BandlimitedField:
     def n(self) -> int:
         """Coefficient count (2b+1)^2: the degree-of-freedom count of the field."""
         return (2 * self.b + 1) ** 2
-
-    def vector(self) -> np.ndarray:
-        """Coefficients flattened in the canonical ``harmonics`` ordering."""
-        return self.coeffs.ravel()
 
     def evaluate(self, x, y):
         """Real field value g(x, y); scalars or broadcastable arrays."""

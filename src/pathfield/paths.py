@@ -9,9 +9,12 @@ random, and whether the path closes on itself (bee-and-hive loops).
 
 A cell's m paths form one ragged `PathSet`: every path's points back to back
 in one (P, 2) array, with `offsets` marking where each path starts; indexing
-or iterating a set yields `SamplePath` views, slices of its arrays. Every
-generator draws its random numbers as whole arrays for all m paths at once,
-in the order its docstring states; no Python loop runs once per path.
+or iterating a set yields `SamplePath` views, slices of its arrays.
+
+`generate_paths` is the one entry point. Its private generators take float
+(m, 2) arrays and trust the parameters `SchemeConfig` has checked. Each draws
+its random numbers as whole arrays for all m paths at once, in the order its
+docstring states; no Python loop runs once per path.
 """
 
 import csv
@@ -30,12 +33,6 @@ __all__ = [
     "PathGenerationError",
     "POINT_SCHEMES",
     "UNAWARE_SCHEMES",
-    "sample_scattered",
-    "sample_boundary_points",
-    "same_edge",
-    "line_paths",
-    "random_walks",
-    "directed_walks",
     "generate_paths",
     "paths_to_csv",
 ]
@@ -183,14 +180,7 @@ class SchemeConfig:
         return (2 * self.b + 1) ** 2
 
 
-def sample_scattered(m: int, rng: np.random.Generator) -> np.ndarray:
-    """m i.i.d. points uniform over the unit square, shape (m, 2)."""
-    if m < 1:
-        raise ConfigurationError("m must be >= 1")
-    return rng.random((m, 2))
-
-
-def sample_boundary_points(count: int, rng: np.random.Generator) -> np.ndarray:
+def _boundary_points(count: int, rng: np.random.Generator) -> np.ndarray:
     """count points uniform over the unit-square perimeter, shape (count, 2).
 
     Each point's edge (bottom, right, top, left) has probability 1/4 and its
@@ -202,10 +192,9 @@ def sample_boundary_points(count: int, rng: np.random.Generator) -> np.ndarray:
     return np.column_stack([np.where(along_x, u, edge == 1), np.where(along_x, edge == 2, u)])
 
 
-def same_edge(p1, p2):
+def _same_edge(p1, p2):
     """True where both points lie on a common edge of the unit square; points
     are (..., 2) arrays."""
-    p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
     return ((p1 == p2) & ((p1 == 0.0) | (p1 == 1.0))).any(axis=-1)
 
 
@@ -222,17 +211,8 @@ def _pointset(owner: np.ndarray, points: np.ndarray, m: int, **meta) -> PathSet:
     return PathSet(points[order], np.r_[0, np.cumsum(np.bincount(owner, minlength=m))], **meta)
 
 
-def _as_points(values) -> np.ndarray:
-    return np.asarray(values, dtype=float).reshape(-1, 2)
-
-
-def _check_gamma(gamma: float) -> None:
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ConfigurationError("gamma must be finite and > 0")
-
-
-def line_paths(starts, ends, gamma: float, rng: np.random.Generator) -> PathSet:
-    """Samples along each straight segment from starts[i] toward ends[i].
+def _line_paths(starts, ends, gamma: float, rng: np.random.Generator) -> PathSet:
+    """Samples along each straight segment from starts[i] toward a distinct ends[i].
 
     A path's first sample sits at its start and consecutive spacings are
     i.i.d. Uniform(0, gamma); a step that would pass the end stops the path,
@@ -241,12 +221,8 @@ def line_paths(starts, ends, gamma: float, rng: np.random.Generator) -> PathSet:
     spacing gamma/2, chords up to sqrt(2)); the rare paths still short of
     their end draw further (k, W) blocks together.
     """
-    _check_gamma(gamma)
-    starts, ends = _as_points(starts), _as_points(ends)
     delta = ends - starts
     length = np.hypot(delta[:, 0], delta[:, 1])
-    if not (length > 0.0).all():
-        raise ValueError("line endpoints must be distinct")
     width = math.ceil(2.5 * math.sqrt(2.0) / gamma) + 16
     rows = np.arange(len(starts))
     reached = np.zeros(len(starts))
@@ -264,7 +240,7 @@ def line_paths(starts, ends, gamma: float, rng: np.random.Generator) -> PathSet:
     return _pointset(owner, points, len(starts), endpoints=np.stack([starts, ends], axis=1))
 
 
-def random_walks(starts, gamma: float, rng: np.random.Generator) -> PathSet:
+def _random_walks(starts, gamma: float, rng: np.random.Generator) -> PathSet:
     """Free random walks, one from each start, each stopped at the region edge.
 
     Each step advances by Uniform(0, gamma) at an independent Uniform(0, 2pi)
@@ -274,8 +250,6 @@ def random_walks(starts, gamma: float, rng: np.random.Generator) -> PathSet:
     walk has at least two points. The walks still running draw their steps
     together, one round at a time.
     """
-    _check_gamma(gamma)
-    starts = _as_points(starts)
     m = len(starts)
     rows = np.arange(m)
     current = starts.copy()
@@ -303,8 +277,8 @@ def random_walks(starts, gamma: float, rng: np.random.Generator) -> PathSet:
     return _pointset(np.concatenate(owner), np.concatenate(points), m)
 
 
-def directed_walks(starts, ends, p: int, gamma: float, rng: np.random.Generator,
-                   hives=None) -> PathSet:
+def _directed_walks(starts, ends, p: int, gamma: float, rng: np.random.Generator,
+                    hives=None) -> PathSet:
     """p-point free random walks from starts[i], affinely corrected to end at ends[i].
 
     Each walk takes p-1 steps of the random-walk kind (one (m, p-1) draw of
@@ -315,10 +289,6 @@ def directed_walks(starts, ends, p: int, gamma: float, rng: np.random.Generator,
     Intermediate points may leave the unit square; the field's periodic
     extension covers them.
     """
-    if p < 2:
-        raise ConfigurationError("p must be >= 2")
-    _check_gamma(gamma)
-    starts, ends = _as_points(starts), _as_points(ends)
     m = len(starts)
     free = np.cumsum(np.concatenate([starts[:, None], _steps(rng, gamma, (m, p - 1))], axis=1),
                      axis=1)
@@ -337,11 +307,11 @@ def _endpoint_pairs(m: int, rng: np.random.Generator, boundary: bool,
     redraw = np.ones(m, dtype=bool)
     while redraw.any():
         k = int(redraw.sum())
-        pairs[redraw] = (sample_boundary_points(2 * k, rng) if boundary
+        pairs[redraw] = (_boundary_points(2 * k, rng) if boundary
                          else rng.random((2 * k, 2))).reshape(k, 2, 2)
         redraw = (pairs[:, 0] == pairs[:, 1]).all(axis=1)
         if reject_same_edge:
-            redraw |= same_edge(pairs[:, 0], pairs[:, 1])
+            redraw |= _same_edge(pairs[:, 0], pairs[:, 1])
     return pairs
 
 
@@ -360,18 +330,18 @@ def generate_paths(config: SchemeConfig, rng: np.random.Generator | None = None)
         rng = np.random.default_rng(config.seed)
     scheme, m, gamma = config.scheme, config.m, config.gamma
     if scheme is Scheme.SCATTERED:
-        return PathSet(sample_scattered(m, rng), np.arange(m + 1))
+        return PathSet(rng.random((m, 2)), np.arange(m + 1))
     if scheme is Scheme.RANDOM_WALK:
-        return random_walks(sample_boundary_points(m, rng), gamma, rng)
+        return _random_walks(_boundary_points(m, rng), gamma, rng)
     if scheme is Scheme.BEE_HIVE:
         hives = rng.random((m, 2))
-        return directed_walks(hives, hives, config.p, gamma, rng, hives=hives)
+        return _directed_walks(hives, hives, config.p, gamma, rng, hives=hives)
     boundary = scheme in (Scheme.LINE_BOUNDARY_POINTS, Scheme.LINE_BOUNDARY_AVG,
                           Scheme.DIRECTED_BOUNDARY)
     pairs = _endpoint_pairs(m, rng, boundary, reject_same_edge=scheme is Scheme.DIRECTED_BOUNDARY)
     if scheme in (Scheme.DIRECTED_BOUNDARY, Scheme.DIRECTED_INNER):
-        return directed_walks(pairs[:, 0], pairs[:, 1], config.p, gamma, rng)
-    return line_paths(pairs[:, 0], pairs[:, 1], gamma, rng)
+        return _directed_walks(pairs[:, 0], pairs[:, 1], config.p, gamma, rng)
+    return _line_paths(pairs[:, 0], pairs[:, 1], gamma, rng)
 
 
 def paths_to_csv(paths: PathSet, path) -> None:

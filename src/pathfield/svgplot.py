@@ -60,7 +60,7 @@ def _document(width, height, body) -> str:
 
 
 def trajectory_svg(groups: list) -> str:
-    """One panel per (label, paths) group, paths drawn in the unit square.
+    """One panel per (label, PathSet) group, paths drawn in the unit square.
 
     Single-point paths render as dots; multi-point paths as polylines with a
     dot on their first point. Directed-walk intermediates may poke outside
@@ -83,9 +83,9 @@ def trajectory_svg(groups: list) -> str:
 
         body.append(_text(ox + PANEL / 2, oy - 8, str(label), size=12, anchor="middle"))
         body.append(_rect(ox, oy, PANEL, PANEL))
-        for i, sp in enumerate(paths):
+        for i, (start, stop) in enumerate(zip(paths.offsets[:-1], paths.offsets[1:])):
             color = PALETTE[i % len(PALETTE)]
-            pixels = [to_px(pt) for pt in sp.points]
+            pixels = [to_px(pt) for pt in paths.points[start:stop]]
             if len(pixels) == 1:
                 body.append(_circle(*pixels[0], 2.0, color))
             else:

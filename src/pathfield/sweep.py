@@ -160,14 +160,14 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-# Config key -> SweepSpec field.
+# Config key -> SweepSpec field; each field has one key.
 CONFIG_KEYS = {
-    "schemes": "schemes", "scheme": "schemes",
-    "b": "b_values", "b_values": "b_values",
-    "m": "m_multiples", "m_multiples": "m_multiples",
-    "gamma": "gamma_values", "gamma_values": "gamma_values",
-    "iterations": "iterations", "iters": "iterations",
-    "seed": "base_seed", "base_seed": "base_seed",
+    "schemes": "schemes",
+    "b": "b_values",
+    "m_multiples": "m_multiples",
+    "gamma": "gamma_values",
+    "iterations": "iterations",
+    "seed": "base_seed",
     "noise_sigma": "noise_sigma",
     "aware": "aware",
     "p": "p",
@@ -287,8 +287,9 @@ class SweepResult:
 
 def trial_seed(base_seed: int, scheme: Scheme, b: int, m: int, gamma: float,
                aware: bool, iteration: int) -> int:
-    """Stable per-trial seed derived from the cell key and iteration index."""
-    key = f"{base_seed}|{scheme.value}|{b}|{m}|{gamma!r}|{aware}|{iteration}"
+    """Stable per-trial seed derived from the cell key and iteration index; gamma
+    is keyed by its float value, so 1, 1.0 and np.float64(1.0) share a seed."""
+    key = f"{base_seed}|{scheme.value}|{b}|{m}|{float(gamma)!r}|{aware}|{iteration}"
     digest = hashlib.sha256(key.encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

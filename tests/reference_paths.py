@@ -14,7 +14,7 @@ from pathfield.paths import (
     Scheme,
     SchemeConfig,
     WALK_RETRIES,
-    same_edge,
+    _same_edge,
 )
 
 
@@ -79,7 +79,7 @@ def directed_walk(b1, b2, p: int, gamma: float, rng: np.random.Generator,
 def _boundary_pair(rng, reject_same_edge: bool) -> tuple:
     while True:
         p1, p2 = sample_boundary_point(rng), sample_boundary_point(rng)
-        if p1 != p2 and not (reject_same_edge and same_edge(p1, p2)):
+        if p1 != p2 and not (reject_same_edge and _same_edge(np.array(p1), np.array(p2))):
             return p1, p2
 
 

@@ -14,9 +14,9 @@ from pathfield.field import generate_random_field
 from pathfield.paths import (
     Scheme,
     SchemeConfig,
-    directed_walks,
+    _directed_walks,
+    _same_edge,
     generate_paths,
-    same_edge,
 )
 from pathfield.sensing import (
     Sensing,
@@ -138,13 +138,13 @@ def test_criterion_06_bridge_endpoints_and_edge_rejection():
         b2 = tuple(rng.random(2))
         p = int(rng.integers(2, 40))
         gamma = float(rng.uniform(0.01, 0.2))
-        (path,) = directed_walks([b1], [b2], p, gamma, rng)
+        (path,) = _directed_walks(np.array([b1]), np.array([b2]), p, gamma, rng)
         worst = max(worst,
                     float(np.abs(path.points[0] - np.asarray(b1)).max()),
                     float(np.abs(path.points[-1] - np.asarray(b2)).max()))
     config = SchemeConfig(scheme=Scheme.DIRECTED_BOUNDARY, m=10_000, b=3,
                           gamma=0.05, p=10, seed=61)
-    rejected_ok = all(not same_edge(*path.endpoints) for path in generate_paths(config))
+    rejected_ok = all(not _same_edge(*path.endpoints) for path in generate_paths(config))
     ok = worst <= 1e-12 and rejected_ok
     assert report(6, "bridge endpoints exact; same-edge pairs rejected", ok,
                   f"max endpoint error {worst:.1e}")

@@ -123,11 +123,14 @@ def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
     zigzag.write_text("b = 1\nschemes = zigzag\n")
     good = tmp_path / "good.cfg"
     good.write_text("schemes = scattered\nb = 1\niterations = 1\n")
+    flag_name = tmp_path / "flag_name.cfg"  # a flag's name is not a config key
+    flag_name.write_text("b = 1\nscheme = scattered\n")
     missing = tmp_path / "missing.cfg"
     cases = [
         (["--config", str(cfg)], [f"{cfg} line 1", "m multiples"]),
         (["--config", str(zigzag)], [f"{zigzag} line 2", "zigzag", "scattered", "bee_hive"]),
         (["--config", str(missing)], [str(missing)]),
+        (["--config", str(flag_name)], [f"{flag_name} line 2", "unknown key 'scheme'"]),
         (["--b", "x"], ["error: --b:"]),
         (["--b", "1#2"], ["error: --b:"]),
         (["--gamma", "abc"], ["error: --gamma:"]),

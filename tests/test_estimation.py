@@ -134,7 +134,7 @@ def test_exact_recovery_from_synthetic_measurements():
     rng = np.random.default_rng(10)
     fld = generate_random_field(1, rng)
     X = point_rows(rng.random((50, 2)), 1)
-    g = (X @ fld.vector()).real
+    g = (X @ fld.coeffs.ravel()).real
     assert reconstruct_and_score(fld, Sensing.from_rows(real_rows(X)), g) <= 1e-8
 
 
@@ -224,7 +224,7 @@ def test_one_singularity_rule_for_condition_and_solve():
     assert kappa(np.diag([1.0, 2e-7])) == pytest.approx(5e6, rel=1e-9)
     assert kappa(diag(2e-7)) == pytest.approx(5e6, rel=1e-9)
     X = Sensing.from_rows(diag(2e-7))
-    assert reconstruct_and_score(fld, X, diag(2e-7) @ real_coeffs(fld.vector())) <= 1e-8
+    assert reconstruct_and_score(fld, X, diag(2e-7) @ real_coeffs(fld.coeffs.ravel())) <= 1e-8
     # sigma ratios 5e-8 and 1e-8 lie below it on both routes
     for ratio in (5e-8, 1e-8):
         assert kappa(np.diag([1.0, ratio])) == np.inf
@@ -270,7 +270,7 @@ def test_noiseless_reconstruction_report():
     rel = reconstruct_and_score(fld, X, meas)
     assert condition_number(X) >= 1.0
     assert rel <= 1e-8
-    assert rel * np.linalg.norm(fld.vector()) <= 1e-8
+    assert rel * np.linalg.norm(fld.coeffs.ravel()) <= 1e-8
 
 
 def test_noisy_reconstruction_has_positive_rmse():
@@ -299,7 +299,7 @@ def test_field_rmse_matches_grid_rmse(scheme):
     grid = np.column_stack([gx.ravel(), gy.ravel()])
     gap = (point_rows(grid, 3) @ estimate.ravel()).real - fld.evaluate(gx, gy).ravel()
     grid_rmse = np.sqrt(np.mean(gap ** 2))
-    assert rel * np.linalg.norm(fld.vector()) == pytest.approx(grid_rmse, rel=1e-10)
+    assert rel * np.linalg.norm(fld.coeffs.ravel()) == pytest.approx(grid_rmse, rel=1e-10)
 
 
 def test_noise_error_scales_with_pseudoinverse_norm():
@@ -307,8 +307,8 @@ def test_noise_error_scales_with_pseudoinverse_norm():
     rng = np.random.default_rng(22)
     fld = generate_random_field(1, rng)
     X = point_rows(rng.random((40, 2)), 1)
-    clean = (X @ fld.vector()).real
-    norm = np.linalg.norm(fld.vector())
+    clean = (X @ fld.coeffs.ravel()).real
+    norm = np.linalg.norm(fld.coeffs.ravel())
     pinv_norm_sq = np.linalg.norm(np.linalg.pinv(X), "fro") ** 2
     S = Sensing.from_rows(real_rows(X))
     trials = 2000
@@ -341,7 +341,7 @@ def oracle_check(config):
         assert cond == np.inf
         return kappa
     assert abs(cond - kappa) <= max(1e-12, 10 * EPS * kappa ** 2) * kappa
-    truth = real_coeffs(fld.vector())
+    truth = real_coeffs(fld.coeffs.ravel())
     estimate = np.linalg.lstsq(dense, g, rcond=None)[0]
     oracle = np.linalg.norm(estimate - truth) / np.linalg.norm(truth)
     tol = max(1e-10, 100 * EPS * kappa)

@@ -75,7 +75,7 @@ def test_single_cosine():
 
 def test_origin_value_is_coefficient_sum():
     field = generate_random_field(3, np.random.default_rng(11))
-    total = field.vector().sum()
+    total = field.coeffs.ravel().sum()
     assert field.evaluate(0.0, 0.0) == pytest.approx(total.real, abs=1e-10)
     assert abs(total.imag) < 1e-12
 
@@ -93,7 +93,7 @@ def test_imaginary_residual_bound():
     field = generate_random_field(4, np.random.default_rng(9))
     rng = np.random.default_rng(10)
     pts = rng.random((1000, 2))
-    residual = np.abs((point_rows(pts, 4) @ field.vector()).imag)
+    residual = np.abs((point_rows(pts, 4) @ field.coeffs.ravel()).imag)
     bound = 1e-10 * field.n * np.abs(field.coeffs).max()
     assert residual.max() <= bound
 
@@ -171,7 +171,7 @@ def test_evaluate_matches_the_full_table_oracle(b, seed, shapes):
     got = field.evaluate(x, y)
     grid_x, grid_y = np.broadcast_arrays(x, y)
     points = np.column_stack([grid_x.ravel(), grid_y.ravel()])
-    want = (point_rows(points, b) @ field.vector()).real.reshape(grid_x.shape)
+    want = (point_rows(points, b) @ field.coeffs.ravel()).real.reshape(grid_x.shape)
     if not shapes[0] and not shapes[1]:
         assert type(got) is float
     else:

@@ -13,14 +13,14 @@ from pathfield.paths import (
     PathSet,
     Scheme,
     SchemeConfig,
-    directed_walks,
+    _boundary_points,
+    _directed_walks,
+    _endpoint_pairs,
+    _line_paths,
+    _random_walks,
+    _same_edge,
     generate_paths,
-    line_paths,
     paths_to_csv,
-    random_walks,
-    same_edge,
-    sample_boundary_points,
-    sample_scattered,
 )
 from pathfield.sensing import build_matrix, condition_number
 
@@ -32,33 +32,33 @@ gammas = st.floats(0.01, 0.3)
 
 # ---------------------------------------------------------------- scattered
 
+def scattered(m, seed):
+    """The points of a scattered cell of m points."""
+    return generate_paths(SchemeConfig(scheme=Scheme.SCATTERED, m=m, seed=seed)).points
+
+
 def test_scattered_support_and_shape():
-    pts = sample_scattered(1, np.random.default_rng(0))
+    pts = scattered(1, 0)
     assert pts.shape == (1, 2)
     assert (pts >= 0).all() and (pts <= 1).all()
 
 
 def test_scattered_mean_at_desk_scale():
-    pts = sample_scattered(100_000, np.random.default_rng(1))
+    pts = scattered(100_000, 1)
     assert abs(pts[:, 0].mean() - 0.5) < 0.01
     assert abs(pts[:, 1].mean() - 0.5) < 0.01
 
 
 def test_scattered_deterministic():
-    a = sample_scattered(50, np.random.default_rng(9))
-    b = sample_scattered(50, np.random.default_rng(9))
+    a = scattered(50, 9)
+    b = scattered(50, 9)
     assert np.array_equal(a, b)
-
-
-def test_scattered_rejects_zero_count():
-    with pytest.raises(ConfigurationError):
-        sample_scattered(0, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------ boundary draw
 
 def test_boundary_point_lies_on_perimeter():
-    pts = sample_boundary_points(200, np.random.default_rng(2))
+    pts = _boundary_points(200, np.random.default_rng(2))
     assert pts.shape == (200, 2)
     assert (np.isin(pts[:, 0], (0.0, 1.0)) | np.isin(pts[:, 1], (0.0, 1.0))).all()
     assert ((pts >= 0.0) & (pts <= 1.0)).all()
@@ -66,7 +66,7 @@ def test_boundary_point_lies_on_perimeter():
 
 def test_boundary_edge_frequencies():
     draws = 100_000
-    x, y = sample_boundary_points(draws, np.random.default_rng(3)).T
+    x, y = _boundary_points(draws, np.random.default_rng(3)).T
     # bottom, then right, then top, the rest left: a corner counts once
     edge = np.select([y == 0.0, x == 1.0, y == 1.0], [0, 1, 2], default=3)
     counts = np.bincount(edge, minlength=4)
@@ -74,9 +74,14 @@ def test_boundary_edge_frequencies():
 
 
 def test_boundary_point_deterministic():
-    p1 = sample_boundary_points(5, np.random.default_rng(4))
-    p2 = sample_boundary_points(5, np.random.default_rng(4))
+    p1 = _boundary_points(5, np.random.default_rng(4))
+    p2 = _boundary_points(5, np.random.default_rng(4))
     assert np.array_equal(p1, p2)
+
+
+def same_edge(p1, p2):
+    """`_same_edge` of two points given as tuples."""
+    return _same_edge(np.array(p1), np.array(p2))
 
 
 def test_same_edge_detection():
@@ -96,11 +101,31 @@ def test_same_edge_detection():
             assert same_edge(p1, p2) == bool(edges(p1) & edges(p2)), (p1, p2)
 
 
+class _RepeatThenUniformRng:
+    """Stub generator whose first draw repeats one point; later draws are uniform."""
+
+    def __init__(self):
+        self.calls = 0
+        self.uniform = np.random.default_rng(0)
+
+    def random(self, size):
+        self.calls += 1
+        return np.full(size, 0.5) if self.calls == 1 else self.uniform.random(size)
+
+
+def test_endpoint_pairs_redraws_equal_endpoints():
+    # Lines rely on this: a segment needs two distinct endpoints.
+    rng = _RepeatThenUniformRng()
+    pairs = _endpoint_pairs(3, rng, boundary=False, reject_same_edge=False)
+    assert rng.calls == 2
+    assert (pairs[:, 0] != pairs[:, 1]).any(axis=1).all()
+
+
 # ----------------------------------------------------------------- line path
 
 def line_path(b1, b2, gamma, rng):
     """The one path of a batch of one."""
-    (path,) = line_paths([b1], [b2], gamma, rng)
+    (path,) = _line_paths(np.array([b1], dtype=float), np.array([b2], dtype=float), gamma, rng)
     return path
 
 
@@ -135,8 +160,8 @@ def test_line_path_consecutive_spacing_below_gamma():
 
 def test_line_path_expected_count():
     # unit chord with gamma=0.1: renewal theory gives ~20 spacings per path
-    paths = line_paths(np.zeros((10_000, 2)), np.tile([1.0, 0.0], (10_000, 1)), 0.1,
-                       np.random.default_rng(8))
+    paths = _line_paths(np.zeros((10_000, 2)), np.tile([1.0, 0.0], (10_000, 1)), 0.1,
+                        np.random.default_rng(8))
     assert 18.0 <= np.mean(paths.counts) <= 22.0
 
 
@@ -163,24 +188,11 @@ def test_line_path_draws_more_blocks_until_past_endpoint():
     assert 1.0 - 0.01 <= path.points[-1, 0] <= 1.0
 
 
-def test_line_path_rejects_bad_input():
-    with pytest.raises(ConfigurationError):
-        line_path((0, 0), (1, 0), 0.0, np.random.default_rng(0))
-    rng = np.random.default_rng(0)
-    for generate in (lambda: line_paths([(0, 0)], [(1, 0)], np.inf, rng),
-                     lambda: random_walks([(0, 0.5)], np.inf, rng),
-                     lambda: directed_walks([(0, 0)], [(1, 1)], 5, np.inf, rng)):
-        with pytest.raises(ConfigurationError, match="finite"):
-            generate()
-    with pytest.raises(ValueError):
-        line_paths([(0, 0), (0.5, 0.5)], [(1, 0), (0.5, 0.5)], 0.1, np.random.default_rng(0))
-
-
 # --------------------------------------------------------------- random walk
 
 def test_random_walk_stays_inside_and_steps_bounded():
     gamma = 0.08
-    (path,) = random_walks([(0.0, 0.5)], gamma, np.random.default_rng(10))
+    (path,) = _random_walks(np.array([[0.0, 0.5]]), gamma, np.random.default_rng(10))
     assert len(path) >= 2
     assert (path.points >= 0).all() and (path.points <= 1).all()
     steps = np.linalg.norm(np.diff(path.points, axis=0), axis=1)
@@ -190,8 +202,8 @@ def test_random_walk_stays_inside_and_steps_bounded():
 def test_random_walk_small_gamma_walks_longer():
     rng = np.random.default_rng(11)
     starts = np.tile([0.0, 0.5], (1000, 1))
-    short_steps = random_walks(starts, 0.2, rng).counts
-    long_steps = random_walks(starts, 0.01, rng).counts
+    short_steps = _random_walks(starts, 0.2, rng).counts
+    long_steps = _random_walks(starts, 0.01, rng).counts
     assert np.mean(long_steps) > np.mean(short_steps)
 
 
@@ -206,7 +218,7 @@ class _OutwardRng:
 
 def test_random_walk_retry_cap():
     with pytest.raises(PathGenerationError):
-        random_walks([(0.0, 0.5), (0.5, 0.5)], 0.1, _OutwardRng())
+        _random_walks(np.array([[0.0, 0.5], [0.5, 0.5]]), 0.1, _OutwardRng())
 
 
 # ------------------------------------------------------------- directed walk
@@ -214,15 +226,15 @@ def test_random_walk_retry_cap():
 def test_directed_walk_endpoints_exact():
     rng = np.random.default_rng(12)
     b1, b2 = (0.1, 0.0), (1.0, 0.7)
-    (path,) = directed_walks([b1], [b2], 25, 0.05, rng)
+    (path,) = _directed_walks(np.array([b1]), np.array([b2]), 25, 0.05, rng)
     assert len(path) == 25
     assert np.array_equal(path.points[0], [0.1, 0.0])
     assert np.array_equal(path.points[-1], [1.0, 0.7])
 
 
 def test_directed_walk_degenerate_gamma_collapses_to_point():
-    (path,) = directed_walks([(0.5, 0.5)], [(0.5, 0.5)], 20, 1e-12,
-                             np.random.default_rng(13))
+    (path,) = _directed_walks(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]), 20, 1e-12,
+                              np.random.default_rng(13))
     assert np.allclose(path.points, 0.5, atol=1e-11)
 
 
@@ -232,7 +244,7 @@ def test_directed_walk_correction_is_affine_in_t():
     p = 12
     b1, b2 = (0.2, 0.2), (0.9, 0.4)
     state = rng.bit_generator.state
-    (path,) = directed_walks([b1], [b2], p, 0.1, rng)
+    (path,) = _directed_walks(np.array([b1]), np.array([b2]), p, 0.1, rng)
     rng2 = np.random.default_rng(14)
     rng2.bit_generator.state = state
     d = rng2.uniform(0.0, 0.1, size=p - 1)
@@ -245,11 +257,6 @@ def test_directed_walk_correction_is_affine_in_t():
     assert np.allclose(shift[-1], np.asarray(b2) - free[-1], atol=1e-12)
 
 
-def test_directed_walk_rejects_short_walks():
-    with pytest.raises(ConfigurationError):
-        directed_walks([(0, 0)], [(1, 1)], 1, 0.1, np.random.default_rng(0))
-
-
 # ------------------------------------------------------------- scheme config
 
 def test_config_validation_errors():
@@ -257,6 +264,8 @@ def test_config_validation_errors():
         SchemeConfig(scheme=Scheme.SCATTERED, m=0)
     with pytest.raises(ConfigurationError):
         SchemeConfig(scheme=Scheme.SCATTERED, m=5, gamma=0.0)
+    with pytest.raises(ConfigurationError, match="finite"):
+        SchemeConfig(scheme=Scheme.SCATTERED, m=5, gamma=np.inf)
     with pytest.raises(ConfigurationError):
         SchemeConfig(scheme=Scheme.SCATTERED, m=5, p=1)
     with pytest.raises(ConfigurationError):
@@ -398,7 +407,7 @@ def _ends(pathset):
 def test_bridge_endpoints_are_exact(seed, m, p, gamma):
     rng = np.random.default_rng(seed)
     starts, ends = rng.random((m, 2)), rng.random((m, 2))
-    paths = directed_walks(starts, ends, p, gamma, rng)
+    paths = _directed_walks(starts, ends, p, gamma, rng)
     first, last = _ends(paths)
     assert np.array_equal(first, starts) and np.array_equal(last, ends)
     assert np.array_equal(paths.counts, np.full(m, p))
@@ -409,7 +418,7 @@ def test_bridge_endpoints_are_exact(seed, m, p, gamma):
 def test_line_samples_lie_on_the_segment_closer_than_gamma(seed, m, gamma):
     rng = np.random.default_rng(seed)
     starts, ends = rng.random((m, 2)), rng.random((m, 2))
-    paths = line_paths(starts, ends, gamma, rng)
+    paths = _line_paths(starts, ends, gamma, rng)
     assert np.array_equal(_ends(paths)[0], starts)
     for path, start, end in zip(paths, starts, ends):
         length = np.linalg.norm(end - start)
@@ -426,8 +435,8 @@ def test_line_samples_lie_on_the_segment_closer_than_gamma(seed, m, gamma):
 @given(seed=seeds, m=st.integers(1, 20), gamma=gammas)
 def test_random_walk_points_stay_in_the_square(seed, m, gamma):
     rng = np.random.default_rng(seed)
-    starts = sample_boundary_points(m, rng)
-    paths = random_walks(starts, gamma, rng)
+    starts = _boundary_points(m, rng)
+    paths = _random_walks(starts, gamma, rng)
     assert np.array_equal(_ends(paths)[0], starts)
     assert ((paths.points >= 0.0) & (paths.points <= 1.0)).all()
     assert (paths.counts >= 2).all()

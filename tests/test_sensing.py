@@ -9,8 +9,8 @@ from pathfield.paths import (
     PathSet,
     Scheme,
     SchemeConfig,
+    _line_paths,
     generate_paths,
-    line_paths,
 )
 from pathfield import sensing
 from pathfield.sensing import Sensing, build_matrix
@@ -39,7 +39,7 @@ def test_real_basis_is_unitary_and_makes_field_coefficients_real(b):
     n = (2 * b + 1) ** 2
     Q = real_basis(n)
     assert np.abs(Q.conj().T @ Q - np.eye(n)).max() <= 1e-15
-    a = generate_random_field(b, np.random.default_rng(b)).vector()
+    a = generate_random_field(b, np.random.default_rng(b)).coeffs.ravel()
     coords = Q.conj().T @ a
     assert np.abs(coords.imag).max() <= 1e-15 * np.abs(a).max()
     assert np.linalg.norm(coords.real) == pytest.approx(np.linalg.norm(a), rel=1e-14)
@@ -216,7 +216,8 @@ def test_averaged_row_converges_to_unaware_row_as_gamma_shrinks():
     gaps_aware = []
     gaps_oracle = []
     for i, gamma in enumerate((0.05, 0.01, 0.002)):
-        (path,) = line_paths([b1], [b2], gamma, np.random.default_rng(100 + i))
+        (path,) = _line_paths(np.array([b1]), np.array([b2]), gamma,
+                              np.random.default_rng(100 + i))
         aware = averaged_matrix(path.points, b)[0]
         unaware = point_rows(np.linspace(b1, b2, len(path)), b).mean(axis=0)
         gaps_aware.append(np.abs(aware - unaware).max())

@@ -249,6 +249,16 @@ def test_config_unknown_key_names_line():
         SweepSpec.from_text("iterations = 3\nbogus = 1\n")
 
 
+def test_gamma_spelling_does_not_change_the_trials():
+    # A cell's seeds hash gamma's float value: an int, a parsed string and a
+    # numpy scalar give the trials of the equal Python float.
+    text = "schemes = scattered\nb = 1\nm_multiples = 1.5\niterations = 2\nseed = 0\n"
+    for spelling, value in (("1", 1), ("0.05", np.array([0.05])[0])):
+        given = quick_spec(gamma_values=[value], iterations=2)
+        parsed = SweepSpec.from_text(text + f"gamma = {spelling}\n")
+        assert run_sweep(given).to_csv_text() == run_sweep(parsed).to_csv_text(), spelling
+
+
 def test_config_bad_value_names_line():
     with pytest.raises(ConfigurationError, match="line 1"):
         SweepSpec.from_text("iterations = lots\n")
