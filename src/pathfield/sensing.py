@@ -45,10 +45,10 @@ Conditioning and recovery take only a `Sensing` value and work on its n x n
 Gram G = R^T R, never on an SVD, and both read `Sensing.spectrum`.
 `condition_number`, the package's only condition number, is
 sqrt(lambda_max/lambda_min) of G. `reconstruct_and_score` applies the same
-SINGULAR_RATIO rule to the same eigenvalues, solves G c = R^T g by LU and
-corrects c twice with R^T (g - R c), each formed in one pass over the rows
-(Bjorck's corrected semi-normal equations). Its score, the relative
-coefficient error, is also the field's relative L2 error (Parseval).
+SINGULAR_RATIO rule to the same eigenvalues, solves G c = R^T g by LU and,
+when kappa > CORRECTION_KAPPA, corrects c twice with R^T (g - R c), each formed
+in one pass over the rows (Bjorck's corrected semi-normal equations). Its score,
+the relative coefficient error, is also the field's relative L2 error (Parseval).
 """
 
 import math
@@ -82,10 +82,13 @@ SUB_BLOCK = 16
 # ratio, and 1e-7 squared stays well above its eps-level accuracy.
 SINGULAR_RATIO = 1e-7
 
-# Each residual correction shrinks the error of the formed Gram by a factor of
-# order eps * kappa^2, which comes from forming G, not from the stable method
-# (LU) that solves it. One step leaves the score within 100 eps kappa of lstsq
-# only up to kappa ~ 3e6; two reach every kappa SINGULAR_RATIO admits.
+# Forming G, not the LU that solves it, costs the semi-normal solve an error of
+# order eps * kappa^2, and each residual correction shrinks it by that factor.
+# Up to CORRECTION_KAPPA that is <= 2e-14, four decades below the lstsq
+# tolerance max(1e-10, 100 eps kappa), so no step is taken. Above it, one step
+# stays within that tolerance only up to kappa ~ 3e6; two reach every kappa
+# SINGULAR_RATIO admits.
+CORRECTION_KAPPA = 10.0
 CORRECTION_STEPS = 2
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -305,10 +308,11 @@ def reconstruct_and_score(field: BandlimitedField, S: Sensing, g) -> float:
         raise ValueError(f"underdetermined system: {m} measurements for {n} coefficients")
     if len(values) != m:
         raise ValueError(f"got {len(values)} measurements for {m} matrix rows")
-    if not math.isfinite(_kappa(S.spectrum)):
+    kappa = _kappa(S.spectrum)
+    if not math.isfinite(kappa):
         raise SingularSystemError(f"sensing matrix is numerically singular: {S.spectrum[[0, -1]]}")
     estimate = np.linalg.solve(S.gram, S.adjoint(values))
-    for _ in range(CORRECTION_STEPS):
+    for _ in range(CORRECTION_STEPS if kappa > CORRECTION_KAPPA else 0):
         estimate += np.linalg.solve(S.gram, S.adjoint(values, estimate))
     truth = _real(field.coeffs[field.b:].conj())  # Q* a, real for a real field
     return float(np.linalg.norm(estimate - truth) / np.linalg.norm(truth))

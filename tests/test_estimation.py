@@ -13,6 +13,7 @@ from pathfield.paths import (
     generate_paths,
 )
 from pathfield.sensing import (
+    CORRECTION_KAPPA,
     SINGULAR_RATIO,
     Sensing,
     SingularSystemError,
@@ -354,11 +355,24 @@ def test_score_equals_lstsq_oracle(b):
     n = (2 * b + 1) ** 2
     cases = [(scheme, True) for scheme in Scheme]
     cases += [(scheme, False) for scheme in Scheme if scheme in UNAWARE_SCHEMES]
+    kappas = []
     for i, (scheme, aware) in enumerate(cases):
         for mult in (1.5, 2.0, 4.0):
-            oracle_check(SchemeConfig(scheme=scheme, m=int(round(mult * n)), b=b, gamma=0.05,
-                                      p=25, noise_sigma=0.01, location_aware=aware,
-                                      seed=600 + i))
+            kappas.append(oracle_check(SchemeConfig(
+                scheme=scheme, m=int(round(mult * n)), b=b, gamma=0.05, p=25,
+                noise_sigma=0.01, location_aware=aware, seed=600 + i)))
+    # Scores were checked with and without correction steps.
+    checked = [kappa for kappa in kappas if kappa * SINGULAR_RATIO <= 1.0]
+    assert min(checked) <= CORRECTION_KAPPA < max(checked)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.LINE_BOUNDARY_POINTS, Scheme.SCATTERED])
+def test_score_equals_lstsq_oracle_without_correction(scheme):
+    # The benchmark's point cells scaled down to b = 6, m = 4n, gamma = 0.05:
+    # kappa stays under CORRECTION_KAPPA, so the plain semi-normal solve is checked.
+    kappa = oracle_check(SchemeConfig(scheme=scheme, m=4 * 169, b=6, gamma=0.05,
+                                      noise_sigma=0.01, seed=700))
+    assert kappa <= CORRECTION_KAPPA
 
 
 def test_score_matches_lstsq_on_ill_conditioned_walks():

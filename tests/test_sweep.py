@@ -12,6 +12,7 @@ import pytest
 import pathfield
 from pathfield import sweep
 from pathfield.paths import ConfigurationError, Scheme, SchemeConfig, generate_paths
+from pathfield.sensing import CORRECTION_KAPPA, CORRECTION_STEPS
 from pathfield.sweep import (
     CellResult,
     SweepResult,
@@ -450,7 +451,9 @@ def test_point_trial_never_allocates_the_dense_matrix():
 def test_trial_runs_one_gram_eigensolve(monkeypatch, reconstruct):
     # The condition number and the solve's singularity check share one
     # spectrum; the solve itself factorises by LU, not by eigendecomposition,
-    # once and then once per correction. All of it runs in real arithmetic.
+    # once and then once per correction, which only kappa > CORRECTION_KAPPA
+    # takes: the line points trial (kappa 2.95) solves once, the averaging
+    # trial (kappa 157) three times. All of it runs in real arithmetic.
     calls = []
 
     def spy(name):
@@ -463,11 +466,13 @@ def test_trial_runs_one_gram_eigensolve(monkeypatch, reconstruct):
 
     for name in ("eigvalsh", "eigh", "solve"):
         monkeypatch.setattr(np.linalg, name, spy(name))
-    for scheme in (Scheme.LINE_BOUNDARY_POINTS, Scheme.LINE_BOUNDARY_AVG):
+    for scheme, solves in ((Scheme.LINE_BOUNDARY_POINTS, 1), (Scheme.LINE_BOUNDARY_AVG, 3)):
         calls.clear()
         config = SchemeConfig(scheme=scheme, m=74, b=3, gamma=0.05,
                               noise_sigma=0.01, seed=3)
         cond, rel_err = run_trial(config, reconstruct=reconstruct)
         assert math.isfinite(cond) and math.isfinite(rel_err) == reconstruct
-        assert [name for name, _ in calls] == ["eigvalsh"] + ["solve"] * (3 if reconstruct else 0)
+        steps = CORRECTION_STEPS if cond > CORRECTION_KAPPA else 0
+        assert solves == 1 + steps
+        assert [name for name, _ in calls] == ["eigvalsh"] + ["solve"] * (solves * reconstruct)
         assert all(dtype == np.float64 for _, dtype in calls)
