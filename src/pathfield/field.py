@@ -9,17 +9,19 @@ is real valued on the whole plane. A bandwidth-b field carries (2b+1)^2
 independent real parameters. The series is 1-periodic in both coordinates, so
 evaluation outside the unit square uses the periodic extension.
 
-A value is summed over the coefficient rows k >= 0 only, with rows k > 0
-doubled (`real_sum`). The full complex series it is checked against, one
-phasor row per point times ``coeffs.ravel()``, lives in ``tests/real_basis.py``.
+Values are computed from the phasors u = exp(j 2 pi (x, y)) of the points:
+`cos_sin` makes the real per-axis tables cos 2 pi k t and sin 2 pi k t, k >= 0,
+from powers of u, and `real_sum` sums the coefficient rows k >= 0 only, with
+rows k > 0 doubled, as one real matrix between the x and y tables. The full
+complex series it is checked against, one phasor row per point times
+``coeffs.ravel()``, lives in ``tests/real_basis.py``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BandlimitedField", "generate_random_field", "harmonics", "half_phasors", "phasors",
-           "real_sum"]
+__all__ = ["BandlimitedField", "cos_sin", "generate_random_field", "harmonics", "real_sum"]
 
 
 def harmonics(b: int) -> np.ndarray:
@@ -36,45 +38,36 @@ def harmonics(b: int) -> np.ndarray:
     return np.column_stack([kk.ravel(), ll.ravel()])
 
 
-def _powers(table: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Row k = exp(j 2 pi t)^k, made as row k - 1 times exp(j 2 pi t): one
-    contiguous row per k, so a value gets the same arithmetic wherever it sits."""
-    table[0] = 1.0
-    step = np.exp(2j * np.pi * t)
-    for k in range(1, len(table)):
-        np.multiply(table[k - 1], step, out=table[k])
-    return table
+def cos_sin(u, K: int) -> np.ndarray:
+    """Real per-axis table [cos 2 pi k t; sin 2 pi k t] for k = 0..K from
+    u = exp(j 2 pi t): shape u.shape + (2K+2,), the K+1 cosines first.
 
-
-def half_phasors(t, b: int) -> np.ndarray:
-    """Columns k = 0..b of ``phasors(t, b)``, bit for bit: shape t.shape + (b+1,)."""
-    t = np.asarray(t, dtype=float)
-    table = _powers(np.empty((b + 1, t.size), dtype=complex), t.ravel())
-    return table.T.reshape(t.shape + (b + 1,))
-
-
-def phasors(t, b: int) -> np.ndarray:
-    """Per-axis phasor table exp(j 2 pi t k) for k = -b..b, shape t.shape + (2b+1,).
-
-    A 2-D phasor exp(j 2 pi (k x + l y)) is the product of the x table's k
-    entry and the y table's l entry; sums over a real field's harmonics take
-    ``half_phasors`` for x (``real_sum``). Column k > 0 is column k - 1 times
-    exp(j 2 pi t) and column -k its conjugate, so a wider table's columns -b..b
-    equal this one exactly.
+    Power k of u is power k-1 times u, one contiguous row per k, so a value
+    gets the same arithmetic wherever it sits and a wider table's cosines and
+    sines k = 0..K equal this one's exactly.
     """
-    t = np.asarray(t, dtype=float)
-    table = np.empty((2 * b + 1, t.size), dtype=complex)
-    _powers(table[b:], t.ravel())
-    np.conjugate(table[:b:-1], out=table[:b])
-    return table.T.reshape(t.shape + (2 * b + 1,))
+    u = np.asarray(u)
+    flat = u.ravel()
+    powers = np.empty((K + 1, flat.size), dtype=complex)
+    powers[0] = 1.0
+    for k in range(1, K + 1):
+        np.multiply(powers[k - 1], flat, out=powers[k])
+    return np.concatenate([powers.real, powers.imag]).T.reshape(u.shape + (2 * K + 2,))
 
 
-def real_sum(half: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
-    """Re sum_{k,l} a[k,l] ex[k] ey[l] per row for conjugate-symmetric a, from its
-    rows k = 0..b (``half``, (b+1) x (2b+1)) and a half x table ``ex``: a's (-k, -l)
-    term conjugates its (k, l) term, so rows k > 0 count twice."""
-    folded = half * np.r_[1.0, np.full(len(half) - 1, 2.0)][:, None]
-    return np.einsum("pl,pl->p", ex @ folded, ey).real
+def real_sum(half: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """Re sum_{k,l} a[k,l] exp(j 2 pi (k x + l y)) per row for conjugate-symmetric
+    a, from its rows k = 0..b (``half``, (b+1) x (2b+1)) and the ``cos_sin``
+    tables of x and y: a's (-k, -l) term conjugates its (k, l) term, so rows k > 0
+    count twice, and the sum is tx M ty for one real (2b+2) x (2b+2) matrix M."""
+    b = len(half) - 1
+    folded = half * np.r_[1.0, np.full(b, 2.0)][:, None]
+    pos = folded[:, b:]  # l = 0..b
+    neg = np.column_stack([np.zeros(b + 1), folded[:, :b][:, ::-1]])  # l = 0, -1..-b
+    # Re(a exp(j(kx + ly))) for l = +-v in cos/sin products of kx and vy.
+    M = np.block([[pos.real + neg.real, neg.imag - pos.imag],
+                  [-pos.imag - neg.imag, neg.real - pos.real]])
+    return np.einsum("pi,pi->p", tx @ M, ty)
 
 
 @dataclass(frozen=True)
@@ -105,9 +98,12 @@ class BandlimitedField:
     def evaluate(self, x, y):
         """Real field value g(x, y); scalars or broadcastable arrays."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        vals = real_sum(self.coeffs[self.b:], half_phasors(x.ravel(), self.b),
-                        phasors(y.ravel(), self.b))
+        vals = self.evaluate_phasors(np.exp(2j * np.pi * np.column_stack([x.ravel(), y.ravel()])))
         return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
+
+    def evaluate_phasors(self, u) -> np.ndarray:
+        """g at the P points whose per-axis phasors exp(j 2 pi (x, y)) are the rows of u (P, 2)."""
+        return real_sum(self.coeffs[self.b:], *(cos_sin(t, self.b) for t in u.T))
 
 
 def generate_random_field(b: int, rng: np.random.Generator) -> BandlimitedField:

@@ -21,6 +21,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -106,7 +107,8 @@ class PathSet:
     from 0 to P, by at least one point per path. ``endpoints`` (m, 2, 2) holds
     each path's declared start and end and ``hives`` (m, 2) each loop's
     center, or None. ``paths[i]`` is path i's `SamplePath` view, and
-    iterating yields one view per path.
+    iterating yields one view per path. The arrays are read-only views, so
+    ``phasors``, computed once, always matches ``points``.
     """
 
     points: np.ndarray
@@ -120,8 +122,20 @@ class PathSet:
                 or points.shape != (offsets[-1], 2) or not np.isfinite(points).all():
             raise ValueError("a PathSet needs finite (P, 2) points and offsets rising "
                              "from 0 to P by at least 1 per path")
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "points", points)
+        for name, value in (("points", points), ("offsets", offsets),
+                            ("endpoints", self.endpoints), ("hives", self.hives)):
+            if value is not None:
+                value = np.asarray(value).view()
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
+
+    @cached_property
+    def phasors(self) -> np.ndarray:
+        """exp(j 2 pi points), shape (P, 2): the one exponential per sample
+        coordinate that every per-axis table of a trial is built from."""
+        phasors = np.exp(2j * np.pi * self.points)
+        phasors.setflags(write=False)
+        return phasors
 
     @property
     def counts(self) -> np.ndarray:

@@ -14,11 +14,15 @@ every other scheme one mean row per path.
 
 Both row types come from one kernel, E_x^T diag(w) E_y over the per-axis
 tables of fixed-size blocks of points, so no table is ever whole (the
-structure of Feichtinger, Groechenig and Strohmer's ACT method). The point
-Gram sums it over all points at bandwidth 2b; a mean row sums it over one
-path's points at bandwidth b and divides by the path's length. Point rows are
-never formed: R^T g and R^T (g - R a) rebuild the tables block by block. A value
-eigensolves its Gram at most once (`spectrum`).
+structure of Feichtinger, Groechenig and Strohmer's ACT method). The tables
+are real, cos and sin 2 pi k t for k = 0..K (`cos_sin`), made from the
+locations' phasors exp(j 2 pi (x, y)): a trial computes those once per sample
+point (`PathSet.phasors`), or once per stand-in location when it is unaware,
+and every pass reuses them. The point Gram sums the kernel over all points at
+bandwidth 2b; a mean row sums it over one path's points at bandwidth b and
+divides by the path's length. Point rows are never formed: R^T g and
+R^T (g - R a) rebuild the tables block by block. A value eigensolves its Gram
+at most once (`spectrum`).
 
 The field is real, so a phasor row's entries at (k, l) and (-k, -l) are
 conjugates. The operator works in real coordinates: it is R = X Q for the
@@ -29,16 +33,17 @@ i < c, which is [sqrt 2 Re a_i; a_c; sqrt 2 Im a_i] for the field's
 coefficients; a phasor row becomes [sqrt 2 cos; 1; -sqrt 2 sin] of
 2 pi (k x + l y). R has X's singular values and ||c - Q* a|| = ||Q c - a||, so
 kappa and the score mean the same as in complex coordinates, while the Gram,
-its eigensolve and the solves are real. The tables and the kernel stay
-complex. A kernel product D[u, v] is conjugate-symmetric, D[-u, -v] =
-conj D[u, v], so only its rows u >= 0 are formed (x table `half_phasors`), and
-that (b+1) x (2b+1) half is the only complex form the maps use, each O(n):
-real coordinates are read straight off it, since the mirrors n-1-i of the
-harmonics i < c are its entries after (0, 0); Q a is returned as its half; and
-R a sums that half with the k > 0 rows doubled (`real_sum`), as `measure`
-does. Only the point Gram, whose Toeplitz blocks read D at u < 0, mirrors the
-rest. The dense references, complex phasor rows and the whole of R, are
-`point_rows` and `dense_matrix` in ``tests/real_basis.py``.
+its eigensolve and the solves are real. So is the kernel: one real GEMM of the
+tables per block, whose quadrants give the complex product D[u, v] for u >= 0
+(`_half`). D is conjugate-symmetric, D[-u, -v] = conj D[u, v], so that
+(b+1) x (2b+1) half is all of it, and the only complex form the maps use,
+each O(n): real coordinates are read straight off it, since the mirrors n-1-i
+of the harmonics i < c are its entries after (0, 0); Q a is returned as its
+half; and R a sums that half with the k > 0 rows doubled (`real_sum`), as
+`measure` does with the field's coefficients. Only the point Gram, whose
+Toeplitz blocks read D at u < 0, mirrors the rest. The dense references,
+complex phasor rows and the whole of R, are `point_rows` and `dense_matrix` in
+``tests/real_basis.py``.
 
 `measure` returns one reading per row of `build_matrix`'s operator.
 Conditioning and recovery take only a `Sensing` value and work on its n x n
@@ -57,7 +62,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .field import BandlimitedField, half_phasors, harmonics, phasors, real_sum
+from .field import BandlimitedField, cos_sin, harmonics, real_sum
 from .paths import (ConfigurationError, PathSet, Scheme, SchemeConfig, POINT_SCHEMES,
                     UNAWARE_SCHEMES)
 
@@ -71,8 +76,9 @@ __all__ = [
 ]
 
 # Points per block of per-axis tables: a block's bandwidth-2b tables at b = 10
-# take 2.7 MB per axis, however many points a trial has.
-BLOCK = 4096
+# take 0.7 MB per axis, however many points a trial has, so a block's tables
+# and their product stay in a 2 MB L2 cache.
+BLOCK = 2048
 # Points per sub-block of a mean row; a path's last sub-block is zero-padded.
 SUB_BLOCK = 16
 
@@ -100,9 +106,18 @@ def blocks(count: int):
     return (slice(lo, min(lo + BLOCK, count)) for lo in range(0, count, BLOCK))
 
 
-def _tables(points: np.ndarray, b: int) -> tuple:
-    """The kernel's tables: k = 0..b for x (``half_phasors``), l = -b..b for y."""
-    return half_phasors(points[..., 0], b), phasors(points[..., 1], b)
+def _half(prod: np.ndarray) -> np.ndarray:
+    """The (..., K+1, 2K+1) rows u >= 0 of a kernel product D[u, v] = sum w
+    exp(j 2 pi (u x + v y)), v = -K..K, from its real form: the (..., 2K+2, 2K+2)
+    product of the ``cos_sin`` tables, whose quadrants CC, CS, SC, SS give
+    D[u, +-v] = CC -+ SS + j (SC +- CS)."""
+    K = prod.shape[-1] // 2 - 1
+    cc, cs = prod[..., :K + 1, :K + 1], prod[..., :K + 1, K + 1:]
+    sc, ss = prod[..., K + 1:, :K + 1], prod[..., K + 1:, K + 1:]
+    half = np.empty(prod.shape[:-2] + (K + 1, 2 * K + 1), dtype=complex)
+    half.real[..., K:], half.imag[..., K:] = cc - ss, sc + cs
+    half.real[..., :K], half.imag[..., :K] = (cc + ss)[..., :0:-1], (sc - cs)[..., :0:-1]
+    return half
 
 
 def _real(half: np.ndarray) -> np.ndarray:
@@ -124,7 +139,7 @@ def _complex(a: np.ndarray) -> np.ndarray:
     return np.concatenate([z[c - b:], a[c:c + 1], z[::-1].conj()]).reshape(b + 1, -1)
 
 
-def _mean_rows(points: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
+def _mean_rows(phasors: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
     """One mean phasor row per path in real coordinates: E_x^T E_y summed over
     the path's zero-padded sub-blocks, BLOCK points of sub-blocks at a time."""
     counts = np.diff(offsets)
@@ -137,11 +152,11 @@ def _mean_rows(points: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
     sums = np.zeros((len(counts), b + 1, 2 * b + 1), dtype=complex)
     group = BLOCK // SUB_BLOCK
     for part in (slice(lo, lo + group) for lo in range(0, len(owner), group)):
-        ex, ey = _tables(points[index[part]], b)
-        ex[padding[part]] = 0.0
+        tx, ty = (cos_sin(u, b) for u in np.moveaxis(phasors[index[part]], -1, 0))
+        tx[padding[part]] = 0.0
         paths = owner[part]
         starts = np.flatnonzero(np.r_[True, paths[1:] != paths[:-1]])  # each path's run
-        sums[paths[starts]] += np.add.reduceat(ex.transpose(0, 2, 1) @ ey, starts, axis=0)
+        sums[paths[starts]] += _half(np.add.reduceat(tx.transpose(0, 2, 1) @ ty, starts, axis=0))
     return _real(sums) / counts[:, None]
 
 
@@ -149,27 +164,28 @@ def _mean_rows(points: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
 class Sensing:
     """One trial's real sensing matrix R = X Q (``shape`` rows x n) and its Gram R^T R.
 
-    Point rows (`from_points`) keep only their (rows, 2) locations; mean rows
-    (`from_rows`) keep the dense rows. ``adjoint(g)`` is R^T g and ``adjoint(g, a)``
-    is R^T (g - R a); columns are the real coordinates of ``harmonics(b)``
-    (module docstring).
+    Point rows (`from_phasors`) keep only their locations' (rows, 2) phasors;
+    mean rows (`from_rows`) keep the dense rows. ``adjoint(g)`` is R^T g and
+    ``adjoint(g, a)`` is R^T (g - R a); columns are the real coordinates of
+    ``harmonics(b)`` (module docstring).
     """
 
     gram: np.ndarray
     shape: tuple
     rows: np.ndarray | None = None
-    points: np.ndarray | None = None
+    phasors: np.ndarray | None = None
 
     @classmethod
-    def from_points(cls, points, b: int) -> "Sensing":
-        """Point rows at each (x, y) location, kept as the locations."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+    def from_phasors(cls, phasors: np.ndarray, b: int) -> "Sensing":
+        """Point rows at the locations whose per-axis phasors exp(j 2 pi (x, y))
+        are the rows of ``phasors`` (P, 2), kept as they are."""
         # G[(k, l), (k', l')] = d[k' - k + 2b, l' - l + 2b], where
         # d[u + 2b, v + 2b] = sum_p exp(j 2 pi (u x_p + v y_p)) for u, v = -2b..2b.
-        half = np.zeros((2 * b + 1, 4 * b + 1), dtype=complex)
-        for s in blocks(len(points)):
-            ex, ey = _tables(points[s], 2 * b)
-            half += ex.T @ ey
+        prod = np.zeros((4 * b + 2, 4 * b + 2))
+        for s in blocks(len(phasors)):
+            tx, ty = (cos_sin(u, 2 * b) for u in phasors[s].T)
+            prod += tx.T @ ty
+        half = _half(prod)
         d = np.concatenate([half[:0:-1, ::-1].conj(), half])  # d[-u, -v] = conj d[u, v]
         # Q* G Q from G's blocks T = G[:c, :c], W = G[:c, :c:-1] and e = sqrt 2
         # G[:c, c], read from d, with G[n-1-i, n-1-j] = conj(G[i, j]).
@@ -182,7 +198,7 @@ class Sensing:
         gram = np.block([[T.real + W.real, e.real, cs],
                          [e.real.T, d[2 * b, 2 * b].real, e.imag.T],
                          [cs.T, e.imag, T.real - W.real]])
-        return cls(gram, (len(points), 2 * c + 1), points=points)
+        return cls(gram, (len(phasors), 2 * c + 1), phasors=phasors)
 
     @classmethod
     def from_rows(cls, rows) -> "Sensing":
@@ -203,14 +219,14 @@ class Sensing:
         if self.rows is not None:
             return self.rows.T @ (g if a is None else g - self.rows @ a)
         b = (math.isqrt(self.shape[1]) - 1) // 2
-        u = None if a is None else _complex(a)
+        half = None if a is None else _complex(a)
         acc = 0.0
         for s in blocks(self.shape[0]):
-            ex, ey = _tables(self.points[s], b)
-            r = g[s] if a is None else g[s] - real_sum(u, ex, ey)
+            tx, ty = (cos_sin(u, b) for u in self.phasors[s].T)
+            r = g[s] if a is None else g[s] - real_sum(half, tx, ty)
             # R^T r = Re(Q^T X^T r) for real r, and X^T r = E_x^T diag(r) E_y.
-            acc = acc + (ex.T * r) @ ey
-        return _real(acc)
+            acc = acc + (tx.T * r) @ ty
+        return _real(_half(acc))
 
 
 def _unaware_locations(paths: PathSet, scheme: Scheme) -> tuple:
@@ -238,18 +254,19 @@ def build_matrix(paths: PathSet, config: SchemeConfig) -> Sensing:
     """
     scheme = config.scheme
     if config.location_aware:
-        locations, offsets = paths.points, paths.offsets
+        phasors, offsets = paths.phasors, paths.offsets
     elif scheme in UNAWARE_SCHEMES:
         locations, offsets = _unaware_locations(paths, scheme)
+        phasors = np.exp(2j * np.pi * locations)
     else:
         raise ConfigurationError(
             f"scheme {scheme} has no location-unaware variant; "
             f"supported: {sorted(s.value for s in UNAWARE_SCHEMES)}"
         )
-    if scheme in POINT_SCHEMES or len(locations) == len(paths):
+    if scheme in POINT_SCHEMES or len(phasors) == len(paths):
         # The mean of one location's row is that row.
-        return Sensing.from_points(locations, config.b)
-    return Sensing.from_rows(_mean_rows(locations, offsets, config.b))
+        return Sensing.from_phasors(phasors, config.b)
+    return Sensing.from_rows(_mean_rows(phasors, offsets, config.b))
 
 
 class SingularSystemError(RuntimeError):
@@ -266,10 +283,10 @@ def measure(field: BandlimitedField, paths: PathSet, config: SchemeConfig,
     all readings, in path order. The field is evaluated in the sensing
     kernel's blocks of points.
     """
-    points = paths.points
-    values = np.empty(len(points))
-    for block in blocks(len(points)):
-        values[block] = field.evaluate(points[block, 0], points[block, 1])
+    phasors = paths.phasors
+    values = np.empty(len(phasors))
+    for block in blocks(len(phasors)):
+        values[block] = field.evaluate_phasors(phasors[block])
     if config.noise_sigma > 0:
         values = values + rng.normal(0.0, config.noise_sigma, size=values.shape)
     if config.scheme not in POINT_SCHEMES:

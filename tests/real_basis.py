@@ -8,15 +8,15 @@ j (e_i - e_{n-1-i})/sqrt 2. Q is unitary, so the sensing matrix R = X Q has
 the singular values of the complex phasor matrix X, and the coordinates of a
 coefficient vector a are Q* a.
 
-``point_rows`` forms the complex phasor rows that pathfield never forms, and
-``dense_matrix`` a `Sensing` value's whole real matrix R from them.
+``point_rows`` forms the complex phasor rows that pathfield never forms, from
+one ``np.exp`` per entry (``exp_table``), and ``dense_matrix`` a `Sensing`
+value's whole real matrix R from them. Checks of summation error alone take
+``power_table``, which repeats the arithmetic of pathfield's tables.
 """
 
 import math
 
 import numpy as np
-
-from pathfield.field import phasors
 
 
 def real_basis(n: int) -> np.ndarray:
@@ -31,18 +31,39 @@ def real_basis(n: int) -> np.ndarray:
     return Q
 
 
-def point_rows(points, b: int) -> np.ndarray:
+# The tables below are (len(t), 2b+1) views of k-major arrays, and so are the
+# rows made from them: a mean over points runs along memory, as numpy's
+# pairwise sum, whose error stays at eps level for thousands of points.
+
+def exp_table(t, b: int) -> np.ndarray:
+    """exp(j 2 pi k t) for k = -b..b and a 1-D t, one np.exp per entry."""
+    return np.exp(2j * np.pi * np.multiply.outer(np.arange(-b, b + 1), t)).T
+
+
+def power_table(t, b: int) -> np.ndarray:
+    """``exp_table`` as powers of u = exp(j 2 pi t): entry k > 0 is entry k-1
+    times u and entry -k its conjugate, as pathfield builds its tables."""
+    u = np.exp(2j * np.pi * np.asarray(t, dtype=float))
+    powers = [np.ones_like(u)]
+    for _ in range(b):
+        powers.append(powers[-1] * u)
+    half = np.array(powers)
+    return np.concatenate([half[:0:-1].conj(), half]).T
+
+
+def point_rows(points, b: int, table=exp_table) -> np.ndarray:
     """Phasor rows exp(j 2 pi (k x + l y)) over harmonics(b) for points of shape (m, 2)."""
-    ex, ey = (phasors(t, b) for t in np.atleast_2d(np.asarray(points, dtype=float)).T)
+    ex, ey = (table(t, b) for t in np.atleast_2d(np.asarray(points, dtype=float)).T)
     return (ex[:, :, None] * ey[:, None, :]).reshape(len(ex), -1)
 
 
 def dense_matrix(S) -> np.ndarray:
     """The m x n matrix R of a `Sensing` value: its mean rows as they are, or its
-    point rows pushed through Q."""
+    point rows, at the locations (mod 1) its phasors give, pushed through Q."""
     if S.rows is not None:
         return S.rows
-    return real_rows(point_rows(S.points, (math.isqrt(S.shape[1]) - 1) // 2))
+    points = np.angle(S.phasors) / (2 * np.pi)
+    return real_rows(point_rows(points, (math.isqrt(S.shape[1]) - 1) // 2))
 
 
 def real_rows(X) -> np.ndarray:

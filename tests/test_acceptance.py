@@ -170,7 +170,7 @@ def test_criterion_08_hive_matrix_equals_benchmark_at_hives():
         paths = generate_paths(config)
         X_hive = build_matrix(paths, config)
         hives = np.asarray([p.hive for p in paths], dtype=float)
-        X_bench = Sensing.from_points(hives, 3)
+        X_bench = Sensing.from_phasors(np.exp(2j * np.pi * hives), 3)
         entries_equal &= np.array_equal(dense_matrix(X_hive), dense_matrix(X_bench))
         conds_equal &= condition_number(X_hive) == condition_number(X_bench)
     ok = entries_equal and conds_equal

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathfield.field import (BandlimitedField, generate_random_field, half_phasors, harmonics,
-                             phasors)
-from real_basis import point_rows
+from pathfield.field import BandlimitedField, cos_sin, generate_random_field, harmonics
+from real_basis import point_rows, power_table
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -130,29 +129,33 @@ def test_coefficients_are_immutable():
 
 @pytest.mark.parametrize("b", [0, 1, 3, 10, 20])
 def test_phasors_match_the_exponential_oracle(b):
-    # The recurrence's error grows with |k| like the angle rounding of the
-    # direct 2 pi t k product: both stay below 1e-13 for |t| <= 2, |k| <= 20.
-    k = np.arange(-b, b + 1)
+    # The real table cos/sin 2 pi k t comes from the phasor exp(j 2 pi t) by a
+    # recurrence whose error grows with k like the angle rounding of the
+    # direct 2 pi t k product: both stay below 1e-13 for |t| <= 2, k <= 20.
+    k = np.arange(b + 1)
     t = np.random.default_rng(b).uniform(-1.0, 2.0, 2000)
-    table = phasors(t, b)
-    assert table.shape == (2000, 2 * b + 1)
-    assert np.abs(table - np.exp(2j * np.pi * np.multiply.outer(t, k))).max() <= 1e-13
-    scalar = phasors(t[7], b)
-    assert scalar.shape == (2 * b + 1,)
-    assert np.abs(scalar - np.exp(2j * np.pi * t[7] * k)).max() <= 1e-13
+    table = cos_sin(np.exp(2j * np.pi * t), b)
+    assert table.shape == (2000, 2 * b + 2)
+    angles = 2 * np.pi * np.multiply.outer(t, k)
+    assert np.abs(table - np.c_[np.cos(angles), np.sin(angles)]).max() <= 1e-13
+    scalar = cos_sin(np.exp(2j * np.pi * t[7]), b)
+    assert scalar.shape == (2 * b + 2,)
     assert np.array_equal(scalar, table[7])
-    # Negative harmonics are exact conjugates of the positive ones.
-    assert np.array_equal(table[:, :b], table[:, :b:-1].conj())
-    assert np.array_equal(table[:, b], np.ones(2000))
+    # Harmonic 0 is exactly cos 0 = 1 and sin 0 = 0.
+    assert np.array_equal(table[:, 0], np.ones(2000))
+    assert np.array_equal(table[:, b + 1], np.zeros(2000))
 
 
 def test_half_tables_are_the_nonnegative_columns_of_the_full_tables():
-    t = np.random.default_rng(79).uniform(-1.0, 2.0, 500)
+    # A narrower table is the k = 0..b cosine and sine columns of a wider one,
+    # bit for bit, whatever the shape of the phasors.
+    u = np.exp(2j * np.pi * np.random.default_rng(79).uniform(-1.0, 2.0, 500))
+    wide = cos_sin(u, 5)
     for b in range(6):
-        assert np.array_equal(half_phasors(t, b), phasors(t, b)[:, b:])
-    grid = t.reshape(20, 25)
-    assert np.array_equal(half_phasors(grid, 3), phasors(grid, 3)[..., 3:])
-    assert np.array_equal(half_phasors(t[4], 3), phasors(t[4], 3)[3:])
+        assert np.array_equal(cos_sin(u, b), np.c_[wide[:, :b + 1], wide[:, 6:7 + b]])
+    grid = u.reshape(20, 25)
+    assert np.array_equal(cos_sin(grid, 3), cos_sin(u, 3).reshape(20, 25, 8))
+    assert np.array_equal(cos_sin(u[4], 3), cos_sin(u, 3)[4])
 
 
 # (x shape, y shape) pairs: scalars, one array against a scalar, and a broadcast grid.
@@ -163,7 +166,8 @@ SHAPES = [((), ()), ((7,), ()), ((), (5,)), ((3, 1), (4,)), ((6,), (6,))]
 @given(b=st.integers(0, 6), seed=st.integers(0, 2**32 - 1), shapes=st.sampled_from(SHAPES))
 def test_evaluate_matches_the_full_table_oracle(b, seed, shapes):
     # evaluate sums over the k >= 0 half of the x table with the k > 0 rows
-    # doubled; the oracle sums every (k, l) term and drops the imaginary part.
+    # doubled; the oracle sums every (k, l) term of the same tables and drops
+    # the imaginary part.
     rng = np.random.default_rng(seed)
     field = generate_random_field(b, rng)
     x, y = (rng.uniform(-1.0, 2.0, shape) if shape else float(rng.uniform(-1.0, 2.0))
@@ -171,9 +175,14 @@ def test_evaluate_matches_the_full_table_oracle(b, seed, shapes):
     got = field.evaluate(x, y)
     grid_x, grid_y = np.broadcast_arrays(x, y)
     points = np.column_stack([grid_x.ravel(), grid_y.ravel()])
-    want = (point_rows(points, b) @ field.coeffs.ravel()).real.reshape(grid_x.shape)
+    want = (point_rows(points, b, power_table) @ field.coeffs.ravel()).real.reshape(grid_x.shape)
     if not shapes[0] and not shapes[1]:
         assert type(got) is float
     else:
         assert got.shape == np.broadcast_shapes(*shapes)
-    assert np.abs(got - want).max() <= 4 * EPS * np.abs(field.coeffs).sum()
+    scale = np.abs(field.coeffs).sum()
+    assert np.abs(got - want).max() <= 4 * EPS * scale
+    # Against one np.exp per entry the angles round apart too, by at most
+    # eps |2 pi k t| per axis in each table.
+    dense = (point_rows(points, b) @ field.coeffs.ravel()).real.reshape(grid_x.shape)
+    assert np.abs(got - dense).max() <= (4 + 16 * np.pi * b) * EPS * scale

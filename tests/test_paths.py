@@ -396,6 +396,23 @@ def test_pathset_rejects_empty_or_non_finite_points():
         PathSet(np.zeros((3, 2)), np.array([0, 2, 2, 3]))  # an empty path
 
 
+def test_pathset_arrays_are_read_only_and_its_phasors_cached():
+    # A bee-hive set carries all four arrays. They are read-only views, so the
+    # phasors computed on first use stay those of the points.
+    paths = generate_paths(SchemeConfig(scheme=Scheme.BEE_HIVE, m=5, b=1, p=7, seed=4))
+    with pytest.raises(ValueError):
+        paths.points[0, 0] = 0.5
+    for name in ("offsets", "endpoints", "hives", "phasors"):
+        assert not getattr(paths, name).flags.writeable, name
+    phasors = paths.phasors
+    assert phasors.tobytes() == np.exp(2j * np.pi * paths.points).tobytes()
+    assert paths.phasors is phasors
+    # The caller's own array stays writable.
+    points = np.random.default_rng(5).random((4, 2))
+    PathSet(points, np.array([0, 4]))
+    points[0, 0] = 0.5
+
+
 # ------------------------------------------------- batched generator properties
 
 def _ends(pathset):

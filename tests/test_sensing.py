@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pathfield.field import generate_random_field, harmonics, phasors
+from pathfield.field import cos_sin, generate_random_field, harmonics
 from pathfield.paths import (
     POINT_SCHEMES,
     UNAWARE_SCHEMES,
@@ -14,7 +14,7 @@ from pathfield.paths import (
 )
 from pathfield import sensing
 from pathfield.sensing import Sensing, build_matrix
-from real_basis import complex_rows, dense_matrix, point_rows, real_basis, real_rows
+from real_basis import complex_rows, dense_matrix, point_rows, power_table, real_basis, real_rows
 
 EPS = np.finfo(float).eps
 
@@ -27,9 +27,14 @@ def averaged_matrix(points, b):
     return complex_rows(dense_matrix(build_matrix(paths, config)))
 
 
+def point_sensing(locations, b):
+    """The point-row operator at (m, 2) `locations`."""
+    return Sensing.from_phasors(np.exp(2j * np.pi * np.atleast_2d(locations)), b)
+
+
 def point_matrix(locations, b):
     """Point rows at `locations` in the operator's real coordinates."""
-    return dense_matrix(Sensing.from_points(locations, b))
+    return dense_matrix(point_sensing(locations, b))
 
 
 # ------------------------------------------------------- real coordinates
@@ -53,7 +58,7 @@ def test_point_rows_in_real_coordinates_are_cos_const_sin():
     expected = np.r_[np.sqrt(2) * np.cos(angles), 1.0, -np.sqrt(2) * np.sin(angles)]
     assert np.abs(point_matrix([(x, y)], 2)[0] - expected).max() <= 1e-14
     # The operator never forms the row; R^T g with g = [1] at one point is that row.
-    row = Sensing.from_points([(x, y)], 2).adjoint(np.ones(1))
+    row = point_sensing([(x, y)], 2).adjoint(np.ones(1))
     assert np.abs(row - expected).max() <= 1e-14
 
 
@@ -290,9 +295,13 @@ def test_unaware_single_sample_path_is_pinned_to_first_endpoint():
 
 
 def test_point_tables_are_slices_of_the_double_bandwidth_tables():
-    t = np.random.default_rng(78).random(500)
+    # The Gram's bandwidth-2b tables hold the adjoint's bandwidth-b tables as
+    # their first cosine and sine columns.
+    u = np.exp(2j * np.pi * np.random.default_rng(78).random(500))
     for b in range(6):
-        assert np.array_equal(phasors(t, 2 * b)[:, b:3 * b + 1], phasors(t, b))
+        double = cos_sin(u, 2 * b)
+        assert np.array_equal(np.c_[double[:, :b + 1], double[:, 2 * b + 1:3 * b + 2]],
+                              cos_sin(u, b))
 
 
 
@@ -308,7 +317,7 @@ def test_point_gram_does_not_depend_on_the_block_size(monkeypatch, b):
     results = {}
     for block in (1, 7, len(pts)):
         monkeypatch.setattr(sensing, "BLOCK", block)
-        X = Sensing.from_points(pts, b)
+        X = point_sensing(pts, b)
         results[block] = X.gram
         # X* g and the fused X* (g - X a) agree with the dense matrix at every block size.
         for got, want in [(X.adjoint(g), dense.T @ g),
@@ -331,4 +340,5 @@ def test_blocked_mean_rows_match_per_path_means(monkeypatch, block):
             paths = generate_paths(config)
             X = complex_rows(dense_matrix(build_matrix(paths, config)))
             for row, path in zip(X, paths):
-                assert np.abs(row - point_rows(path.points, 3).mean(axis=0)).max() <= 4 * EPS
+                want = point_rows(path.points, 3, power_table).mean(axis=0)
+                assert np.abs(row - want).max() <= 4 * EPS

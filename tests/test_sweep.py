@@ -447,6 +447,32 @@ def test_point_trial_never_allocates_the_dense_matrix():
     assert peak < rows * config.n * 16 / 2
 
 
+@pytest.mark.parametrize("scheme, aware", [(Scheme.LINE_BOUNDARY_POINTS, True),
+                                           (Scheme.LINE_BOUNDARY_AVG, True),
+                                           (Scheme.LINE_BOUNDARY_AVG, False)])
+def test_trial_takes_one_exponential_per_coordinate(monkeypatch, scheme, aware):
+    # Every table of a trial is built from exp(j 2 pi x) and exp(j 2 pi y) of
+    # its P sample points, each computed once for the build, the readings and
+    # the solve; an unaware build adds those of its L stand-in locations.
+    config = SchemeConfig(scheme=scheme, m=74, b=3, gamma=0.05, noise_sigma=0.01,
+                          location_aware=aware, seed=3)
+    rng = np.random.default_rng(config.seed)  # run_trial's draws: field, then paths
+    sweep.generate_random_field(config.b, rng)
+    points = len(generate_paths(config, rng).points)
+    stand_ins = 0 if aware else points  # one equispaced stand-in per reading
+    exponentiated = []
+    real_exp = np.exp
+
+    def exp(x, *args, **kwargs):
+        exponentiated.append(np.size(x))
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", exp)
+    cond, rel_err = run_trial(config)
+    assert math.isfinite(cond) and math.isfinite(rel_err)
+    assert sum(exponentiated) == 2 * points + 2 * stand_ins
+
+
 @pytest.mark.parametrize("reconstruct", [True, False])
 def test_trial_runs_one_gram_eigensolve(monkeypatch, reconstruct):
     # The condition number and the solve's singularity check share one
