@@ -11,17 +11,17 @@ evaluation outside the unit square uses the periodic extension.
 
 Values are computed from the phasors u = exp(j 2 pi (x, y)) of the points:
 `cos_sin` makes the real per-axis tables cos 2 pi k t and sin 2 pi k t, k >= 0,
-from powers of u, and `real_sum` sums the coefficient rows k >= 0 only, with
-rows k > 0 doubled, as one real matrix between the x and y tables. The full
-complex series it is checked against, one phasor row per point times
-``coeffs.ravel()``, lives in ``tests/real_basis.py``.
+from powers of u; `fold` turns the coefficient rows k >= 0, rows k > 0
+doubled, into one real matrix M, and `real_sum` puts M between the x and y
+tables. The full complex series it is checked against, one phasor row per
+point times ``coeffs.ravel()``, lives in ``tests/real_basis.py``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BandlimitedField", "cos_sin", "generate_random_field", "harmonics", "real_sum"]
+__all__ = ["BandlimitedField", "cos_sin", "fold", "generate_random_field", "harmonics", "real_sum"]
 
 
 def harmonics(b: int) -> np.ndarray:
@@ -42,31 +42,37 @@ def cos_sin(u, K: int) -> np.ndarray:
     """Real per-axis table [cos 2 pi k t; sin 2 pi k t] for k = 0..K from
     u = exp(j 2 pi t): shape u.shape + (2K+2,), the K+1 cosines first.
 
-    Power k of u is power k-1 times u, one contiguous row per k, so a value
-    gets the same arithmetic wherever it sits and a wider table's cosines and
-    sines k = 0..K equal this one's exactly.
+    Power k of u is power k-1 times u, one contiguous table row per k, so a
+    value gets the same arithmetic wherever it sits and a wider table's cosines
+    and sines k = 0..K equal this one's exactly.
     """
     u = np.asarray(u)
     flat = u.ravel()
-    powers = np.empty((K + 1, flat.size), dtype=complex)
-    powers[0] = 1.0
+    table = np.empty((2 * K + 2, flat.size))
+    table[0], table[K + 1] = 1.0, 0.0
+    power = np.ones(flat.size, dtype=complex)
     for k in range(1, K + 1):
-        np.multiply(powers[k - 1], flat, out=powers[k])
-    return np.concatenate([powers.real, powers.imag]).T.reshape(u.shape + (2 * K + 2,))
+        power = power * flat
+        table[k], table[K + 1 + k] = power.real, power.imag
+    return table.T.reshape(u.shape + (2 * K + 2,))
 
 
-def real_sum(half: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-    """Re sum_{k,l} a[k,l] exp(j 2 pi (k x + l y)) per row for conjugate-symmetric
-    a, from its rows k = 0..b (``half``, (b+1) x (2b+1)) and the ``cos_sin``
-    tables of x and y: a's (-k, -l) term conjugates its (k, l) term, so rows k > 0
-    count twice, and the sum is tx M ty for one real (2b+2) x (2b+2) matrix M."""
+def fold(half: np.ndarray) -> np.ndarray:
+    """The real (2b+2) x (2b+2) matrix M with t_x M t_y^T = Re sum_{k,l} a[k,l]
+    exp(j 2 pi (k x + l y)) for conjugate-symmetric a, from its rows k = 0..b
+    (``half``, (b+1) x (2b+1)) and the ``cos_sin`` tables t_x, t_y of x and y:
+    a's (-k, -l) term conjugates its (k, l) term, so rows k > 0 count twice."""
     b = len(half) - 1
-    folded = half * np.r_[1.0, np.full(b, 2.0)][:, None]
-    pos = folded[:, b:]  # l = 0..b
-    neg = np.column_stack([np.zeros(b + 1), folded[:, :b][:, ::-1]])  # l = 0, -1..-b
+    folded = half * np.where(np.arange(b + 1) > 0, 2.0, 1.0)[:, None]
+    pos, neg = folded[:, b:], np.zeros((b + 1, b + 1), dtype=complex)  # l = 0..b
+    neg[:, 1:] = folded[:, :b][:, ::-1]  # l = 0, -1..-b
     # Re(a exp(j(kx + ly))) for l = +-v in cos/sin products of kx and vy.
-    M = np.block([[pos.real + neg.real, neg.imag - pos.imag],
-                  [-pos.imag - neg.imag, neg.real - pos.real]])
+    return np.concatenate([np.concatenate([pos.real + neg.real, neg.imag - pos.imag], 1),
+                           np.concatenate([-pos.imag - neg.imag, neg.real - pos.real], 1)])
+
+
+def real_sum(M: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """t_x M t_y^T per row: the series of ``fold``'s coefficients at each point."""
     return np.einsum("pi,pi->p", tx @ M, ty)
 
 
@@ -98,12 +104,9 @@ class BandlimitedField:
     def evaluate(self, x, y):
         """Real field value g(x, y); scalars or broadcastable arrays."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        vals = self.evaluate_phasors(np.exp(2j * np.pi * np.column_stack([x.ravel(), y.ravel()])))
+        u = np.exp(2j * np.pi * np.stack([x.ravel(), y.ravel()]))
+        vals = real_sum(fold(self.coeffs[self.b:]), *cos_sin(u, self.b))
         return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
-
-    def evaluate_phasors(self, u) -> np.ndarray:
-        """g at the P points whose per-axis phasors exp(j 2 pi (x, y)) are the rows of u (P, 2)."""
-        return real_sum(self.coeffs[self.b:], *(cos_sin(t, self.b) for t in u.T))
 
 
 def generate_random_field(b: int, rng: np.random.Generator) -> BandlimitedField:

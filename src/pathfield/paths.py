@@ -118,10 +118,11 @@ class PathSet:
 
     def __post_init__(self):
         offsets, points = np.asarray(self.offsets), np.asarray(self.points, dtype=float)
-        if len(offsets) < 2 or offsets[0] != 0 or (np.diff(offsets) < 1).any() \
-                or points.shape != (offsets[-1], 2) or not np.isfinite(points).all():
-            raise ValueError("a PathSet needs finite (P, 2) points and offsets rising "
-                             "from 0 to P by at least 1 per path")
+        if offsets.dtype.kind not in "iu" or len(offsets) < 2 or offsets[0] != 0 \
+                or (np.diff(offsets) < 1).any() or points.shape != (offsets[-1], 2) \
+                or not np.isfinite(points).all():
+            raise ValueError("a PathSet needs finite (P, 2) points and integer offsets "
+                             "rising from 0 to P by at least 1 per path")
         for name, value in (("points", points), ("offsets", offsets),
                             ("endpoints", self.endpoints), ("hives", self.hives)):
             if value is not None:
@@ -250,8 +251,10 @@ def _line_paths(starts, ends, gamma: float, rng: np.random.Generator) -> PathSet
         reached[rows] = block[:, -1]
         rows = rows[reached[rows] < length[rows]]
     owner, dist = np.concatenate(owner), np.concatenate(dist)
-    points = starts[owner] + dist[:, None] * (delta / length[:, None])[owner]
-    return _pointset(owner, points, len(starts), endpoints=np.stack([starts, ends], axis=1))
+    dist, counts = dist[np.argsort(owner, kind="stable")], np.bincount(owner)
+    points = (np.repeat(starts, counts, axis=0)
+              + dist[:, None] * np.repeat(delta / length[:, None], counts, axis=0))
+    return PathSet(points, np.r_[0, np.cumsum(counts)], endpoints=np.stack([starts, ends], axis=1))
 
 
 def _random_walks(starts, gamma: float, rng: np.random.Generator) -> PathSet:

@@ -13,16 +13,16 @@ for bee-and-hive loops. Point schemes then get one row per location, and
 every other scheme one mean row per path.
 
 Both row types come from one kernel, E_x^T diag(w) E_y over the per-axis
-tables of fixed-size blocks of points, so no table is ever whole (the
+tables of blocks of at most BLOCK points, so no table is ever whole (the
 structure of Feichtinger, Groechenig and Strohmer's ACT method). The tables
-are real, cos and sin 2 pi k t for k = 0..K (`cos_sin`), made from the
-locations' phasors exp(j 2 pi (x, y)): a trial computes those once per sample
-point (`PathSet.phasors`), or once per stand-in location when it is unaware,
-and every pass reuses them. The point Gram sums the kernel over all points at
-bandwidth 2b; a mean row sums it over one path's points at bandwidth b and
-divides by the path's length. Point rows are never formed: R^T g and
-R^T (g - R a) rebuild the tables block by block. A value eigensolves its Gram
-at most once (`spectrum`).
+are real, cos and sin 2 pi k t for k = 0..K (`cos_sin`, both axes in one call),
+made from the locations' phasors exp(j 2 pi (x, y)): a trial computes those once
+per sample point (`PathSet.phasors`), or once per stand-in location when it is
+unaware, and every pass reuses them. The point Gram sums the kernel over all
+points at bandwidth 2b; a mean row sums it over one path's points at bandwidth
+b, in groups of paths of similar length (`_mean_rows`), and divides by the
+path's length. Point rows are never formed: R^T g and R^T (g - R a) rebuild the
+tables block by block. A value eigensolves its Gram at most once (`spectrum`).
 
 The field is real, so a phasor row's entries at (k, l) and (-k, -l) are
 conjugates. The operator works in real coordinates: it is R = X Q for the
@@ -39,11 +39,11 @@ tables per block, whose quadrants give the complex product D[u, v] for u >= 0
 (b+1) x (2b+1) half is all of it, and the only complex form the maps use,
 each O(n): real coordinates are read straight off it, since the mirrors n-1-i
 of the harmonics i < c are its entries after (0, 0); Q a is returned as its
-half; and R a sums that half with the k > 0 rows doubled (`real_sum`), as
-`measure` does with the field's coefficients. Only the point Gram, whose
-Toeplitz blocks read D at u < 0, mirrors the rest. The dense references,
-complex phasor rows and the whole of R, are `point_rows` and `dense_matrix` in
-``tests/real_basis.py``.
+half; and R a folds that half, k > 0 rows doubled, once per pass into one real
+matrix (`fold`, `real_sum`), as `measure` does with the field's coefficients.
+Only the point Gram, whose Toeplitz blocks read D at u < 0, mirrors the rest.
+The dense references, complex phasor rows and the whole of R, are `point_rows`
+and `dense_matrix` in ``tests/real_basis.py``.
 
 `measure` returns one reading per row of `build_matrix`'s operator.
 Conditioning and recovery take only a `Sensing` value and work on its n x n
@@ -58,11 +58,11 @@ the relative coefficient error, is also the field's relative L2 error (Parseval)
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .field import BandlimitedField, cos_sin, harmonics, real_sum
+from .field import BandlimitedField, cos_sin, fold, harmonics, real_sum
 from .paths import (ConfigurationError, PathSet, Scheme, SchemeConfig, POINT_SCHEMES,
                     UNAWARE_SCHEMES)
 
@@ -76,11 +76,9 @@ __all__ = [
 ]
 
 # Points per block of per-axis tables: a block's bandwidth-2b tables at b = 10
-# take 0.7 MB per axis, however many points a trial has, so a block's tables
-# and their product stay in a 2 MB L2 cache.
+# take 0.7 MB per axis, however many points a trial has. A mean-row group's
+# tables, zero padding included, span at most BLOCK points too.
 BLOCK = 2048
-# Points per sub-block of a mean row; a path's last sub-block is zero-padded.
-SUB_BLOCK = 16
 
 # A matrix whose sigma_min/sigma_max falls below this is numerically
 # singular: its condition number is reported as inf and a solve refuses it;
@@ -139,24 +137,40 @@ def _complex(a: np.ndarray) -> np.ndarray:
     return np.concatenate([z[c - b:], a[c:c + 1], z[::-1].conj()]).reshape(b + 1, -1)
 
 
+@lru_cache
+def _gram_index(b: int) -> np.ndarray:
+    """Flat int32 indices into the raveled kernel d[u + 2b, v + 2b], u, v = -2b..2b,
+    of the point Gram's blocks: c rows of T, c rows of W and the row e, c = (n-1)/2."""
+    k, l = harmonics(b)[:(2 * b + 1) ** 2 // 2].T.astype(np.int32)
+    h, centre = k * (4 * b + 1) + l, 2 * b * (4 * b + 2)  # (k, l)'s offset from d[0, 0]
+    index = np.vstack([centre + h - h[:, None], centre - h - h[:, None], centre - h])
+    index.setflags(write=False)  # shared by every call at this b
+    return index
+
+
 def _mean_rows(phasors: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
     """One mean phasor row per path in real coordinates: E_x^T E_y summed over
-    the path's zero-padded sub-blocks, BLOCK points of sub-blocks at a time."""
+    the path's points, one batched product per group of length-sorted paths whose
+    tables, zero-padded to the longest, span at most BLOCK points. A path longer
+    than BLOCK is a group of its own, summed BLOCK points at a time."""
     counts = np.diff(offsets)
-    subs = -(-counts // SUB_BLOCK)
-    owner = np.repeat(np.arange(len(counts)), subs)  # the path of each sub-block
-    first = (offsets[:-1] - SUB_BLOCK * (np.cumsum(subs) - subs))[owner]
-    index = first[:, None] + SUB_BLOCK * np.arange(len(owner))[:, None] + np.arange(SUB_BLOCK)
-    padding = index >= offsets[1:][owner, None]
-    index[padding] = 0
+    order = np.argsort(counts, kind="stable")
+    length = counts[order]
     sums = np.zeros((len(counts), b + 1, 2 * b + 1), dtype=complex)
-    group = BLOCK // SUB_BLOCK
-    for part in (slice(lo, lo + group) for lo in range(0, len(owner), group)):
-        tx, ty = (cos_sin(u, b) for u in np.moveaxis(phasors[index[part]], -1, 0))
-        tx[padding[part]] = 0.0
-        paths = owner[part]
-        starts = np.flatnonzero(np.r_[True, paths[1:] != paths[:-1]])  # each path's run
-        sums[paths[starts]] += _half(np.add.reduceat(tx.transpose(0, 2, 1) @ ty, starts, axis=0))
+    lo = 0
+    while lo < len(order):
+        # Paths lo..hi-1 padded to path hi-1's length fill at most BLOCK points.
+        run = length[lo:lo + BLOCK]
+        hi = lo + max(1, int(np.searchsorted(run * np.arange(1, len(run) + 1), BLOCK, "right")))
+        paths, longest = order[lo:hi], length[hi - 1]
+        for start in range(0, longest, BLOCK):
+            index = offsets[paths, None] + np.arange(start, min(start + BLOCK, longest))
+            padding = index >= offsets[paths + 1, None]  # read (clipped to P), then zeroed
+            u = np.take(phasors, index, axis=0, mode="clip")  # (paths, L, 2)
+            tx, ty = cos_sin(np.moveaxis(u, -1, 0), b)
+            tx[padding] = 0.0
+            sums[paths] += _half(tx.transpose(0, 2, 1) @ ty)
+        lo = hi
     return _real(sums) / counts[:, None]
 
 
@@ -183,21 +197,23 @@ class Sensing:
         # d[u + 2b, v + 2b] = sum_p exp(j 2 pi (u x_p + v y_p)) for u, v = -2b..2b.
         prod = np.zeros((4 * b + 2, 4 * b + 2))
         for s in blocks(len(phasors)):
-            tx, ty = (cos_sin(u, 2 * b) for u in phasors[s].T)
+            tx, ty = cos_sin(phasors[s].T, 2 * b)
             prod += tx.T @ ty
         half = _half(prod)
-        d = np.concatenate([half[:0:-1, ::-1].conj(), half])  # d[-u, -v] = conj d[u, v]
+        d = np.concatenate([half[:0:-1, ::-1].conj(), half]).ravel()  # d[-u, -v] = conj d[u, v]
         # Q* G Q from G's blocks T = G[:c, :c], W = G[:c, :c:-1] and e = sqrt 2
         # G[:c, c], read from d, with G[n-1-i, n-1-j] = conj(G[i, j]).
-        c = (2 * b + 1) ** 2 // 2
-        k, l = harmonics(b)[:c].T
-        T = d[k[None, :] - k[:, None] + 2 * b, l[None, :] - l[:, None] + 2 * b]
-        W = d[2 * b - k[None, :] - k[:, None], 2 * b - l[None, :] - l[:, None]]
-        e = math.sqrt(2) * d[2 * b - k, 2 * b - l][:, None]
-        cs = W.imag - T.imag
-        gram = np.block([[T.real + W.real, e.real, cs],
-                         [e.real.T, d[2 * b, 2 * b].real, e.imag.T],
-                         [cs.T, e.imag, T.real - W.real]])
+        parts = d[_gram_index(b)]
+        c = len(parts) // 2
+        T, W, e = parts[:c], parts[c:-1], math.sqrt(2) * parts[-1]
+        gram = np.empty((2 * c + 1, 2 * c + 1))
+        np.add(T.real, W.real, out=gram[:c, :c])
+        np.subtract(T.real, W.real, out=gram[c + 1:, c + 1:])
+        np.subtract(W.imag, T.imag, out=gram[:c, c + 1:])
+        gram[c + 1:, :c] = gram[:c, c + 1:].T
+        gram[:c, c] = gram[c, :c] = e.real
+        gram[c + 1:, c] = gram[c, c + 1:] = e.imag
+        gram[c, c] = d[len(d) // 2].real  # d[0, 0]
         return cls(gram, (len(phasors), 2 * c + 1), phasors=phasors)
 
     @classmethod
@@ -219,11 +235,11 @@ class Sensing:
         if self.rows is not None:
             return self.rows.T @ (g if a is None else g - self.rows @ a)
         b = (math.isqrt(self.shape[1]) - 1) // 2
-        half = None if a is None else _complex(a)
+        M = None if a is None else fold(_complex(a))
         acc = 0.0
         for s in blocks(self.shape[0]):
-            tx, ty = (cos_sin(u, b) for u in self.phasors[s].T)
-            r = g[s] if a is None else g[s] - real_sum(half, tx, ty)
+            tx, ty = cos_sin(self.phasors[s].T, b)
+            r = g[s] if a is None else g[s] - real_sum(M, tx, ty)
             # R^T r = Re(Q^T X^T r) for real r, and X^T r = E_x^T diag(r) E_y.
             acc = acc + (tx.T * r) @ ty
         return _real(_half(acc))
@@ -283,14 +299,15 @@ def measure(field: BandlimitedField, paths: PathSet, config: SchemeConfig,
     all readings, in path order. The field is evaluated in the sensing
     kernel's blocks of points.
     """
-    phasors = paths.phasors
+    phasors, M = paths.phasors, fold(field.coeffs[field.b:])
     values = np.empty(len(phasors))
     for block in blocks(len(phasors)):
-        values[block] = field.evaluate_phasors(phasors[block])
+        values[block] = real_sum(M, *cos_sin(phasors[block].T, field.b))
     if config.noise_sigma > 0:
         values = values + rng.normal(0.0, config.noise_sigma, size=values.shape)
     if config.scheme not in POINT_SCHEMES:
-        values = np.add.reduceat(values, paths.offsets[:-1]) / paths.counts
+        owner = np.repeat(np.arange(len(paths)), paths.counts)
+        values = np.bincount(owner, weights=values) / paths.counts
     return values
 
 

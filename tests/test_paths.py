@@ -394,6 +394,10 @@ def test_pathset_rejects_empty_or_non_finite_points():
         PathSet(np.array([[0.1, np.nan]]), np.array([0, 1]))
     with pytest.raises(ValueError):
         PathSet(np.zeros((3, 2)), np.array([0, 2, 2, 3]))  # an empty path
+    with pytest.raises(ValueError):
+        PathSet(np.zeros((5, 2)), np.array([0, 2.5, 5]))  # a path would end mid-point
+    with pytest.raises(ValueError):
+        PathSet(np.zeros((5, 2)), np.array([0.0, 2.0, 5.0]))  # not usable as slice bounds
 
 
 def test_pathset_arrays_are_read_only_and_its_phasors_cached():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -329,10 +331,12 @@ def test_point_gram_does_not_depend_on_the_block_size(monkeypatch, b):
 
 @pytest.mark.parametrize("block", [48, sensing.BLOCK])
 def test_blocked_mean_rows_match_per_path_means(monkeypatch, block):
-    # A 48-point block is a group of three 16-point sub-blocks: paths straddle
-    # groups, and most paths end in a zero-padded sub-block. The second case,
-    # m = 8n at gamma = 0.02, has paths of up to about 2600 points, where a
-    # sum that is not blocked drifts past the bound.
+    # With a 48-point block, two 21-point walks share a group and the shorter
+    # line paths are zero-padded to their group's longest; every path over 48
+    # points (up to 709 in the first case, 281 lines in the second) is cut
+    # into 48-point pieces that add into its row. The second case, m = 8n at
+    # gamma = 0.02, has a 2632-point walk, which the default block also cuts,
+    # where a sum that is not blocked drifts past the bound.
     monkeypatch.setattr(sensing, "BLOCK", block)
     for m, gamma, seed in ((15, 0.04, 82), (392, 0.02, 83)):
         for scheme in [s for s in Scheme if s not in POINT_SCHEMES]:
@@ -342,3 +346,21 @@ def test_blocked_mean_rows_match_per_path_means(monkeypatch, block):
             for row, path in zip(X, paths):
                 want = point_rows(path.points, 3, power_table).mean(axis=0)
                 assert np.abs(row - want).max() <= 4 * EPS
+
+
+def test_mean_rows_of_a_long_path_stay_within_a_few_block_tables():
+    # One path of about 10 BLOCK points at b = 10: its whole per-axis tables
+    # would take 10 times both axes' BLOCK-point tables. The kernel holds a
+    # few of those at a time, however long the path.
+    P = 10 * sensing.BLOCK + 7
+    paths = PathSet(np.random.default_rng(84).random((P, 2)), np.array([0, P]))
+    config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=1, b=10)
+    paths.phasors  # the trial's one exponential per coordinate, made before the build
+    tracemalloc.start()
+    try:
+        X = build_matrix(paths, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert X.shape == (1, 441)
+    assert peak < 4 * (2 * sensing.BLOCK * 22 * 8)
