@@ -9,8 +9,8 @@ import sys
 from pathlib import Path
 
 from .paths import ConfigurationError, SchemeConfig, generate_paths, paths_to_csv
-from .sweep import (RESULT_HEADER, SCHEME_NAMES, SweepResult, SweepSpec, parse_schemes,
-                    rank_schemes, run_sweep)
+from .sweep import (RESULT_HEADER, SCHEME_NAMES, SweepResult, SweepSpec, check_cell_bytes,
+                    parse_schemes, rank_schemes, run_sweep)
 from .svgplot import NoFiniteValues, condition_svg, trajectory_svg
 
 PATHS_CSV = "paths_{scheme}.csv"
@@ -31,6 +31,9 @@ def cmd_paths(args) -> int:
         SchemeConfig(scheme=scheme, m=args.m, gamma=args.gamma, p=args.p, seed=args.seed)
         for scheme in parse_schemes(args.scheme)
     ]
+    for config in configs:
+        check_cell_bytes(f"cell ({config.scheme}, m={config.m}, gamma={config.gamma:g})", config,
+                         sensing=False)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     groups = []

@@ -17,6 +17,7 @@ tables. The full complex series it is checked against, one phasor row per
 point times ``coeffs.ravel()``, lives in ``tests/real_basis.py``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,9 +91,10 @@ class BandlimitedField:
         size = 2 * self.b + 1
         if coeffs.shape != (size, size):
             raise ValueError(f"expected a {size}x{size} coefficient grid, got {coeffs.shape}")
-        scale = max(1.0, float(np.abs(coeffs).max()))
-        if not np.allclose(coeffs, coeffs[::-1, ::-1].conj(), rtol=0.0, atol=1e-12 * scale):
-            raise ValueError("coefficient grid is not conjugate symmetric")
+        scale = float(np.abs(coeffs).max())  # not finite if a coefficient is not
+        if not math.isfinite(scale) or (np.abs(coeffs - coeffs[::-1, ::-1].conj()).max()
+                                        > 1e-12 * max(1.0, scale)):
+            raise ValueError("coefficient grid must be finite and conjugate symmetric")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -123,8 +125,7 @@ def generate_random_field(b: int, rng: np.random.Generator) -> BandlimitedField:
     size = 2 * b + 1
     draw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     k = np.arange(-b, b + 1)
-    kk, ll = np.meshgrid(k, k, indexing="ij")
-    mirror = (kk < 0) | ((kk == 0) & (ll < 0))
+    mirror = (k[:, None] < 0) | ((k[:, None] == 0) & (k < 0))  # [k, l] by broadcasting
     coeffs = draw.copy()
     coeffs[b, b] = draw[b, b].real
     coeffs[mirror] = coeffs[::-1, ::-1].conj()[mirror]

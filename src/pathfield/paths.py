@@ -19,6 +19,7 @@ docstring states; no Python loop runs once per path.
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -226,19 +227,36 @@ def _pointset(owner: np.ndarray, points: np.ndarray, m: int, **meta) -> PathSet:
     return PathSet(points[order], np.r_[0, np.cumsum(np.bincount(owner, minlength=m))], **meta)
 
 
+def _gap_width(gamma: float) -> int:
+    """W = ceil(2.5 sqrt(2) / gamma) + 16 gaps per line (mean spacing gamma/2,
+    chords up to sqrt(2)); a gamma so small that the ratio overflows counts as
+    the largest float."""
+    return math.ceil(min(2.5 * math.sqrt(2.0) / gamma, sys.float_info.max)) + 16
+
+
+def _drawn_points(config: SchemeConfig) -> int:
+    """The points `generate_paths` draws at once: m W gaps for lines, m p for
+    directed walks and bee hives, m for scattered. A random walk's length is
+    random, so only its m starts are counted."""
+    if config.scheme in (Scheme.SCATTERED, Scheme.RANDOM_WALK):
+        return config.m
+    if config.scheme in (Scheme.BEE_HIVE, Scheme.DIRECTED_BOUNDARY, Scheme.DIRECTED_INNER):
+        return config.m * config.p
+    return config.m * _gap_width(config.gamma)
+
+
 def _line_paths(starts, ends, gamma: float, rng: np.random.Generator) -> PathSet:
     """Samples along each straight segment from starts[i] toward a distinct ends[i].
 
     A path's first sample sits at its start and consecutive spacings are
     i.i.d. Uniform(0, gamma); a step that would pass the end stops the path,
     so every sample lies on the segment and the end is generally not sampled.
-    The gaps are one (m, W) draw, W = ceil(2.5 sqrt(2) / gamma) + 16 (mean
-    spacing gamma/2, chords up to sqrt(2)); the rare paths still short of
+    The gaps are one (m, W) draw (`_gap_width`); the rare paths still short of
     their end draw further (k, W) blocks together.
     """
     delta = ends - starts
     length = np.hypot(delta[:, 0], delta[:, 1])
-    width = math.ceil(2.5 * math.sqrt(2.0) / gamma) + 16
+    width = _gap_width(gamma)
     rows = np.arange(len(starts))
     reached = np.zeros(len(starts))
     owner, dist = [rows], [reached.copy()]  # every path's first sample, at its start

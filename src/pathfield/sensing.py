@@ -25,23 +25,21 @@ path's length. Point rows are never formed: R^T g and R^T (g - R a) rebuild the
 tables block by block. A value eigensolves its Gram at most once (`spectrum`).
 
 The field is real, so a phasor row's entries at (k, l) and (-k, -l) are
-conjugates. The operator works in real coordinates: it is R = X Q for the
-complex phasor matrix X and the unitary Q that pairs harmonic i of
-``harmonics(b)`` with its mirror n-1-i. With c = (n-1)/2 the index of (0, 0),
-Q* a = [(a_i + a_{n-1-i})/sqrt 2; a_c; -j (a_i - a_{n-1-i})/sqrt 2] over
-i < c, which is [sqrt 2 Re a_i; a_c; sqrt 2 Im a_i] for the field's
-coefficients; a phasor row becomes [sqrt 2 cos; 1; -sqrt 2 sin] of
-2 pi (k x + l y). R has X's singular values and ||c - Q* a|| = ||Q c - a||, so
-kappa and the score mean the same as in complex coordinates, while the Gram,
-its eigensolve and the solves are real. So is the kernel: one real GEMM of the
-tables per block, whose quadrants give the complex product D[u, v] for u >= 0
-(`_half`). D is conjugate-symmetric, D[-u, -v] = conj D[u, v], so that
-(b+1) x (2b+1) half is all of it, and the only complex form the maps use,
-each O(n): real coordinates are read straight off it, since the mirrors n-1-i
-of the harmonics i < c are its entries after (0, 0); Q a is returned as its
-half; and R a folds that half, k > 0 rows doubled, once per pass into one real
-matrix (`fold`, `real_sum`), as `measure` does with the field's coefficients.
-Only the point Gram, whose Toeplitz blocks read D at u < 0, mirrors the rest.
+conjugates. The operator works in real coordinates: R = X Q for the complex
+phasor matrix X and the unitary Q that pairs harmonic i of ``harmonics(b)``
+with its mirror n-1-i. With c = (n-1)/2 the index of (0, 0), the field's
+coefficients become Q* a = [sqrt 2 Re a_i; a_c; sqrt 2 Im a_i] over i < c, and a
+phasor row [sqrt 2 cos; 1; -sqrt 2 sin] of 2 pi (k x + l y). R has X's singular
+values and ||c - Q* a|| = ||Q c - a||, so kappa and the score mean what they
+mean in complex coordinates, while the Gram, its eigensolve and the solves are
+real. So is the kernel, one GEMM of the tables per block, whose quadrants CC,
+CS, SC, SS give D[u, +-v] = CC -+ SS + j (SC +- CS) for u, v >= 0. One index
+map per b (`_pairs`) reads real coordinate j off the raveled product P as
+w (P[i1] + s P[i2]): sqrt 2 (CC -+ SS) for a cosine, sqrt 2 (SC +- CS) for a
+sine and CC - SS at (0, 0). Its transpose, two bincounts, turns coordinates a
+into the real M with t_x M t_y^T = R a at each point (`real_sum`), the M that
+`fold` makes of the field's coefficients for `measure`. The point Gram reads
+Re D and Im D at 2b through the same pairs and mirrors them to u < 0.
 The dense references, complex phasor rows and the whole of R, are `point_rows`
 and `dense_matrix` in ``tests/real_basis.py``.
 
@@ -95,7 +93,6 @@ SINGULAR_RATIO = 1e-7
 CORRECTION_KAPPA = 10.0
 CORRECTION_STEPS = 2
 
-_SQRT_HALF = math.sqrt(0.5)
 _SQRT_2 = math.sqrt(2.0)
 
 
@@ -104,37 +101,30 @@ def blocks(count: int):
     return (slice(lo, min(lo + BLOCK, count)) for lo in range(0, count, BLOCK))
 
 
-def _half(prod: np.ndarray) -> np.ndarray:
-    """The (..., K+1, 2K+1) rows u >= 0 of a kernel product D[u, v] = sum w
-    exp(j 2 pi (u x + v y)), v = -K..K, from its real form: the (..., 2K+2, 2K+2)
-    product of the ``cos_sin`` tables, whose quadrants CC, CS, SC, SS give
-    D[u, +-v] = CC -+ SS + j (SC +- CS)."""
-    K = prod.shape[-1] // 2 - 1
-    cc, cs = prod[..., :K + 1, :K + 1], prod[..., :K + 1, K + 1:]
-    sc, ss = prod[..., K + 1:, :K + 1], prod[..., K + 1:, K + 1:]
-    half = np.empty(prod.shape[:-2] + (K + 1, 2 * K + 1), dtype=complex)
-    half.real[..., K:], half.imag[..., K:] = cc - ss, sc + cs
-    half.real[..., :K], half.imag[..., :K] = (cc + ss)[..., :0:-1], (sc - cs)[..., :0:-1]
-    return half
+@lru_cache
+def _pairs(b: int) -> tuple:
+    """The map from a kernel product to real coordinates at bandwidth b: the
+    (2b+2)^2 product P of the ``cos_sin`` tables, raveled, gives coordinate j as
+    w[j] (P[i1[j]] + s[j] P[i2[j]]). Returns read-only (i1, i2, s, w)."""
+    c, W = (2 * b + 1) ** 2 // 2, 2 * b + 2
+    u, v = harmonics(b)[::-1][:c + 1].T  # the mirrors n-1-i of i < c, then (0, 0)
+    cos, sin = u * W + abs(v), (b + 1 + u) * W + abs(v)  # CC, SC; SS, CS lie b+1 on
+    sign = np.where(v < 0, 1.0, -1.0)  # D[u, +-v] = CC -+ SS + j (SC +- CS)
+    i1, i2 = np.concatenate([cos, sin[:c]]), np.concatenate([sin, cos[:c]]) + b + 1
+    s, w = np.concatenate([sign, -sign[:c]]), np.where(np.arange(2 * c + 1) == c, 1.0, _SQRT_2)
+    for array in (i1, i2, s, w):
+        array.setflags(write=False)  # shared by every call at this b
+    return i1, i2, s, w
 
 
-def _real(half: np.ndarray) -> np.ndarray:
-    """Re(w Q) for conjugate-symmetric rows w over harmonics(b), from their
-    (..., b+1, 2b+1) rows k >= 0: [sqrt 2 Re h; w_c; sqrt 2 Im h] for the
-    mirrors h_i = w[n-1-i] of the harmonics i < c."""
-    flat = half.reshape(half.shape[:-2] + (-1,))
-    b = half.shape[-2] - 1
-    h = flat[..., :b:-1]
-    return np.concatenate([h.real * _SQRT_2, flat[..., b:b + 1].real, h.imag * _SQRT_2], axis=-1)
-
-
-def _complex(a: np.ndarray) -> np.ndarray:
-    """The (b+1) x (2b+1) rows k >= 0 of Q a: the conjugate-symmetric
-    coefficients with real coordinates a."""
-    c = len(a) // 2
-    b = (math.isqrt(len(a)) - 1) // 2
-    z = (a[:c] + 1j * a[c + 1:]) * _SQRT_HALF
-    return np.concatenate([z[c - b:], a[c:c + 1], z[::-1].conj()]).reshape(b + 1, -1)
+def _pair_sums(prod: np.ndarray, b: int) -> np.ndarray:
+    """P[i1] + s P[i2] over the last two axes of kernel products P: their real
+    coordinates before the weights w of `_pairs`."""
+    i1, i2, s, _ = _pairs(b)
+    flat = prod.reshape(prod.shape[:-2] + (-1,))
+    sums = flat[..., i2] * s
+    sums += flat[..., i1]  # in place: a mean-row group's sums are its largest array
+    return sums
 
 
 @lru_cache
@@ -156,22 +146,24 @@ def _mean_rows(phasors: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
     counts = np.diff(offsets)
     order = np.argsort(counts, kind="stable")
     length = counts[order]
-    sums = np.zeros((len(counts), b + 1, 2 * b + 1), dtype=complex)
+    rows, w = np.empty((len(counts), (2 * b + 1) ** 2)), _pairs(b)[3]
     lo = 0
     while lo < len(order):
         # Paths lo..hi-1 padded to path hi-1's length fill at most BLOCK points.
         run = length[lo:lo + BLOCK]
         hi = lo + max(1, int(np.searchsorted(run * np.arange(1, len(run) + 1), BLOCK, "right")))
         paths, longest = order[lo:hi], length[hi - 1]
+        sums = 0.0
         for start in range(0, longest, BLOCK):
             index = offsets[paths, None] + np.arange(start, min(start + BLOCK, longest))
             padding = index >= offsets[paths + 1, None]  # read (clipped to P), then zeroed
             u = np.take(phasors, index, axis=0, mode="clip")  # (paths, L, 2)
             tx, ty = cos_sin(np.moveaxis(u, -1, 0), b)
             tx[padding] = 0.0
-            sums[paths] += _half(tx.transpose(0, 2, 1) @ ty)
+            sums = sums + _pair_sums(tx.transpose(0, 2, 1) @ ty, b)
+        rows[paths] = sums * w / length[lo:hi, None]
         lo = hi
-    return _real(sums) / counts[:, None]
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,13 +191,16 @@ class Sensing:
         for s in blocks(len(phasors)):
             tx, ty = cos_sin(phasors[s].T, 2 * b)
             prod += tx.T @ ty
-        half = _half(prod)
-        d = np.concatenate([half[:0:-1, ::-1].conj(), half]).ravel()  # d[-u, -v] = conj d[u, v]
+        x = _pair_sums(prod, 2 * b)  # [Re d; d[0, 0]; Im d] at the mirrors of i < mid
+        mid = len(x) // 2
+        d = np.empty(len(x), dtype=complex)  # raveled, with d[-u, -v] = conj d[u, v]
+        d.real[mid:], d.imag[mid], d.imag[mid + 1:] = x[mid::-1], 0.0, x[:mid:-1]
+        d[:mid] = d[:mid:-1].conj()
         # Q* G Q from G's blocks T = G[:c, :c], W = G[:c, :c:-1] and e = sqrt 2
         # G[:c, c], read from d, with G[n-1-i, n-1-j] = conj(G[i, j]).
         parts = d[_gram_index(b)]
         c = len(parts) // 2
-        T, W, e = parts[:c], parts[c:-1], math.sqrt(2) * parts[-1]
+        T, W, e = parts[:c], parts[c:-1], _SQRT_2 * parts[-1]
         gram = np.empty((2 * c + 1, 2 * c + 1))
         np.add(T.real, W.real, out=gram[:c, :c])
         np.subtract(T.real, W.real, out=gram[c + 1:, c + 1:])
@@ -213,7 +208,7 @@ class Sensing:
         gram[c + 1:, :c] = gram[:c, c + 1:].T
         gram[:c, c] = gram[c, :c] = e.real
         gram[c + 1:, c] = gram[c, c + 1:] = e.imag
-        gram[c, c] = d[len(d) // 2].real  # d[0, 0]
+        gram[c, c] = x[mid]  # d[0, 0]
         return cls(gram, (len(phasors), 2 * c + 1), phasors=phasors)
 
     @classmethod
@@ -235,14 +230,17 @@ class Sensing:
         if self.rows is not None:
             return self.rows.T @ (g if a is None else g - self.rows @ a)
         b = (math.isqrt(self.shape[1]) - 1) // 2
-        M = None if a is None else fold(_complex(a))
+        i1, i2, s, w = _pairs(b)
+        size = (2 * b + 2) ** 2  # M from a through the map's transpose: t_x M t_y^T = R a
+        M = None if a is None else (np.bincount(i1, w * a, size)
+                                    + np.bincount(i2, w * s * a, size)).reshape(2 * b + 2, -1)
         acc = 0.0
-        for s in blocks(self.shape[0]):
-            tx, ty = cos_sin(self.phasors[s].T, b)
-            r = g[s] if a is None else g[s] - real_sum(M, tx, ty)
+        for block in blocks(self.shape[0]):
+            tx, ty = cos_sin(self.phasors[block].T, b)
+            r = g[block] if a is None else g[block] - real_sum(M, tx, ty)
             # R^T r = Re(Q^T X^T r) for real r, and X^T r = E_x^T diag(r) E_y.
             acc = acc + (tx.T * r) @ ty
-        return _real(_half(acc))
+        return w * _pair_sums(acc, b)
 
 
 def _unaware_locations(paths: PathSet, scheme: Scheme) -> tuple:
@@ -348,5 +346,7 @@ def reconstruct_and_score(field: BandlimitedField, S: Sensing, g) -> float:
     estimate = np.linalg.solve(S.gram, S.adjoint(values))
     for _ in range(CORRECTION_STEPS if kappa > CORRECTION_KAPPA else 0):
         estimate += np.linalg.solve(S.gram, S.adjoint(values, estimate))
-    truth = _real(field.coeffs[field.b:].conj())  # Q* a, real for a real field
+    a, c = field.coeffs.ravel(), field.n // 2
+    h = a[:c:-1]  # Q* a for a real field, read at the mirrors of i < c
+    truth = np.concatenate([h.real * _SQRT_2, [a[c].real], -h.imag * _SQRT_2])
     return float(np.linalg.norm(estimate - truth) / np.linalg.norm(truth))

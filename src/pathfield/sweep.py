@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .field import generate_random_field
-from .paths import ConfigurationError, Scheme, SchemeConfig, UNAWARE_SCHEMES, generate_paths
+from .paths import (ConfigurationError, Scheme, SchemeConfig, UNAWARE_SCHEMES, _drawn_points,
+                    generate_paths)
 from .sensing import build_matrix, condition_number, measure, reconstruct_and_score
 
 __all__ = [
@@ -75,12 +76,8 @@ class SweepSpec:
         for i, (scheme, b, m, gamma, aware) in enumerate(cells):
             name = (f"cell ({scheme.value}, b={b}, m={m}, gamma={gamma:g}"
                     f"{'' if aware else ', unaware'})")
-            n = (2 * b + 1) ** 2
-            for what, size in (("n x n Gram", 8 * n * n), ("m x n mean rows", 8 * m * n),
-                               ("sample points", 16 * m)):
-                if size > CELL_BYTES:
-                    raise ConfigurationError(f"{name} needs {size} bytes for its {what}, "
-                                             f"over the {CELL_BYTES}-byte budget")
+            config = SchemeConfig(scheme=scheme, m=m, b=b, gamma=gamma, p=self.p)
+            check_cell_bytes(name, config, sensing=True)
             if cells[i] in cells[:i]:
                 raise ConfigurationError(f"the grid repeats {name}; m is round(multiple * n)")
 
@@ -199,6 +196,18 @@ _RULES = {
     "p": (lambda v: v >= 2, "p must be >= 2"),
     "noise_sigma": (lambda v: 0 <= v < math.inf, "noise_sigma must be finite and >= 0"),
 }
+
+
+def check_cell_bytes(name: str, config: SchemeConfig, sensing: bool) -> None:
+    """Refuse, from its settings alone, a cell that would ask for one array over
+    CELL_BYTES: its sample points at 16 B each (as `generate_paths` draws them)
+    and, when it builds `sensing`, its n x n Gram and m x n mean rows at 8 B."""
+    n, m = config.n, config.m
+    arrays = [("n x n Gram", 8 * n * n), ("m x n mean rows", 8 * m * n)] if sensing else []
+    for what, size in arrays + [("sample points", 16 * _drawn_points(config))]:
+        if size > CELL_BYTES:
+            raise ConfigurationError(f"{name} needs {size} bytes for its {what}, "
+                                     f"over the {CELL_BYTES}-byte budget")
 
 
 def _check(name: str, value):

@@ -68,6 +68,12 @@ def test_paths_invalid_scheme_is_usage_error(tmp_path, capsys):
         (["--m", "0"], ["m must be"]),
         (["--p", "1"], ["p must be"]),
         (["--seed", "-1"], ["seed must be"]),
+        # Over the byte budget, counted as drawn: m W line gaps, m p walk points.
+        # numpy refuses these arrays at once, so a missing check fails fast.
+        (["--scheme", "line_boundary_points", "--m", "3", "--gamma", "1e-15"],
+         ["cell (line_boundary_points, m=3, gamma=1e-15) needs", "bytes for its sample points"]),
+        (["--scheme", "directed_inner", "--m", "1", "--p", str(10 ** 17)],
+         ["cell (directed_inner, m=1, gamma=0.05) needs 1600000000000000000 bytes"]),
     ]
     out = tmp_path / "out"
     for argv, expected in cases:
@@ -145,6 +151,8 @@ def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
           "m x n mean rows"]),
         (["--m", "1e308", "--b", "0", "--scheme", "scattered", "--iters", "1"],
          ["cell (scattered, b=0, m=1000", "bytes for its m x n mean rows"]),
+        (["--scheme", "line_boundary_points", "--gamma", "1e-15", "--iters", "1"],
+         ["cell (line_boundary_points, b=3, m=74, gamma=1e-15) needs", "sample points"]),
         (["--scheme", "zigzag"], ["error: --scheme:", "scattered"]),
         (["--noise-sigma", "nan"], ["error: --noise-sigma:"]),
         (["--config", str(good), "--iters", "two"], ["error: --iters:"]),

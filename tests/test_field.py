@@ -110,10 +110,23 @@ def test_linearity():
 
 
 def test_asymmetric_coefficients_rejected():
-    grid = np.zeros((3, 3), dtype=complex)
-    grid[2, 2] = 1.0 + 1.0j  # mirror at [0, 0] left at zero
-    with pytest.raises(ValueError, match="symmetric"):
-        BandlimitedField(b=1, coeffs=grid)
+    def grid(entries):
+        values = np.zeros((3, 3), dtype=complex)
+        for index, value in entries.items():
+            values[index] = value
+        return values
+
+    for coeffs in [
+        grid({(2, 2): 1.0 + 1.0j}),  # mirror at [0, 0] left at zero
+        # An infinite coefficient once made the tolerance infinite: this
+        # asymmetric grid was accepted, and evaluate returned nan.
+        grid({(0, 0): np.inf, (0, 2): np.inf, (2, 0): np.inf, (2, 2): np.inf, (0, 1): 1.0,
+              (2, 1): 5.0}),
+        grid({(0, 0): np.inf, (2, 2): np.inf}),  # symmetric, but not finite
+        grid({(1, 1): np.nan}),
+    ]:
+        with pytest.raises(ValueError, match="symmetric"):
+            BandlimitedField(b=1, coeffs=coeffs)
 
 
 def test_wrong_shape_rejected():

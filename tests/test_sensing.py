@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pathfield.field import cos_sin, generate_random_field, harmonics
+from pathfield.field import cos_sin, generate_random_field, harmonics, real_sum
 from pathfield.paths import (
     POINT_SCHEMES,
     UNAWARE_SCHEMES,
@@ -62,6 +62,29 @@ def test_point_rows_in_real_coordinates_are_cos_const_sin():
     # The operator never forms the row; R^T g with g = [1] at one point is that row.
     row = point_sensing([(x, y)], 2).adjoint(np.ones(1))
     assert np.abs(row - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("b", range(7))
+def test_map_and_its_transpose_match_the_dense_rows(monkeypatch, b):
+    # R^T g with g = [1] at one point reads that point's row of R off its
+    # product t_x^T t_y through the map. R^T (g - R a) forms R a as t_x M t_y^T,
+    # with M built from a through the map's transpose; real_sum's values are R a.
+    rng = np.random.default_rng(90 + b)
+    points = rng.random((20, 2))
+    dense = real_rows(point_rows(points, b, power_table))
+    for point, want in zip(points, dense):
+        assert np.abs(point_sensing(point, b).adjoint(np.ones(1)) - want).max() <= 4 * EPS
+    readings = []
+
+    def recorded(*args):
+        readings.append(real_sum(*args))
+        return readings[-1]
+
+    monkeypatch.setattr(sensing, "real_sum", recorded)
+    a = rng.standard_normal(dense.shape[1])
+    point_sensing(points, b).adjoint(np.zeros(len(points)), a)
+    (got,) = readings
+    assert (np.abs(got - dense @ a) <= 4 * EPS * (np.abs(dense) @ np.abs(a))).all()
 
 
 def test_rows_must_be_real():
@@ -364,3 +387,20 @@ def test_mean_rows_of_a_long_path_stay_within_a_few_block_tables():
         tracemalloc.stop()
     assert X.shape == (1, 441)
     assert peak < 4 * (2 * sensing.BLOCK * 22 * 8)
+
+
+def test_mean_rows_peak_below_twice_the_rows():
+    # b = 10, m = 8n: the 3528 x 441 rows take 12.4 MB. Each group of paths
+    # adds its real coordinates into its own rows, so the peak stays near the
+    # rows themselves (1.3 times here; 3.1 when the sums were complex halves).
+    config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=8 * 441, b=10, gamma=0.05, seed=85)
+    paths = generate_paths(config)
+    phasors = paths.phasors
+    tracemalloc.start()
+    try:
+        rows = sensing._mean_rows(phasors, paths.offsets, config.b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (8 * 441, 441)
+    assert peak < 2 * rows.nbytes
