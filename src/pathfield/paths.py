@@ -214,11 +214,12 @@ def _same_edge(p1, p2):
     return ((p1 == p2) & ((p1 == 0.0) | (p1 == 1.0))).any(axis=-1)
 
 
-def _steps(rng: np.random.Generator, gamma: float, shape: tuple) -> np.ndarray:
-    """Walk steps, shape + (2,): all lengths Uniform(0, gamma), then all angles Uniform(0, 2pi)."""
+def _step_axes(rng: np.random.Generator, gamma: float, shape: tuple) -> tuple:
+    """Walk steps as (dx, dy), each of the given shape: all lengths
+    Uniform(0, gamma), then all angles Uniform(0, 2pi)."""
     d = rng.uniform(0.0, gamma, size=shape)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-    return np.stack([d * np.cos(theta), d * np.sin(theta)], axis=-1)
+    return d * np.cos(theta), d * np.sin(theta)
 
 
 def _pointset(owner: np.ndarray, points: np.ndarray, m: int, **meta) -> PathSet:
@@ -287,19 +288,22 @@ def _random_walks(starts, gamma: float, rng: np.random.Generator) -> PathSet:
     """
     m = len(starts)
     rows = np.arange(m)
-    current = starts.copy()
+    x0, y0 = starts.T.copy()  # each running walk's last point
     moved = np.zeros(m, dtype=bool)  # has a point besides its start
     failures = np.zeros(m, dtype=np.int64)
-    owner, points = [rows], [starts]
+    owner, xs, ys = [rows], [starts[:, 0]], [starts[:, 1]]
     while rows.size:
         chunk = max(16, WALK_ROUND // rows.size)
-        pos = current[rows, None, :] + np.cumsum(_steps(rng, gamma, (rows.size, chunk)), axis=1)
-        inside = ((pos >= 0.0) & (pos <= 1.0)).all(axis=2)
+        dx, dy = _step_axes(rng, gamma, (rows.size, chunk))
+        x = x0[rows, None] + np.cumsum(dx, axis=1)
+        y = y0[rows, None] + np.cumsum(dy, axis=1)
+        inside = (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
         stay = inside.all(axis=1)
         exit_at = np.where(stay, chunk, inside.argmin(axis=1))
         keep = np.arange(chunk) < exit_at[:, None]
         owner.append(np.broadcast_to(rows[:, None], keep.shape)[keep])
-        points.append(pos[keep])
+        xs.append(x[keep])
+        ys.append(y[keep])
         reroll = (exit_at == 0) & ~moved[rows]
         moved[rows] |= exit_at > 0
         failures[rows[reroll]] += 1
@@ -307,9 +311,10 @@ def _random_walks(starts, gamma: float, rng: np.random.Generator) -> PathSet:
             raise PathGenerationError(
                 f"random walk from {tuple(starts[failures.argmax()])} kept exiting "
                 f"immediately ({WALK_RETRIES} attempts, gamma={gamma})")
-        current[rows[stay]] = pos[stay, -1]
+        x0[rows[stay]], y0[rows[stay]] = x[stay, -1], y[stay, -1]
         rows = rows[stay | reroll]
-    return _pointset(np.concatenate(owner), np.concatenate(points), m)
+    points = np.column_stack([np.concatenate(xs), np.concatenate(ys)])
+    return _pointset(np.concatenate(owner), points, m)
 
 
 def _directed_walks(starts, ends, p: int, gamma: float, rng: np.random.Generator,
@@ -325,8 +330,8 @@ def _directed_walks(starts, ends, p: int, gamma: float, rng: np.random.Generator
     extension covers them.
     """
     m = len(starts)
-    free = np.cumsum(np.concatenate([starts[:, None], _steps(rng, gamma, (m, p - 1))], axis=1),
-                     axis=1)
+    steps = np.stack(_step_axes(rng, gamma, (m, p - 1)), axis=-1)
+    free = np.cumsum(np.concatenate([starts[:, None], steps], axis=1), axis=1)
     points = free + np.linspace(0.0, 1.0, p)[:, None] * (ends - free[:, -1])[:, None]
     points[:, 0] = starts
     points[:, -1] = ends

@@ -38,12 +38,16 @@ map per b (`_pairs`) reads real coordinate j off the raveled product P as
 w (P[i1] + s P[i2]): sqrt 2 (CC -+ SS) for a cosine, sqrt 2 (SC +- CS) for a
 sine and CC - SS at (0, 0). Its transpose, two bincounts, turns coordinates a
 into the real M with t_x M t_y^T = R a at each point (`real_sum`), the M that
-`fold` makes of the field's coefficients for `measure`. The point Gram reads
-Re D and Im D at 2b through the same pairs and mirrors them to u < 0.
+`fold` makes of the field's coefficients when `measure` evaluates the field.
+The point Gram reads Re D and Im D at 2b through the same pairs and mirrors
+them to u < 0.
 The dense references, complex phasor rows and the whole of R, are `point_rows`
 and `dense_matrix` in ``tests/real_basis.py``.
 
-`measure` returns one reading per row of `build_matrix`'s operator.
+`measure` returns one reading per row of `build_matrix`'s operator, and takes
+that operator: an aware averaging trial's noiseless readings are its mean rows
+times the field's real coordinates Q* a, so its sample points are read once,
+by the build. Point schemes and unaware trials evaluate the field at the points.
 Conditioning and recovery take only a `Sensing` value and work on its n x n
 Gram G = R^T R, never on an SVD, and both read `Sensing.spectrum`.
 `condition_number`, the package's only condition number, is
@@ -243,19 +247,20 @@ class Sensing:
         return w * _pair_sums(acc, b)
 
 
-def _unaware_locations(paths: PathSet, scheme: Scheme) -> tuple:
-    """The (locations, offsets) a location-unaware reconstruction assumes."""
+def _unaware_locations(paths: PathSet, scheme: Scheme) -> np.ndarray:
+    """The locations a location-unaware reconstruction assumes, path by path."""
     if scheme is Scheme.BEE_HIVE:
         if paths.hives is None:
             raise ConfigurationError("bee-and-hive paths must carry their hive center")
-        return paths.hives, np.arange(len(paths) + 1)
+        return paths.hives
     if paths.endpoints is None:
         raise ConfigurationError("location-unaware mode needs declared path endpoints")
-    owner = np.repeat(np.arange(len(paths)), paths.counts)
-    start, end = paths.endpoints[owner, 0], paths.endpoints[owner, 1]
+    counts = paths.counts
+    start, end = paths.endpoints[:, 0], paths.endpoints[:, 1]
     # Reading t of a path of c readings sits at start + t (end - start) / (c - 1).
-    step = (end - start) / np.maximum(paths.counts[owner] - 1, 1)[:, None]
-    return start + (np.arange(len(owner)) - paths.offsets[owner])[:, None] * step, paths.offsets
+    step = (end - start) / np.maximum(counts - 1, 1)[:, None]
+    t = np.arange(paths.offsets[-1]) - np.repeat(paths.offsets[:-1], counts)
+    return np.repeat(start, counts, axis=0) + t[:, None] * np.repeat(step, counts, axis=0)
 
 
 def build_matrix(paths: PathSet, config: SchemeConfig) -> Sensing:
@@ -268,10 +273,9 @@ def build_matrix(paths: PathSet, config: SchemeConfig) -> Sensing:
     """
     scheme = config.scheme
     if config.location_aware:
-        phasors, offsets = paths.phasors, paths.offsets
+        phasors = paths.phasors
     elif scheme in UNAWARE_SCHEMES:
-        locations, offsets = _unaware_locations(paths, scheme)
-        phasors = np.exp(2j * np.pi * locations)
+        phasors = np.exp(2j * np.pi * _unaware_locations(paths, scheme))
     else:
         raise ConfigurationError(
             f"scheme {scheme} has no location-unaware variant; "
@@ -280,33 +284,55 @@ def build_matrix(paths: PathSet, config: SchemeConfig) -> Sensing:
     if scheme in POINT_SCHEMES or len(phasors) == len(paths):
         # The mean of one location's row is that row.
         return Sensing.from_phasors(phasors, config.b)
-    return Sensing.from_rows(_mean_rows(phasors, offsets, config.b))
+    return Sensing.from_rows(_mean_rows(phasors, paths.offsets, config.b))
 
 
 class SingularSystemError(RuntimeError):
     """The sensing matrix is numerically rank deficient."""
 
 
-def measure(field: BandlimitedField, paths: PathSet, config: SchemeConfig,
+def measure(field: BandlimitedField, X: Sensing, paths: PathSet, config: SchemeConfig,
             rng: np.random.Generator) -> np.ndarray:
-    """Simulate sensor readings over the given paths: one float per matrix row.
+    """Simulate sensor readings over the given paths: one float per row of X,
+    the operator `build_matrix` made of the same paths and config.
 
     Point schemes yield one value per sample; averaging schemes add noise to
     every raw reading first and then average per path, which is what shrinks
     the noise variance by the per-path sample count. Noise is drawn once for
-    all readings, in path order. The field is evaluated in the sensing
-    kernel's blocks of points.
+    all readings, in path order. By linearity a path's noiseless mean is its
+    mean row times the field's real coordinates, so an aware averaging trial
+    reads it off ``X.rows`` without evaluating the field again. Every other
+    trial evaluates the field in the sensing kernel's blocks of points: point
+    rows are never formed, and unaware rows sit at stand-in locations.
     """
+    averaging = config.scheme not in POINT_SCHEMES
+    if averaging and config.location_aware and X.rows is not None:
+        values = X.rows @ _real_coordinates(field)
+        if config.noise_sigma > 0:
+            noise = rng.normal(0.0, config.noise_sigma, size=len(paths.points))
+            values = values + _path_means(noise, paths)
+        return values
     phasors, M = paths.phasors, fold(field.coeffs[field.b:])
     values = np.empty(len(phasors))
     for block in blocks(len(phasors)):
         values[block] = real_sum(M, *cos_sin(phasors[block].T, field.b))
     if config.noise_sigma > 0:
         values = values + rng.normal(0.0, config.noise_sigma, size=values.shape)
-    if config.scheme not in POINT_SCHEMES:
-        owner = np.repeat(np.arange(len(paths)), paths.counts)
-        values = np.bincount(owner, weights=values) / paths.counts
-    return values
+    return _path_means(values, paths) if averaging else values
+
+
+def _path_means(values: np.ndarray, paths: PathSet) -> np.ndarray:
+    """The mean of one value per sample point over each path."""
+    owner = np.repeat(np.arange(len(paths)), paths.counts)
+    return np.bincount(owner, weights=values) / paths.counts
+
+
+def _real_coordinates(field: BandlimitedField) -> np.ndarray:
+    """Q* a, the field's coefficients in the operator's real coordinates
+    (module docstring), read at the mirrors of the harmonics i < c."""
+    a, c = field.coeffs.ravel(), field.n // 2
+    h = a[:c:-1]
+    return np.concatenate([h.real * _SQRT_2, [a[c].real], -h.imag * _SQRT_2])
 
 
 def _kappa(eigenvalues) -> float:
@@ -346,7 +372,5 @@ def reconstruct_and_score(field: BandlimitedField, S: Sensing, g) -> float:
     estimate = np.linalg.solve(S.gram, S.adjoint(values))
     for _ in range(CORRECTION_STEPS if kappa > CORRECTION_KAPPA else 0):
         estimate += np.linalg.solve(S.gram, S.adjoint(values, estimate))
-    a, c = field.coeffs.ravel(), field.n // 2
-    h = a[:c:-1]  # Q* a for a real field, read at the mirrors of i < c
-    truth = np.concatenate([h.real * _SQRT_2, [a[c].real], -h.imag * _SQRT_2])
+    truth = _real_coordinates(field)
     return float(np.linalg.norm(estimate - truth) / np.linalg.norm(truth))

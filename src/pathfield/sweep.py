@@ -201,10 +201,14 @@ _RULES = {
 def check_cell_bytes(name: str, config: SchemeConfig, sensing: bool) -> None:
     """Refuse, from its settings alone, a cell that would ask for one array over
     CELL_BYTES: its sample points at 16 B each (as `generate_paths` draws them)
-    and, when it builds `sensing`, its n x n Gram and m x n mean rows at 8 B."""
-    n, m = config.n, config.m
+    and, when it builds `sensing`, their phasors at 32 B each, its n x n Gram
+    and its m x n mean rows at 8 B."""
+    n, m, drawn = config.n, config.m, _drawn_points(config)
     arrays = [("n x n Gram", 8 * n * n), ("m x n mean rows", 8 * m * n)] if sensing else []
-    for what, size in arrays + [("sample points", 16 * _drawn_points(config))]:
+    arrays.append(("sample points", 16 * drawn))
+    if sensing:
+        arrays.append(("sample point phasors", 32 * drawn))
+    for what, size in arrays:
         if size > CELL_BYTES:
             raise ConfigurationError(f"{name} needs {size} bytes for its {what}, "
                                      f"over the {CELL_BYTES}-byte budget")
@@ -312,7 +316,7 @@ def run_trial(config: SchemeConfig, reconstruct: bool = True):
     cond = condition_number(X)
     if not math.isfinite(cond) or not reconstruct:
         return cond, float("nan")
-    meas = measure(fld, paths, config, rng)
+    meas = measure(fld, X, paths, config, rng)
     # A finite cond means the solve's singularity check, on the same spectrum, passes.
     return cond, reconstruct_and_score(fld, X, meas)
 

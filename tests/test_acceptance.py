@@ -122,7 +122,7 @@ def test_criterion_05_exact_noiseless_recovery():
         X = build_matrix(paths, config)
         cond = condition_number(X)
         if cond <= 1e3:
-            meas = measure(fld, paths, config, rng)
+            meas = measure(fld, X, paths, config, rng)
             results[scheme] = reconstruct_and_score(fld, X, meas)
     worst = max(results.values())
     ok = len(results) >= 5 and worst <= 1e-8

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pathfield import sensing
 from pathfield.field import BandlimitedField, generate_random_field
 from pathfield.paths import (
     POINT_SCHEMES,
@@ -49,7 +50,7 @@ def test_measure_constant_field_noiseless():
     for scheme in (Scheme.SCATTERED, Scheme.LINE_INNER_AVG, Scheme.BEE_HIVE):
         config = SchemeConfig(scheme=scheme, m=6, b=2, gamma=0.1, p=5, seed=0)
         paths = generate_paths(config)
-        meas = measure(fld, paths, config, np.random.default_rng(0))
+        meas = measure(fld, build_matrix(paths, config), paths, config, np.random.default_rng(0))
         assert np.allclose(meas, 3.25, atol=1e-10)
 
 
@@ -57,7 +58,7 @@ def test_measure_point_scheme_matches_evaluate():
     fld = generate_random_field(2, np.random.default_rng(1))
     config = SchemeConfig(scheme=Scheme.SCATTERED, m=40, b=2, seed=2)
     paths = generate_paths(config)
-    meas = measure(fld, paths, config, np.random.default_rng(3))
+    meas = measure(fld, build_matrix(paths, config), paths, config, np.random.default_rng(3))
     pts = np.vstack([p.points for p in paths])
     assert np.array_equal(meas, fld.evaluate(pts[:, 0], pts[:, 1]))
 
@@ -66,8 +67,8 @@ def test_measure_length_matches_rows():
     config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=9, b=1, gamma=0.05, seed=4)
     paths = generate_paths(config)
     fld = generate_random_field(1, np.random.default_rng(5))
-    meas = measure(fld, paths, config, np.random.default_rng(6))
     X = build_matrix(paths, config)
+    meas = measure(fld, X, paths, config, np.random.default_rng(6))
     assert len(meas) == X.shape[0]
 
 
@@ -80,8 +81,8 @@ def test_path_averaging_shrinks_noise_variance():
     path = PathSet(np.random.default_rng(7).random((p, 2)), np.array([0, p]))
     config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=1, b=0, gamma=0.1,
                           noise_sigma=sigma, seed=8)
-    rng = np.random.default_rng(9)
-    draws = np.array([measure(fld, path, config, rng)[0] for _ in range(10_000)])
+    X, rng = build_matrix(path, config), np.random.default_rng(9)
+    draws = np.array([measure(fld, X, path, config, rng)[0] for _ in range(10_000)])
     expected = sigma ** 2 / p
     assert abs(draws.var() - expected) < 0.1 * expected
 
@@ -93,9 +94,10 @@ def test_measure_evaluates_the_field_in_blocks():
                           noise_sigma=0.01, seed=30)
     paths = generate_paths(config)
     fld = generate_random_field(10, np.random.default_rng(31))
+    X = build_matrix(paths, config)
     tracemalloc.start()
     try:
-        meas = measure(fld, paths, config, np.random.default_rng(32))
+        meas = measure(fld, X, paths, config, np.random.default_rng(32))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -115,18 +117,50 @@ def loop_measure(fld, paths, config, rng):
     return np.concatenate(per_path)
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
-def test_measure_matches_per_path_loop_and_rng_stream(scheme):
-    fld = generate_random_field(2, np.random.default_rng(23))
-    config = SchemeConfig(scheme=scheme, m=12, b=2, gamma=0.08, p=9,
-                          noise_sigma=0.05, seed=24)
+AVERAGING = [s for s in Scheme if s not in POINT_SCHEMES]
+
+
+# (scheme, b, m, gamma, seed): every scheme at b = 2, and at b = 10 every aware
+# averaging scheme, whose readings come off the mean rows. Seed 20's random
+# walks include one of 2571 points, longer than BLOCK.
+MEASURE_CASES = ([(s, 2, 12, 0.08, 24) for s in Scheme]
+                 + [(s, 10, 40, 0.02, 20) for s in AVERAGING])
+
+
+@pytest.mark.parametrize("scheme, b, m, gamma, seed", MEASURE_CASES,
+                         ids=[s.value + ("-b10" if b == 10 else "") for s, b, *_ in MEASURE_CASES])
+def test_measure_matches_per_path_loop_and_rng_stream(scheme, b, m, gamma, seed):
+    fld = generate_random_field(b, np.random.default_rng(23))
+    config = SchemeConfig(scheme=scheme, m=m, b=b, gamma=gamma, p=9,
+                          noise_sigma=0.05, seed=seed)
     paths = generate_paths(config)
+    if scheme is Scheme.RANDOM_WALK and b == 10:
+        assert paths.counts.max() > sensing.BLOCK
+    X = build_matrix(paths, config)
     rng, ref_rng = np.random.default_rng(25), np.random.default_rng(25)
-    meas = measure(fld, paths, config, rng)
+    meas = measure(fld, X, paths, config, rng)
     expected = loop_measure(fld, paths, config, ref_rng)
     assert meas.shape == expected.shape
     assert np.abs(meas - expected).max() <= 1e-12
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("scheme", AVERAGING)
+def test_aware_averaging_measure_reads_the_mean_rows(monkeypatch, scheme):
+    # The build has made every per-axis table the readings need: measure
+    # evaluates no table of its own, and its readings are R a.
+    config = SchemeConfig(scheme=scheme, m=20, b=2, gamma=0.08, p=9, seed=40)
+    paths = generate_paths(config)
+    fld = generate_random_field(2, np.random.default_rng(41))
+    X = build_matrix(paths, config)
+    assert X.rows is not None
+
+    def cos_sin(*args):
+        raise AssertionError("measure built a per-axis table")
+
+    monkeypatch.setattr(sensing, "cos_sin", cos_sin)
+    meas = measure(fld, X, paths, config, np.random.default_rng(42))
+    assert np.abs(meas - X.rows @ real_coeffs(fld.coeffs.ravel())).max() <= 1e-12
 
 
 # --------------------------------------------------------------- estimation
@@ -267,7 +301,7 @@ def test_noiseless_reconstruction_report():
     config = SchemeConfig(scheme=Scheme.SCATTERED, m=100, b=2, seed=17)
     paths = generate_paths(config)
     X = build_matrix(paths, config)
-    meas = measure(fld, paths, config, np.random.default_rng(18))
+    meas = measure(fld, X, paths, config, np.random.default_rng(18))
     rel = reconstruct_and_score(fld, X, meas)
     assert condition_number(X) >= 1.0
     assert rel <= 1e-8
@@ -280,7 +314,7 @@ def test_noisy_reconstruction_has_positive_rmse():
     config = SchemeConfig(scheme=Scheme.SCATTERED, m=60, b=1, noise_sigma=0.05, seed=20)
     paths = generate_paths(config)
     X = build_matrix(paths, config)
-    meas = measure(fld, paths, config, np.random.default_rng(21))
+    meas = measure(fld, X, paths, config, np.random.default_rng(21))
     assert reconstruct_and_score(fld, X, meas) > 0.0
 
 
@@ -292,7 +326,7 @@ def test_field_rmse_matches_grid_rmse(scheme):
     config = SchemeConfig(scheme=scheme, m=120, b=3, gamma=0.05, noise_sigma=0.05, seed=27)
     paths = generate_paths(config, rng)
     X = build_matrix(paths, config)
-    g = measure(fld, paths, config, rng)
+    g = measure(fld, X, paths, config, rng)
     rel = reconstruct_and_score(fld, X, g)
     estimate = complex_coeffs(np.linalg.lstsq(dense_matrix(X), g, rcond=None)[0]).reshape(7, 7)
     axis = np.arange(64) / 64
@@ -332,7 +366,7 @@ def oracle_check(config):
     fld = generate_random_field(config.b, rng)
     paths = generate_paths(config, rng)
     X = build_matrix(paths, config)
-    g = measure(fld, paths, config, rng)
+    g = measure(fld, X, paths, config, rng)
     dense = dense_matrix(X)
     assert np.abs(X.gram - dense.T @ dense).max() <= 1e-12 * len(dense)
     sv = np.linalg.svd(dense, compute_uv=False)
@@ -394,7 +428,7 @@ def test_unaware_error_does_not_grow_with_more_paths():
             fld = generate_random_field(2, rng)
             paths = generate_paths(config, rng)
             X = build_matrix(paths, config)
-            meas = measure(fld, paths, config, rng)
+            meas = measure(fld, X, paths, config, rng)
             errs.append(reconstruct_and_score(fld, X, meas))
         return np.mean(errs)
 

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -205,6 +206,24 @@ def test_random_walk_small_gamma_walks_longer():
     short_steps = _random_walks(starts, 0.2, rng).counts
     long_steps = _random_walks(starts, 0.01, rng).counts
     assert np.mean(long_steps) > np.mean(short_steps)
+
+
+# (m, gamma, seed) -> sha256 of a random-walk cell's points, rounded to 10
+# decimals as in test_stream (they go through sin/cos), and its offsets. Seed 3
+# at gamma = 0.02 has a walk of 7422 points, longer than sensing.BLOCK.
+WALK_DIGESTS = {
+    (49, 0.1, 1): "a58ace53a9cbf90ec7f45380e0476d5321409805a4fd428879aaed98b26b935e",
+    (392, 0.05, 2): "f1b55c1df386b55df3d3ed25139172964bf73cc4378aaeb200bc34e65f38a7f9",
+    (300, 0.02, 3): "e5fde91a6611c207f4ce5e4b5ee9ffd47fdcf5058a31607b8157f11c4188d6b6",
+}
+
+
+@pytest.mark.parametrize("m, gamma, seed", list(WALK_DIGESTS))
+def test_random_walks_are_pinned(m, gamma, seed):
+    paths = generate_paths(SchemeConfig(scheme=Scheme.RANDOM_WALK, m=m, gamma=gamma, seed=seed))
+    digest = hashlib.sha256(np.round(paths.points, 10).tobytes())
+    digest.update(paths.offsets.astype(np.int64).tobytes())
+    assert digest.hexdigest() == WALK_DIGESTS[m, gamma, seed]
 
 
 class _OutwardRng:

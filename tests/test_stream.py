@@ -19,7 +19,7 @@ import numpy as np
 
 from pathfield.field import BandlimitedField, generate_random_field
 from pathfield.paths import UNAWARE_SCHEMES, Scheme, SchemeConfig, generate_paths
-from pathfield.sensing import measure
+from pathfield.sensing import build_matrix, measure
 
 STREAM_DIGEST = "776db4090d561d0c95b7d66f879f7531d6bcccaaa90f66cdc9f556f6e318d8f0"
 
@@ -41,7 +41,7 @@ def stream_digest() -> str:
         paths = generate_paths(config, rng)
         # A zero field measures the noise draws alone, exactly.
         zero = BandlimitedField(b=b, coeffs=np.zeros_like(fld.coeffs))
-        noise = measure(zero, paths, config, rng)
+        noise = measure(zero, build_matrix(paths, config), paths, config, rng)
         digest.update(f"{scheme.value}:{aware}".encode())
         _update(digest, fld.coeffs.view(float))
         for sp in paths:

@@ -156,15 +156,18 @@ def test_spec_rejects_non_finite_values():
 def test_spec_rejects_a_cell_over_the_byte_budget(monkeypatch):
     # (b, multiple, budget): the cell's largest array takes one byte more
     # than the budget. b = 1, m = 18: mean rows 8 * 18 * 9 B. b = 1, m = n = 9:
-    # the Gram and the mean rows both take 648 B. b = 0, m = 2: points 32 B.
+    # the Gram and the mean rows both take 648 B. b = 0, m = 2: the points'
+    # phasors 64 B, twice the points' own 32 B.
     for b, mult, budget, what in ((1, 2.0, 1295, "1296 bytes for its m x n mean rows"),
                                   (1, 1.0, 647, "648 bytes for its n x n Gram"),
-                                  (0, 2.0, 31, "32 bytes for its sample points")):
+                                  (0, 2.0, 63, "64 bytes for its sample point phasors")):
         monkeypatch.setattr(sweep, "CELL_BYTES", budget + 1)
         quick_spec(b_values=[b], m_multiples=[mult])
         monkeypatch.setattr(sweep, "CELL_BYTES", budget)
         with pytest.raises(ConfigurationError, match=f"^cell \\(scattered, b={b}, .*{what}"):
             quick_spec(b_values=[b], m_multiples=[mult])
+    # `pathfield paths` builds no sensing, so it counts the points alone.
+    sweep.check_cell_bytes("paths", SchemeConfig(scheme=Scheme.SCATTERED, m=2, b=0), sensing=False)
 
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
