@@ -43,6 +43,8 @@ WALK_RETRIES = 200
 # Each of the k random walks still running draws max(16, WALK_ROUND // k)
 # steps per round: long rounds for the few heavy-tailed walks left at the end.
 WALK_ROUND = 1024
+# The most bytes a cell may ask for one array (`sweep.check_cell_bytes`).
+CELL_BYTES = 2 ** 30
 
 
 class ConfigurationError(ValueError):
@@ -238,7 +240,7 @@ def _gap_width(gamma: float) -> int:
 def _drawn_points(config: SchemeConfig) -> int:
     """The points `generate_paths` draws at once: m W gaps for lines, m p for
     directed walks and bee hives, m for scattered. A random walk's length is
-    random, so only its m starts are counted."""
+    random, so only its m starts are counted; `_random_walks` counts the rest."""
     if config.scheme in (Scheme.SCATTERED, Scheme.RANDOM_WALK):
         return config.m
     if config.scheme in (Scheme.BEE_HIVE, Scheme.DIRECTED_BOUNDARY, Scheme.DIRECTED_INNER):
@@ -284,7 +286,9 @@ def _random_walks(starts, gamma: float, rng: np.random.Generator) -> PathSet:
     is discarded, so all returned points are in-region. A walk whose first
     step leaves is re-rolled from its start, up to WALK_RETRIES times, so every
     walk has at least two points. The walks still running draw their steps
-    together, one round at a time.
+    together, one round at a time. Once the points kept would need more than
+    CELL_BYTES for their phasors, 32 B each, the walks stop with a
+    ConfigurationError: a small gamma has no other bound on their length.
     """
     m = len(starts)
     rows = np.arange(m)
@@ -292,6 +296,7 @@ def _random_walks(starts, gamma: float, rng: np.random.Generator) -> PathSet:
     moved = np.zeros(m, dtype=bool)  # has a point besides its start
     failures = np.zeros(m, dtype=np.int64)
     owner, xs, ys = [rows], [starts[:, 0]], [starts[:, 1]]
+    kept = m
     while rows.size:
         chunk = max(16, WALK_ROUND // rows.size)
         dx, dy = _step_axes(rng, gamma, (rows.size, chunk))
@@ -304,6 +309,11 @@ def _random_walks(starts, gamma: float, rng: np.random.Generator) -> PathSet:
         owner.append(np.broadcast_to(rows[:, None], keep.shape)[keep])
         xs.append(x[keep])
         ys.append(y[keep])
+        kept += len(xs[-1])
+        if 32 * kept > CELL_BYTES:
+            raise ConfigurationError(f"random walks at gamma={gamma:g} reached {kept} points, whose "
+                                     f"phasors need {32 * kept} bytes, over the {CELL_BYTES}-byte "
+                                     "budget")
         reroll = (exit_at == 0) & ~moved[rows]
         moved[rows] |= exit_at > 0
         failures[rows[reroll]] += 1

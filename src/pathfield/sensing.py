@@ -25,22 +25,19 @@ path's length. Point rows are never formed: R^T g and R^T (g - R a) rebuild the
 tables block by block. A value eigensolves its Gram at most once (`spectrum`).
 
 The field is real, so a phasor row's entries at (k, l) and (-k, -l) are
-conjugates. The operator works in real coordinates: R = X Q for the complex
-phasor matrix X and the unitary Q that pairs harmonic i of ``harmonics(b)``
-with its mirror n-1-i. With c = (n-1)/2 the index of (0, 0), the field's
-coefficients become Q* a = [sqrt 2 Re a_i; a_c; sqrt 2 Im a_i] over i < c, and a
-phasor row [sqrt 2 cos; 1; -sqrt 2 sin] of 2 pi (k x + l y). R has X's singular
-values and ||c - Q* a|| = ||Q c - a||, so kappa and the score mean what they
-mean in complex coordinates, while the Gram, its eigensolve and the solves are
-real. So is the kernel, one GEMM of the tables per block, whose quadrants CC,
-CS, SC, SS give D[u, +-v] = CC -+ SS + j (SC +- CS) for u, v >= 0. One index
-map per b (`_pairs`) reads real coordinate j off the raveled product P as
-w (P[i1] + s P[i2]): sqrt 2 (CC -+ SS) for a cosine, sqrt 2 (SC +- CS) for a
-sine and CC - SS at (0, 0). Its transpose, two bincounts, turns coordinates a
-into the real M with t_x M t_y^T = R a at each point (`real_sum`), the M that
-`fold` makes of the field's coefficients when `measure` evaluates the field.
-The point Gram reads Re D and Im D at 2b through the same pairs and mirrors
-them to u < 0.
+conjugates. The operator works in the real coordinates of the field module:
+R = X Q for the complex phasor matrix X and the unitary Q of
+``BandlimitedField.coordinates``, so a phasor row becomes
+[sqrt 2 cos; 1; -sqrt 2 sin] of 2 pi (k x + l y). R has X's singular values and
+||c - Q* a|| = ||Q c - a||, so kappa and the score mean what they mean in
+complex coordinates, while the Gram, its eigensolve and the solves are real.
+So is the kernel, one GEMM of the tables per block, whose quadrants give the
+complex product D[u, +-v] = CC -+ SS + j (SC +- CS) for u, v >= 0. One map
+serves every pass: `pairs` reads real coordinates off a product, and its
+transpose `coordinate_matrix` turns coordinates a into the M with
+t_x M t_y^T = R a at each point (`real_sum`), whether `measure` evaluates the
+field (a its coordinates) or R^T (g - R a) forms R a. The point Gram reads
+Re D and Im D at 2b through the same pairs and mirrors them to u < 0.
 The dense references, complex phasor rows and the whole of R, are `point_rows`
 and `dense_matrix` in ``tests/real_basis.py``.
 
@@ -64,7 +61,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .field import BandlimitedField, cos_sin, fold, harmonics, real_sum
+from .field import BandlimitedField, coordinate_matrix, cos_sin, harmonics, pairs, real_sum
 from .paths import (ConfigurationError, PathSet, Scheme, SchemeConfig, POINT_SCHEMES,
                     UNAWARE_SCHEMES)
 
@@ -97,34 +94,16 @@ SINGULAR_RATIO = 1e-7
 CORRECTION_KAPPA = 10.0
 CORRECTION_STEPS = 2
 
-_SQRT_2 = math.sqrt(2.0)
-
 
 def blocks(count: int):
     """Slices of BLOCK consecutive indices that cover range(count)."""
     return (slice(lo, min(lo + BLOCK, count)) for lo in range(0, count, BLOCK))
 
 
-@lru_cache
-def _pairs(b: int) -> tuple:
-    """The map from a kernel product to real coordinates at bandwidth b: the
-    (2b+2)^2 product P of the ``cos_sin`` tables, raveled, gives coordinate j as
-    w[j] (P[i1[j]] + s[j] P[i2[j]]). Returns read-only (i1, i2, s, w)."""
-    c, W = (2 * b + 1) ** 2 // 2, 2 * b + 2
-    u, v = harmonics(b)[::-1][:c + 1].T  # the mirrors n-1-i of i < c, then (0, 0)
-    cos, sin = u * W + abs(v), (b + 1 + u) * W + abs(v)  # CC, SC; SS, CS lie b+1 on
-    sign = np.where(v < 0, 1.0, -1.0)  # D[u, +-v] = CC -+ SS + j (SC +- CS)
-    i1, i2 = np.concatenate([cos, sin[:c]]), np.concatenate([sin, cos[:c]]) + b + 1
-    s, w = np.concatenate([sign, -sign[:c]]), np.where(np.arange(2 * c + 1) == c, 1.0, _SQRT_2)
-    for array in (i1, i2, s, w):
-        array.setflags(write=False)  # shared by every call at this b
-    return i1, i2, s, w
-
-
 def _pair_sums(prod: np.ndarray, b: int) -> np.ndarray:
     """P[i1] + s P[i2] over the last two axes of kernel products P: their real
-    coordinates before the weights w of `_pairs`."""
-    i1, i2, s, _ = _pairs(b)
+    coordinates before the weights w of `pairs`."""
+    i1, i2, s, _ = pairs(b)
     flat = prod.reshape(prod.shape[:-2] + (-1,))
     sums = flat[..., i2] * s
     sums += flat[..., i1]  # in place: a mean-row group's sums are its largest array
@@ -150,7 +129,7 @@ def _mean_rows(phasors: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
     counts = np.diff(offsets)
     order = np.argsort(counts, kind="stable")
     length = counts[order]
-    rows, w = np.empty((len(counts), (2 * b + 1) ** 2)), _pairs(b)[3]
+    rows, w = np.empty((len(counts), (2 * b + 1) ** 2)), pairs(b)[3]
     lo = 0
     while lo < len(order):
         # Paths lo..hi-1 padded to path hi-1's length fill at most BLOCK points.
@@ -204,7 +183,7 @@ class Sensing:
         # G[:c, c], read from d, with G[n-1-i, n-1-j] = conj(G[i, j]).
         parts = d[_gram_index(b)]
         c = len(parts) // 2
-        T, W, e = parts[:c], parts[c:-1], _SQRT_2 * parts[-1]
+        T, W, e = parts[:c], parts[c:-1], math.sqrt(2.0) * parts[-1]
         gram = np.empty((2 * c + 1, 2 * c + 1))
         np.add(T.real, W.real, out=gram[:c, :c])
         np.subtract(T.real, W.real, out=gram[c + 1:, c + 1:])
@@ -234,17 +213,14 @@ class Sensing:
         if self.rows is not None:
             return self.rows.T @ (g if a is None else g - self.rows @ a)
         b = (math.isqrt(self.shape[1]) - 1) // 2
-        i1, i2, s, w = _pairs(b)
-        size = (2 * b + 2) ** 2  # M from a through the map's transpose: t_x M t_y^T = R a
-        M = None if a is None else (np.bincount(i1, w * a, size)
-                                    + np.bincount(i2, w * s * a, size)).reshape(2 * b + 2, -1)
+        M = None if a is None else coordinate_matrix(a)  # t_x M t_y^T = R a
         acc = 0.0
         for block in blocks(self.shape[0]):
             tx, ty = cos_sin(self.phasors[block].T, b)
             r = g[block] if a is None else g[block] - real_sum(M, tx, ty)
             # R^T r = Re(Q^T X^T r) for real r, and X^T r = E_x^T diag(r) E_y.
             acc = acc + (tx.T * r) @ ty
-        return w * _pair_sums(acc, b)
+        return pairs(b)[3] * _pair_sums(acc, b)
 
 
 def _unaware_locations(paths: PathSet, scheme: Scheme) -> np.ndarray:
@@ -307,12 +283,12 @@ def measure(field: BandlimitedField, X: Sensing, paths: PathSet, config: SchemeC
     """
     averaging = config.scheme not in POINT_SCHEMES
     if averaging and config.location_aware and X.rows is not None:
-        values = X.rows @ _real_coordinates(field)
+        values = X.rows @ field.coordinates
         if config.noise_sigma > 0:
             noise = rng.normal(0.0, config.noise_sigma, size=len(paths.points))
             values = values + _path_means(noise, paths)
         return values
-    phasors, M = paths.phasors, fold(field.coeffs[field.b:])
+    phasors, M = paths.phasors, coordinate_matrix(field.coordinates)
     values = np.empty(len(phasors))
     for block in blocks(len(phasors)):
         values[block] = real_sum(M, *cos_sin(phasors[block].T, field.b))
@@ -325,14 +301,6 @@ def _path_means(values: np.ndarray, paths: PathSet) -> np.ndarray:
     """The mean of one value per sample point over each path."""
     owner = np.repeat(np.arange(len(paths)), paths.counts)
     return np.bincount(owner, weights=values) / paths.counts
-
-
-def _real_coordinates(field: BandlimitedField) -> np.ndarray:
-    """Q* a, the field's coefficients in the operator's real coordinates
-    (module docstring), read at the mirrors of the harmonics i < c."""
-    a, c = field.coeffs.ravel(), field.n // 2
-    h = a[:c:-1]
-    return np.concatenate([h.real * _SQRT_2, [a[c].real], -h.imag * _SQRT_2])
 
 
 def _kappa(eigenvalues) -> float:
@@ -372,5 +340,5 @@ def reconstruct_and_score(field: BandlimitedField, S: Sensing, g) -> float:
     estimate = np.linalg.solve(S.gram, S.adjoint(values))
     for _ in range(CORRECTION_STEPS if kappa > CORRECTION_KAPPA else 0):
         estimate += np.linalg.solve(S.gram, S.adjoint(values, estimate))
-    truth = _real_coordinates(field)
+    truth = field.coordinates
     return float(np.linalg.norm(estimate - truth) / np.linalg.norm(truth))

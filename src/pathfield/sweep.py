@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .field import generate_random_field
-from .paths import (ConfigurationError, Scheme, SchemeConfig, UNAWARE_SCHEMES, _drawn_points,
-                    generate_paths)
+from .paths import (CELL_BYTES, ConfigurationError, Scheme, SchemeConfig, UNAWARE_SCHEMES,
+                    _drawn_points, generate_paths)
 from .sensing import build_matrix, condition_number, measure, reconstruct_and_score
 
 __all__ = [
@@ -33,9 +33,6 @@ __all__ = [
 ]
 
 SCHEME_NAMES = [s.value for s in Scheme]
-
-# The most bytes a cell may ask for one array, judged from its b and m alone.
-CELL_BYTES = 2 ** 30
 
 
 @dataclass

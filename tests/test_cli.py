@@ -188,6 +188,17 @@ def test_sweep_all_singular_cell_is_excluded_and_warned(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_sweep_random_walk_cell_over_the_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # The settings admit the cell (its 72 starts fit); the walks refuse it as
+    # their points pass the budget, here 100 points' phasors.
+    monkeypatch.setattr("pathfield.paths.CELL_BYTES", 3200)
+    rc = main(["sweep", "--scheme", "random_walk", "--b", "1", "--m", "8", "--gamma", "0.1",
+               "--iters", "1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "random walks at gamma=0.1 reached" in err and "over the 3200-byte budget" in err
+
+
 def test_sweep_unaware_for_unsupported_scheme_is_usage_error(tmp_path, capsys):
     rc = main(["sweep", "--scheme", "random_walk", "--unaware", "--b", "1",
                "--m", "1.5", "--iters", "1", "--out", str(tmp_path / "out")])

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathfield.field import BandlimitedField, cos_sin, generate_random_field, harmonics
-from real_basis import point_rows, power_table
+from pathfield.field import (BandlimitedField, coordinate_matrix, cos_sin, generate_random_field,
+                             harmonics, real_sum)
+from real_basis import point_rows, power_table, real_coeffs
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -171,6 +172,23 @@ def test_half_tables_are_the_nonnegative_columns_of_the_full_tables():
     assert np.array_equal(cos_sin(u[4], 3), cos_sin(u, 3)[4])
 
 
+@pytest.mark.parametrize("b", range(5))
+def test_coordinates_are_the_dense_real_coefficients(b):
+    # Q* a read at the mirrors, against the dense unitary Q of tests/real_basis.py.
+    field = generate_random_field(b, np.random.default_rng(30 + b))
+    a = field.coeffs.ravel()
+    assert np.abs(field.coordinates - real_coeffs(a)).max() <= 1e-15 * np.abs(a).max()
+    with pytest.raises(ValueError):
+        field.coordinates[0] = 0.0
+
+
+def test_coordinate_matrix_at_b0_is_the_constant_field():
+    # The one coordinate at b = 0 is a[0, 0]; its M gives that value at every point.
+    u = np.exp(2j * np.pi * np.random.default_rng(31).uniform(-1.0, 2.0, (2, 50)))
+    assert np.array_equal(real_sum(coordinate_matrix(np.array([3.25])), *cos_sin(u, 0)),
+                          np.full(50, 3.25))
+
+
 # (x shape, y shape) pairs: scalars, one array against a scalar, and a broadcast grid.
 SHAPES = [((), ()), ((7,), ()), ((), (5,)), ((3, 1), (4,)), ((6,), (6,))]
 
@@ -178,9 +196,9 @@ SHAPES = [((), ()), ((7,), ()), ((), (5,)), ((3, 1), (4,)), ((6,), (6,))]
 @PROPERTY
 @given(b=st.integers(0, 6), seed=st.integers(0, 2**32 - 1), shapes=st.sampled_from(SHAPES))
 def test_evaluate_matches_the_full_table_oracle(b, seed, shapes):
-    # evaluate sums over the k >= 0 half of the x table with the k > 0 rows
-    # doubled; the oracle sums every (k, l) term of the same tables and drops
-    # the imaginary part.
+    # evaluate contracts the k >= 0 tables with the M of the field's real
+    # coordinates; the oracle sums every (k, l) term of the same tables and
+    # drops the imaginary part.
     rng = np.random.default_rng(seed)
     field = generate_random_field(b, rng)
     x, y = (rng.uniform(-1.0, 2.0, shape) if shape else float(rng.uniform(-1.0, 2.0))

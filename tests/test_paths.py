@@ -226,6 +226,21 @@ def test_random_walks_are_pinned(m, gamma, seed):
     assert digest.hexdigest() == WALK_DIGESTS[m, gamma, seed]
 
 
+def test_random_walks_stop_once_their_phasors_pass_the_cell_budget(monkeypatch):
+    # A walk's length is random, so the walks count their points as they draw
+    # them: one phasor byte over the budget refuses the cell, naming the budget
+    # and the count, and a budget that fits leaves the points as they are.
+    config = SchemeConfig(scheme=Scheme.RANDOM_WALK, m=49, gamma=0.1, seed=1)
+    points = generate_paths(config).points
+    total = len(points)
+    monkeypatch.setattr("pathfield.paths.CELL_BYTES", 32 * total - 1)
+    with pytest.raises(ConfigurationError, match=f"reached {total} points, whose phasors need "
+                                                 f"{32 * total} bytes, over the {32 * total - 1}-byte"):
+        generate_paths(config)
+    monkeypatch.setattr("pathfield.paths.CELL_BYTES", 32 * total)
+    assert np.array_equal(generate_paths(config).points, points)
+
+
 class _OutwardRng:
     """Stub generator whose every step points out of the region."""
 
