@@ -19,6 +19,7 @@ docstring states; no Python loop runs once per path.
 
 import csv
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -53,6 +54,11 @@ class ConfigurationError(ValueError):
 
 class PathGenerationError(RuntimeError):
     """Path generation exhausted its retry budget."""
+
+
+def _integer(value) -> bool:
+    """True for an integer that is not a bool; numpy integers pass."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class Scheme(Enum):
@@ -137,7 +143,8 @@ class PathSet:
     def phasors(self) -> np.ndarray:
         """exp(j 2 pi points), shape (P, 2): the one exponential per sample
         coordinate that every per-axis table of a trial is built from."""
-        phasors = np.exp(2j * np.pi * self.points)
+        phasors = 2j * np.pi * self.points
+        np.exp(phasors, out=phasors)
         phasors.setflags(write=False)
         return phasors
 
@@ -180,18 +187,18 @@ class SchemeConfig:
     def __post_init__(self):
         if not isinstance(self.scheme, Scheme):
             self.scheme = Scheme(self.scheme)
-        if self.m < 1:
-            raise ConfigurationError("m must be >= 1")
-        if self.b < 0:
-            raise ConfigurationError("b must be >= 0")
+        if not (_integer(self.m) and self.m >= 1):
+            raise ConfigurationError("m must be an integer >= 1")
+        if not (_integer(self.b) and self.b >= 0):
+            raise ConfigurationError("b must be an integer >= 0")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ConfigurationError("gamma must be finite and > 0")
-        if self.p < 2:
-            raise ConfigurationError("p must be >= 2")
+        if not (_integer(self.p) and self.p >= 2):
+            raise ConfigurationError("p must be an integer >= 2")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ConfigurationError("noise_sigma must be finite and >= 0")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
+        if not (_integer(self.seed) and self.seed >= 0):
+            raise ConfigurationError("seed must be an integer >= 0")
 
     @property
     def n(self) -> int:

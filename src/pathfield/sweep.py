@@ -19,7 +19,7 @@ import numpy as np
 
 from .field import generate_random_field
 from .paths import (CELL_BYTES, ConfigurationError, Scheme, SchemeConfig, UNAWARE_SCHEMES,
-                    _drawn_points, generate_paths)
+                    _drawn_points, _integer, generate_paths)
 from .sensing import build_matrix, condition_number, measure, reconstruct_and_score
 
 __all__ = [
@@ -57,8 +57,8 @@ class SweepSpec:
 
     def __post_init__(self):
         self.schemes = [s if isinstance(s, Scheme) else Scheme(s) for s in self.schemes]
-        for name in _RULES:
-            _check(name, getattr(self, name))
+        for key, (name, *_) in SETTINGS.items():
+            _check(key, getattr(self, name))
         if False in self.aware:
             unsupported = [s.value for s in self.schemes if s not in UNAWARE_SCHEMES]
             if unsupported:
@@ -98,7 +98,7 @@ class SweepSpec:
     @classmethod
     def from_text(cls, text: str, source: str = "<config>", overrides=()) -> "SweepSpec":
         """Parse a plain-text spec: one `key = value` per line, `#` comments,
-        comma-separated lists. Keys are those of CONFIG_KEYS. `overrides` holds
+        comma-separated lists. Keys are those of SETTINGS. `overrides` holds
         (origin, line) pairs in the same syntax but without comments, read
         after the text so that their values win. An error names the text's
         line, or the origin."""
@@ -113,11 +113,11 @@ class SweepSpec:
                 raise ConfigurationError(f"{where}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip().lower()
-            if key not in CONFIG_KEYS:
+            if key not in SETTINGS:
                 raise ConfigurationError(f"{where}: unknown key {key!r}")
-            name = CONFIG_KEYS[key]
+            name, parse, *_ = SETTINGS[key]
             try:
-                kwargs[name] = _check(name, _PARSERS[name](value.strip()))
+                kwargs[name] = _check(key, parse(value.strip()))
             except ValueError as exc:
                 raise ConfigurationError(f"{where}: {exc}") from None
         return cls(**kwargs)
@@ -154,44 +154,25 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-# Config key -> SweepSpec field; each field has one key.
-CONFIG_KEYS = {
-    "schemes": "schemes",
-    "b": "b_values",
-    "m_multiples": "m_multiples",
-    "gamma": "gamma_values",
-    "iterations": "iterations",
-    "seed": "base_seed",
-    "noise_sigma": "noise_sigma",
-    "aware": "aware",
-    "p": "p",
-    "reconstruct": "reconstruct",
-}
-# SweepSpec field -> parser of its config value; a bad value raises ValueError.
-_PARSERS = {
-    "schemes": parse_schemes,
-    "b_values": _list_of(int),
-    "m_multiples": _list_of(float),
-    "gamma_values": _list_of(float),
-    "iterations": int,
-    "base_seed": int,
-    "noise_sigma": float,
-    "aware": _list_of(_parse_bool),
-    "p": int,
-    "reconstruct": _parse_bool,
-}
-# SweepSpec field -> (test its value must pass, message when it fails).
-_RULES = {
-    "schemes": (bool, "at least one scheme is required"),
-    "b_values": (lambda v: v and all(b >= 0 for b in v), "b values must be >= 0"),
-    "m_multiples": (lambda v: v and all(1.0 <= mult < math.inf for mult in v),
+# Config key -> (its one SweepSpec field, parser of its value (ValueError if bad),
+# test the value must pass or None, message when it fails), in check order.
+SETTINGS = {
+    "schemes": ("schemes", parse_schemes, bool, "at least one scheme is required"),
+    "b": ("b_values", _list_of(int), lambda v: v and all(_integer(b) and b >= 0 for b in v),
+          "b values must be integers >= 0"),
+    "m_multiples": ("m_multiples", _list_of(float),
+                    lambda v: v and all(1.0 <= mult < math.inf for mult in v),
                     "m multiples must be finite and >= 1 (m >= n keeps the system solvable)"),
-    "gamma_values": (lambda v: v and all(0 < g < math.inf for g in v),
-                     "gamma values must be finite and > 0"),
-    "iterations": (lambda v: v >= 1, "iterations must be >= 1"),
-    "aware": (bool, "at least one awareness flag is required"),
-    "p": (lambda v: v >= 2, "p must be >= 2"),
-    "noise_sigma": (lambda v: 0 <= v < math.inf, "noise_sigma must be finite and >= 0"),
+    "gamma": ("gamma_values", _list_of(float), lambda v: v and all(0 < g < math.inf for g in v),
+              "gamma values must be finite and > 0"),
+    "iterations": ("iterations", int, lambda v: _integer(v) and v >= 1,
+                   "iterations must be an integer >= 1"),
+    "aware": ("aware", _list_of(_parse_bool), bool, "at least one awareness flag is required"),
+    "p": ("p", int, lambda v: _integer(v) and v >= 2, "p must be an integer >= 2"),
+    "noise_sigma": ("noise_sigma", float, lambda v: 0 <= v < math.inf,
+                    "noise_sigma must be finite and >= 0"),
+    "seed": ("base_seed", int, _integer, "seed must be an integer"),
+    "reconstruct": ("reconstruct", _parse_bool, None, None),
 }
 
 
@@ -211,11 +192,12 @@ def check_cell_bytes(name: str, config: SchemeConfig, sensing: bool) -> None:
                                      f"over the {CELL_BYTES}-byte budget")
 
 
-def _check(name: str, value):
-    """The value, if it passes its field's rule in _RULES (fields without
-    one always pass); else a ConfigurationError with the rule's message."""
-    if name in _RULES and not _RULES[name][0](value):
-        raise ConfigurationError(_RULES[name][1])
+def _check(key: str, value):
+    """The value, if it passes the test of its SETTINGS row (a row without
+    one always passes); else a ConfigurationError with the row's message."""
+    _, _, test, message = SETTINGS[key]
+    if test is not None and not test(value):
+        raise ConfigurationError(message)
     return value
 
 

@@ -310,6 +310,24 @@ def test_config_validation_errors():
         SchemeConfig(scheme=Scheme.SCATTERED, m=5, seed=-1)
 
 
+@pytest.mark.parametrize("setting", [dict(m=2.5), dict(b=1.5), dict(p=3.5), dict(seed=1.5),
+                                     dict(m=True), dict(b=True), dict(p=True), dict(seed=True)],
+                         ids=repr)
+def test_config_integer_settings_refuse_floats_and_bools(setting):
+    # A float would fail deep inside numpy with a TypeError, or pass silently.
+    (name,) = setting
+    with pytest.raises(ConfigurationError, match=f"^{name} must be an integer"):
+        SchemeConfig(scheme=Scheme.SCATTERED, **{"m": 5, **setting})
+
+
+def test_config_accepts_numpy_integers():
+    config = SchemeConfig(scheme=Scheme.DIRECTED_INNER, m=np.int64(3), b=np.int32(1),
+                          p=np.int64(4), seed=np.uint8(2))
+    paths = generate_paths(config)
+    assert np.array_equal(paths.points, generate_paths(
+        SchemeConfig(scheme=Scheme.DIRECTED_INNER, m=3, b=1, p=4, seed=2)).points)
+
+
 def test_config_accepts_scheme_name_string():
     config = SchemeConfig(scheme="bee_hive", m=3)
     assert config.scheme is Scheme.BEE_HIVE

@@ -3,10 +3,12 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pathfield
 from pathfield import cli
+from pathfield.sweep import SETTINGS, SweepSpec
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -28,3 +30,14 @@ def test_readme_cli_examples_parse():
     parser = cli.build_parser()
     for argv in lines:
         parser.parse_args(argv[1:])
+
+
+def test_each_setting_has_one_key_one_flag_and_a_readme_entry():
+    # Every SweepSpec field is the field of exactly one SETTINGS row, every
+    # config key has one sweep flag and no flag sets anything else, and the
+    # README names every key and flag.
+    assert sorted(row[0] for row in SETTINGS.values()) == sorted(f.name for f in fields(SweepSpec))
+    assert sorted(cli.SWEEP_FLAGS.values()) == sorted(SETTINGS)
+    readme = README.read_text()
+    missing = [name for name in [*SETTINGS, *cli.SWEEP_FLAGS] if f"`{name}`" not in readme]
+    assert not missing

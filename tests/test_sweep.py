@@ -153,6 +153,23 @@ def test_spec_rejects_non_finite_values():
         quick_spec(m_multiples=[math.inf])
 
 
+@pytest.mark.parametrize("setting", [
+    dict(b_values=[True]), dict(b_values=[1.5]), dict(iterations=2.5), dict(iterations=True),
+    dict(p=2.5), dict(p=True), dict(base_seed=1.5), dict(base_seed=True)], ids=repr)
+def test_spec_integer_settings_refuse_floats_and_bools(setting):
+    # b = True would reach the CSV as "True", which from_csv_text refuses; a
+    # float would fail deep inside numpy with a TypeError, or pass silently.
+    with pytest.raises(ConfigurationError, match=r"must be (an integer|integers)\b"):
+        quick_spec(**setting)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = quick_spec(b_values=[np.int64(1)], iterations=np.int64(2), p=np.int64(4),
+                      base_seed=np.int64(3))
+    plain = quick_spec(b_values=[1], iterations=2, p=4, base_seed=3)
+    assert run_sweep(spec).to_csv_text() == run_sweep(plain).to_csv_text()
+
+
 def test_spec_rejects_a_cell_over_the_byte_budget(monkeypatch):
     # (b, multiple, budget): the cell's largest array takes one byte more
     # than the budget. b = 1, m = 18: mean rows 8 * 18 * 9 B. b = 1, m = n = 9:
