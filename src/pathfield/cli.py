@@ -8,9 +8,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .paths import ConfigurationError, SchemeConfig, generate_paths, paths_to_csv
-from .sweep import (RESULT_HEADER, SCHEME_NAMES, SweepResult, SweepSpec, check_cell_bytes,
-                    parse_schemes, rank_schemes, run_sweep)
+from .paths import ConfigurationError, SchemeConfig, check_cell_bytes, generate_paths, paths_to_csv
+from .sweep import (RESULT_HEADER, SCHEME_NAMES, SweepResult, SweepSpec, parse_schemes,
+                    rank_schemes, run_sweep)
 from .svgplot import NoFiniteValues, condition_svg, trajectory_svg
 
 PATHS_CSV = "paths_{scheme}.csv"

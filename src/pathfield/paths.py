@@ -44,7 +44,7 @@ WALK_RETRIES = 200
 # Each of the k random walks still running draws max(16, WALK_ROUND // k)
 # steps per round: long rounds for the few heavy-tailed walks left at the end.
 WALK_ROUND = 1024
-# The most bytes a cell may ask for one array (`sweep.check_cell_bytes`).
+# The most bytes a cell may ask for one array (`check_cell_bytes`, `_random_walks`).
 CELL_BYTES = 2 ** 30
 
 
@@ -231,12 +231,6 @@ def _step_axes(rng: np.random.Generator, gamma: float, shape: tuple) -> tuple:
     return d * np.cos(theta), d * np.sin(theta)
 
 
-def _pointset(owner: np.ndarray, points: np.ndarray, m: int, **meta) -> PathSet:
-    """The PathSet of points tagged with their path, each path's in order."""
-    order = np.argsort(owner, kind="stable")
-    return PathSet(points[order], np.r_[0, np.cumsum(np.bincount(owner, minlength=m))], **meta)
-
-
 def _gap_width(gamma: float) -> int:
     """W = ceil(2.5 sqrt(2) / gamma) + 16 gaps per line (mean spacing gamma/2,
     chords up to sqrt(2)); a gamma so small that the ratio overflows counts as
@@ -244,15 +238,28 @@ def _gap_width(gamma: float) -> int:
     return math.ceil(min(2.5 * math.sqrt(2.0) / gamma, sys.float_info.max)) + 16
 
 
-def _drawn_points(config: SchemeConfig) -> int:
-    """The points `generate_paths` draws at once: m W gaps for lines, m p for
-    directed walks and bee hives, m for scattered. A random walk's length is
-    random, so only its m starts are counted; `_random_walks` counts the rest."""
-    if config.scheme in (Scheme.SCATTERED, Scheme.RANDOM_WALK):
-        return config.m
-    if config.scheme in (Scheme.BEE_HIVE, Scheme.DIRECTED_BOUNDARY, Scheme.DIRECTED_INNER):
-        return config.m * config.p
-    return config.m * _gap_width(config.gamma)
+def check_cell_bytes(name: str, config: SchemeConfig, sensing: bool) -> None:
+    """Refuse, from its settings alone, a cell that would ask for one array over
+    CELL_BYTES. With `sensing` it builds an n x n Gram and, for averaging schemes,
+    m x n mean rows (8 B an entry), and its points' phasors (32 B each). Its
+    sample points take 16 B each, counted as `generate_paths` draws them: m W
+    gaps for lines, m p for directed walks and bee hives, m for scattered. A
+    random walk's length is random, so only its m starts count; `_random_walks`
+    stops the rest."""
+    n, m, scheme = config.n, config.m, config.scheme
+    if scheme in (Scheme.SCATTERED, Scheme.RANDOM_WALK):
+        drawn = m
+    elif scheme in (Scheme.BEE_HIVE, Scheme.DIRECTED_BOUNDARY, Scheme.DIRECTED_INNER):
+        drawn = m * config.p
+    else:
+        drawn = m * _gap_width(config.gamma)
+    arrays = (("n x n Gram", 8 * n * n, sensing),
+              ("m x n mean rows", 8 * m * n, sensing and scheme not in POINT_SCHEMES),
+              ("sample points", 16 * drawn, True), ("sample point phasors", 32 * drawn, sensing))
+    for what, size, built in arrays:
+        if built and size > CELL_BYTES:
+            raise ConfigurationError(f"{name} needs {size} bytes for its {what}, "
+                                     f"over the {CELL_BYTES}-byte budget")
 
 
 def _line_paths(starts, ends, gamma: float, rng: np.random.Generator) -> PathSet:
@@ -330,8 +337,15 @@ def _random_walks(starts, gamma: float, rng: np.random.Generator) -> PathSet:
                 f"immediately ({WALK_RETRIES} attempts, gamma={gamma})")
         x0[rows[stay]], y0[rows[stay]] = x[stay, -1], y[stay, -1]
         rows = rows[stay | reroll]
-    points = np.column_stack([np.concatenate(xs), np.concatenate(ys)])
-    return _pointset(np.concatenate(owner), points, m)
+    owner = np.concatenate(owner)
+    order, counts = np.argsort(owner, kind="stable"), np.bincount(owner, minlength=m)
+    del owner
+    points = np.empty((len(order), 2))
+    for axis, rounds in enumerate((xs, ys)):  # one axis at a time, each path's in order
+        coords = np.concatenate(rounds)
+        rounds.clear()
+        points[:, axis] = coords[order]
+    return PathSet(points, np.r_[0, np.cumsum(counts)])
 
 
 def _directed_walks(starts, ends, p: int, gamma: float, rng: np.random.Generator,

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .field import generate_random_field
-from .paths import (CELL_BYTES, ConfigurationError, Scheme, SchemeConfig, UNAWARE_SCHEMES,
-                    _drawn_points, _integer, generate_paths)
+from .paths import (ConfigurationError, Scheme, SchemeConfig, UNAWARE_SCHEMES, _integer,
+                    check_cell_bytes, generate_paths)
 from .sensing import build_matrix, condition_number, measure, reconstruct_and_score
 
 __all__ = [
@@ -154,50 +154,45 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
+def _flag(value) -> bool:
+    """True for a bool or a numpy bool."""
+    return isinstance(value, (bool, np.bool_))
+
+
 # Config key -> (its one SweepSpec field, parser of its value (ValueError if bad),
-# test the value must pass or None, message when it fails), in check order.
+# then each (test the value must pass, message when it fails)), in check order.
 SETTINGS = {
-    "schemes": ("schemes", parse_schemes, bool, "at least one scheme is required"),
-    "b": ("b_values", _list_of(int), lambda v: v and all(_integer(b) and b >= 0 for b in v),
-          "b values must be integers >= 0"),
+    "schemes": ("schemes", parse_schemes, (bool, "at least one scheme is required")),
+    "b": ("b_values", _list_of(int), (lambda v: v and all(_integer(b) and b >= 0 for b in v),
+                                      "b values must be integers >= 0")),
     "m_multiples": ("m_multiples", _list_of(float),
-                    lambda v: v and all(1.0 <= mult < math.inf for mult in v),
-                    "m multiples must be finite and >= 1 (m >= n keeps the system solvable)"),
-    "gamma": ("gamma_values", _list_of(float), lambda v: v and all(0 < g < math.inf for g in v),
-              "gamma values must be finite and > 0"),
-    "iterations": ("iterations", int, lambda v: _integer(v) and v >= 1,
-                   "iterations must be an integer >= 1"),
-    "aware": ("aware", _list_of(_parse_bool), bool, "at least one awareness flag is required"),
-    "p": ("p", int, lambda v: _integer(v) and v >= 2, "p must be an integer >= 2"),
-    "noise_sigma": ("noise_sigma", float, lambda v: 0 <= v < math.inf,
-                    "noise_sigma must be finite and >= 0"),
-    "seed": ("base_seed", int, _integer, "seed must be an integer"),
-    "reconstruct": ("reconstruct", _parse_bool, None, None),
+                    (lambda v: v and all(1.0 <= mult < math.inf for mult in v),
+                     "m multiples must be finite and >= 1 (m >= n keeps the system solvable)"),
+                    (lambda v: not any(map(_flag, v)),
+                     "m multiples must be numbers, not booleans")),
+    "gamma": ("gamma_values", _list_of(float),
+              (lambda v: v and all(0 < g < math.inf for g in v),
+               "gamma values must be finite and > 0"),
+              (lambda v: not any(map(_flag, v)), "gamma values must be numbers, not booleans")),
+    "iterations": ("iterations", int, (lambda v: _integer(v) and v >= 1,
+                                       "iterations must be an integer >= 1")),
+    "aware": ("aware", _list_of(_parse_bool), (bool, "at least one awareness flag is required"),
+              (lambda v: all(map(_flag, v)), "awareness flags must be booleans")),
+    "p": ("p", int, (lambda v: _integer(v) and v >= 2, "p must be an integer >= 2")),
+    "noise_sigma": ("noise_sigma", float,
+                    (lambda v: 0 <= v < math.inf, "noise_sigma must be finite and >= 0"),
+                    (lambda v: not _flag(v), "noise_sigma must be a number, not a boolean")),
+    "seed": ("base_seed", int, (_integer, "seed must be an integer")),
+    "reconstruct": ("reconstruct", _parse_bool, (_flag, "reconstruct must be a boolean")),
 }
 
 
-def check_cell_bytes(name: str, config: SchemeConfig, sensing: bool) -> None:
-    """Refuse, from its settings alone, a cell that would ask for one array over
-    CELL_BYTES: its sample points at 16 B each (as `generate_paths` draws them)
-    and, when it builds `sensing`, their phasors at 32 B each, its n x n Gram
-    and its m x n mean rows at 8 B."""
-    n, m, drawn = config.n, config.m, _drawn_points(config)
-    arrays = [("n x n Gram", 8 * n * n), ("m x n mean rows", 8 * m * n)] if sensing else []
-    arrays.append(("sample points", 16 * drawn))
-    if sensing:
-        arrays.append(("sample point phasors", 32 * drawn))
-    for what, size in arrays:
-        if size > CELL_BYTES:
-            raise ConfigurationError(f"{name} needs {size} bytes for its {what}, "
-                                     f"over the {CELL_BYTES}-byte budget")
-
-
 def _check(key: str, value):
-    """The value, if it passes the test of its SETTINGS row (a row without
-    one always passes); else a ConfigurationError with the row's message."""
-    _, _, test, message = SETTINGS[key]
-    if test is not None and not test(value):
-        raise ConfigurationError(message)
+    """The value, if it passes every test of its SETTINGS row; else a
+    ConfigurationError with the message of the first test it fails."""
+    for test, message in SETTINGS[key][2:]:
+        if not test(value):
+            raise ConfigurationError(message)
     return value
 
 

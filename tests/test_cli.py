@@ -1,10 +1,13 @@
 import csv
+import re
 from pathlib import Path
 
 import pytest
 
 from pathfield.cli import main
-from pathfield.paths import UNAWARE_SCHEMES, Scheme
+from pathfield.paths import (UNAWARE_SCHEMES, ConfigurationError, Scheme, SchemeConfig,
+                             generate_paths)
+from pathfield.sweep import SweepSpec
 
 
 def read_paths_csv(path):
@@ -146,11 +149,17 @@ def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
          ["m multiple 1e+308", "b=3", "not finite"]),
         (["--m", "1.5,q"], ["error: --m:"]),
         # Over the byte budget: refused from b and m alone, before any array exists.
-        (["--m", "1e6", "--b", "10", "--scheme", "scattered", "--iters", "1"],
-         ["cell (scattered, b=10, m=441000000, gamma=0.05)", "1555848000000 bytes",
+        # An averaging cell is judged by its mean rows, a point cell by its points.
+        (["--m", "1e6", "--b", "10", "--scheme", "line_boundary_avg", "--iters", "1"],
+         ["cell (line_boundary_avg, b=10, m=441000000, gamma=0.05)", "1555848000000 bytes",
           "m x n mean rows"]),
+        (["--m", "1e6", "--b", "10", "--scheme", "scattered", "--iters", "1"],
+         ["cell (scattered, b=10, m=441000000, gamma=0.05) needs 7056000000 bytes for its "
+          "sample points, over the 1073741824-byte budget"]),
         (["--m", "1e308", "--b", "0", "--scheme", "scattered", "--iters", "1"],
-         ["cell (scattered, b=0, m=1000", "bytes for its m x n mean rows"]),
+         ["cell (scattered, b=0, m=1000", "bytes for its sample points"]),
+        (["--m", "1e308", "--b", "0", "--scheme", "bee_hive", "--iters", "1"],
+         ["cell (bee_hive, b=0, m=1000", "bytes for its m x n mean rows"]),
         (["--scheme", "line_boundary_points", "--gamma", "1e-15", "--iters", "1"],
          ["cell (line_boundary_points, b=3, m=74, gamma=1e-15) needs", "sample points"]),
         (["--scheme", "zigzag"], ["error: --scheme:", "scattered"]),
@@ -189,14 +198,38 @@ def test_sweep_all_singular_cell_is_excluded_and_warned(tmp_path, capsys):
 
 
 def test_sweep_random_walk_cell_over_the_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # The settings admit the cell (its 72 starts fit); the walks refuse it as
-    # their points pass the budget, here 100 points' phasors.
-    monkeypatch.setattr("pathfield.paths.CELL_BYTES", 3200)
-    rc = main(["sweep", "--scheme", "random_walk", "--b", "1", "--m", "8", "--gamma", "0.1",
-               "--iters", "1", "--out", str(tmp_path / "out")])
+    # The settings admit the cell: its largest up-front array, 5184 B of mean
+    # rows (b = 1, m = 72), fits the 6400-byte budget. The walks refuse it as
+    # their points pass the budget, here 200 points' phasors; the trial's
+    # walks reach 797 points when unbounded.
+    monkeypatch.setattr("pathfield.paths.CELL_BYTES", 6400)
+    argv = ["--scheme", "random_walk", "--b", "1", "--m", "8", "--gamma", "0.1", "--iters", "1"]
+    rc = main(["sweep", *argv, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "random walks at gamma=0.1 reached" in err and "over the 3200-byte budget" in err
+    assert re.fullmatch(r"error: random walks at gamma=0\.1 reached (\d+) points, whose phasors "
+                        r"need (\d+) bytes, over the 6400-byte budget\n", err), err
+    points, size = map(int, re.search(r"reached (\d+) .* need (\d+)", err).groups())
+    assert 200 < points <= 797 and size == 32 * points
+
+
+def test_one_budget_serves_sweeps_paths_and_walks(tmp_path, capsys, monkeypatch):
+    # paths.CELL_BYTES is the one budget: lowering it alone refuses a sweep
+    # cell up front, a `pathfield paths` cell up front, and random walks as
+    # they grow.
+    monkeypatch.setattr("pathfield.paths.CELL_BYTES", 1000)
+    with pytest.raises(ConfigurationError, match=r"^cell \(scattered, b=3, m=392, gamma=0\.05\) "
+                                                 r"needs 19208 bytes for its n x n Gram, over the "
+                                                 r"1000-byte budget$"):
+        SweepSpec(schemes=[Scheme.SCATTERED], b_values=[3], m_multiples=[8.0])
+    out = tmp_path / "out"
+    assert main(["paths", "--scheme", "scattered", "--m", "100", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: cell (scattered, m=100, gamma=0.05) needs 1600 "
+                                       "bytes for its sample points, over the 1000-byte budget\n")
+    assert not out.exists()
+    with pytest.raises(ConfigurationError, match="^random walks at gamma=0.1 reached .* "
+                                                 "over the 1000-byte budget$"):
+        generate_paths(SchemeConfig(scheme=Scheme.RANDOM_WALK, m=20, gamma=0.1))
 
 
 def test_sweep_unaware_for_unsupported_scheme_is_usage_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -239,6 +240,20 @@ def test_random_walks_stop_once_their_phasors_pass_the_cell_budget(monkeypatch):
         generate_paths(config)
     monkeypatch.setattr("pathfield.paths.CELL_BYTES", 32 * total)
     assert np.array_equal(generate_paths(config).points, points)
+
+
+def test_random_walks_peak_below_four_times_their_points():
+    # The walks keep each round's points per axis and gather them into one
+    # (P, 2) array, one axis at a time, so the peak stays under 4x the
+    # points' own 16 B each.
+    config = SchemeConfig(scheme=Scheme.RANDOM_WALK, m=392, b=3, gamma=0.05, seed=7)
+    tracemalloc.start()
+    try:
+        points = generate_paths(config).points
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0 * points.nbytes
 
 
 class _OutwardRng:

@@ -11,7 +11,8 @@ import pytest
 
 import pathfield
 from pathfield import sweep
-from pathfield.paths import ConfigurationError, Scheme, SchemeConfig, generate_paths
+from pathfield.paths import (ConfigurationError, Scheme, SchemeConfig, check_cell_bytes,
+                             generate_paths)
 from pathfield.sensing import CORRECTION_KAPPA, CORRECTION_STEPS
 from pathfield.sweep import (
     CellResult,
@@ -163,6 +164,31 @@ def test_spec_integer_settings_refuse_floats_and_bools(setting):
         quick_spec(**setting)
 
 
+@pytest.mark.parametrize("setting, message", [
+    (dict(reconstruct="false"), "reconstruct must be a boolean"),
+    (dict(aware=["yes"]), "awareness flags must be booleans"),
+    (dict(m_multiples=[True]), "m multiples must be numbers, not booleans"),
+    (dict(gamma_values=[True]), "gamma values must be numbers, not booleans"),
+    (dict(noise_sigma=True), "noise_sigma must be a number, not a boolean")], ids=repr)
+def test_spec_refuses_settings_of_the_wrong_type(setting, message):
+    # Unchecked, each would be read as its truth value or as 1:
+    # reconstruct="false" would run the solve, aware=["yes"] would write true,
+    # and a True multiple, gamma or sigma would run as 1. The config parsers
+    # never produce these, so only library callers can pass them.
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        quick_spec(**setting)
+
+
+def test_spec_type_tests_follow_the_value_tests():
+    # A value the older tests refuse keeps its message; numpy bools are bools.
+    with pytest.raises(ConfigurationError, match="^m multiples must be finite"):
+        quick_spec(m_multiples=[0.5, True])
+    with pytest.raises(ConfigurationError, match="^at least one awareness flag"):
+        quick_spec(aware=[])
+    spec = quick_spec(aware=[np.True_], reconstruct=np.False_)
+    assert run_sweep(spec).to_csv_text() == run_sweep(quick_spec(reconstruct=False)).to_csv_text()
+
+
 def test_spec_accepts_numpy_integers():
     spec = quick_spec(b_values=[np.int64(1)], iterations=np.int64(2), p=np.int64(4),
                       base_seed=np.int64(3))
@@ -171,20 +197,39 @@ def test_spec_accepts_numpy_integers():
 
 
 def test_spec_rejects_a_cell_over_the_byte_budget(monkeypatch):
-    # (b, multiple, budget): the cell's largest array takes one byte more
-    # than the budget. b = 1, m = 18: mean rows 8 * 18 * 9 B. b = 1, m = n = 9:
-    # the Gram and the mean rows both take 648 B. b = 0, m = 2: the points'
-    # phasors 64 B, twice the points' own 32 B.
-    for b, mult, budget, what in ((1, 2.0, 1295, "1296 bytes for its m x n mean rows"),
-                                  (1, 1.0, 647, "648 bytes for its n x n Gram"),
-                                  (0, 2.0, 63, "64 bytes for its sample point phasors")):
-        monkeypatch.setattr(sweep, "CELL_BYTES", budget + 1)
-        quick_spec(b_values=[b], m_multiples=[mult])
-        monkeypatch.setattr(sweep, "CELL_BYTES", budget)
-        with pytest.raises(ConfigurationError, match=f"^cell \\(scattered, b={b}, .*{what}"):
-            quick_spec(b_values=[b], m_multiples=[mult])
+    # (scheme, b, multiple, budget): the largest array the cell builds takes
+    # one byte more than `paths.CELL_BYTES`, the one budget. A point scheme
+    # builds no mean rows, so scattered at b = 1, m = 18 is judged by its Gram,
+    # 8 * 9 * 9 B, not by 8 * 18 * 9 B of rows. Directed walks with p = 2 at
+    # b = 2, m = 50 draw 100 points, and their mean rows, 8 * 50 * 25 B, are
+    # the largest array; at m = n = 25 the Gram and the rows tie, and the
+    # Gram is named first. b = 0, m = 2: the points' phasors 64 B, twice the
+    # points' own 32 B.
+    for scheme, b, mult, budget, what in (
+            (Scheme.SCATTERED, 1, 2.0, 647, "648 bytes for its n x n Gram"),
+            (Scheme.DIRECTED_INNER, 2, 2.0, 9999, "10000 bytes for its m x n mean rows"),
+            (Scheme.DIRECTED_INNER, 2, 1.0, 4999, "5000 bytes for its n x n Gram"),
+            (Scheme.SCATTERED, 0, 2.0, 63, "64 bytes for its sample point phasors")):
+        spec = dict(schemes=[scheme], b_values=[b], m_multiples=[mult], p=2)
+        monkeypatch.setattr("pathfield.paths.CELL_BYTES", budget + 1)
+        quick_spec(**spec)
+        monkeypatch.setattr("pathfield.paths.CELL_BYTES", budget)
+        with pytest.raises(ConfigurationError,
+                           match=f"^cell \\({scheme.value}, b={b}, .*{what}, over the "
+                                 f"{budget}-byte budget$"):
+            quick_spec(**spec)
     # `pathfield paths` builds no sensing, so it counts the points alone.
-    sweep.check_cell_bytes("paths", SchemeConfig(scheme=Scheme.SCATTERED, m=2, b=0), sensing=False)
+    check_cell_bytes("paths", SchemeConfig(scheme=Scheme.SCATTERED, m=2, b=0), sensing=False)
+    with pytest.raises(ConfigurationError, match="^paths needs 96 bytes for its sample points"):
+        check_cell_bytes("paths", SchemeConfig(scheme=Scheme.SCATTERED, m=6, b=0), sensing=False)
+
+
+def test_spec_admits_a_point_cell_whose_mean_rows_it_never_builds():
+    # Scattered at b = 40, m = 8n: its Gram takes 344 MB, inside the 1 GiB
+    # budget; the m x n mean rows an averaging scheme would build take 2.75 GB.
+    SweepSpec(schemes=[Scheme.SCATTERED], b_values=[40], m_multiples=[8.0])
+    with pytest.raises(ConfigurationError, match="2754990144 bytes for its m x n mean rows"):
+        SweepSpec(schemes=[Scheme.LINE_BOUNDARY_AVG], b_values=[40], m_multiples=[8.0])
 
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
