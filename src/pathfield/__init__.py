@@ -1,6 +1,6 @@
 """Random-path mobile sensing simulator for 2D bandlimited fields."""
 
-from .field import BandlimitedField, generate_random_field, harmonics
+from .field import BandlimitedField, generate_random_field
 from .paths import (
     ConfigurationError,
     PathGenerationError,

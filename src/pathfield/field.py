@@ -9,16 +9,18 @@ is real valued on the whole plane. A bandwidth-b field carries (2b+1)^2
 independent real parameters. The series is 1-periodic in both coordinates, so
 evaluation outside the unit square uses the periodic extension.
 
-This module owns the real basis every other module works in. Harmonic i of
-``harmonics(b)`` pairs with its mirror n-1-i, and with c = (n-1)/2 the index of
-(0, 0) the coefficients' real coordinates are ``BandlimitedField.coordinates``,
-Q* a = [sqrt 2 Re a_i; a_c; sqrt 2 Im a_i] over i < c. `cos_sin` makes the real
-per-axis tables cos 2 pi k t and sin 2 pi k t, k = 0..K, from powers of the
-phasors u = exp(j 2 pi t). One index map per b (`pairs`) reads real coordinates
-off the product of two such tables, and its transpose (`coordinate_matrix`)
-turns coordinates into the matrix M with t_x M t_y^T their series at each point
-(`real_sum`): `evaluate`, sensing's readings and its R a share that M. The
-dense Q and complex series they are checked against are ``tests/real_basis.py``.
+This module owns the real basis every other module works in: the tensor
+product phi_i(x) phi_j(y) of one orthonormal basis per axis,
+phi = [1, sqrt 2 cos 2 pi k t, sqrt 2 sin 2 pi k t] for k = 1..b. `cos_sin`
+makes the per-axis table t = [1, cos 2 pi k t, sin 2 pi k t] from powers of the
+phasor u = exp(j 2 pi t), so the basis at a point is the outer product
+t_x^T t_y scaled by W = w^T w, w = [1, sqrt 2, ..., sqrt 2] (`weights`). With
+the per-axis unitary V of exp(j 2 pi k t) = sum_i V[i, k] phi_i(t), a field's
+real coordinates are T = Re(V a V^T) (``BandlimitedField.coordinates``), and
+its value at a point is t_x (W * T) t_y^T (`real_sum`). A product of two
+entries of one table is a sum of entries of the table at twice the bandwidth
+(`product_map`). The dense Q = (V kron V)* and complex series all this is
+checked against are ``tests/real_basis.py``.
 """
 
 import math
@@ -27,75 +29,82 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-__all__ = ["BandlimitedField", "coordinate_matrix", "cos_sin", "generate_random_field", "harmonics",
-           "pairs", "real_sum"]
+__all__ = ["BandlimitedField", "cos_sin", "generate_random_field", "product_map", "real_sum",
+           "weights"]
 
 _SQRT_2 = math.sqrt(2.0)
 
 
-def harmonics(b: int) -> np.ndarray:
-    """All (k, l) harmonic pairs of a bandwidth-b field, shape ((2b+1)^2, 2).
-
-    Row-major with k as the outer index, k and l each running -b..b: the
-    order of ``BandlimitedField.coeffs.ravel()``. The real coordinates pair
-    harmonic i with its mirror n-1-i (`pairs`).
-    """
-    if b < 0:
-        raise ValueError("bandwidth b must be >= 0")
-    k = np.arange(-b, b + 1)
-    kk, ll = np.meshgrid(k, k, indexing="ij")
-    return np.column_stack([kk.ravel(), ll.ravel()])
-
-
 def cos_sin(u, K: int) -> np.ndarray:
-    """Real per-axis table [cos 2 pi k t; sin 2 pi k t] for k = 0..K from
-    u = exp(j 2 pi t): shape u.shape + (2K+2,), the K+1 cosines first.
+    """Real per-axis table [1; cos 2 pi k t; sin 2 pi k t] for k = 1..K from
+    u = exp(j 2 pi t): shape u.shape + (2K+1,), the K+1 cosines (k = 0..K) first.
 
     Power k of u is power k-1 times u, one contiguous table row per k, so a
     value gets the same arithmetic wherever it sits and a wider table's cosines
-    and sines k = 0..K equal this one's exactly.
+    and sines k <= K equal this one's exactly.
     """
     u = np.asarray(u)
     flat = u.ravel()
-    table = np.empty((2 * K + 2, flat.size))
-    table[0], table[K + 1] = 1.0, 0.0
+    table = np.empty((2 * K + 1, flat.size))
+    table[0] = 1.0
     power = np.ones(flat.size, dtype=complex)
     for k in range(1, K + 1):
         power = power * flat
-        table[k], table[K + 1 + k] = power.real, power.imag
-    return table.T.reshape(u.shape + (2 * K + 2,))
+        table[k], table[K + k] = power.real, power.imag
+    return table.T.reshape(u.shape + (2 * K + 1,))
 
 
 @lru_cache
-def pairs(b: int) -> tuple:
-    """The map from a kernel product to real coordinates at bandwidth b: the
-    (2b+2)^2 product P of the ``cos_sin`` tables, raveled, gives coordinate j as
-    w[j] (P[i1[j]] + s[j] P[i2[j]]): sqrt 2 (CC -+ SS) for a cosine, sqrt 2
-    (SC +- CS) for a sine and CC - SS at (0, 0). Returns read-only (i1, i2, s, w)."""
-    c, W = (2 * b + 1) ** 2 // 2, 2 * b + 2
-    u, v = harmonics(b)[::-1][:c + 1].T  # the mirrors n-1-i of i < c, then (0, 0)
-    cos, sin = u * W + abs(v), (b + 1 + u) * W + abs(v)  # CC, SC; SS, CS lie b+1 on
-    sign = np.where(v < 0, 1.0, -1.0)  # D[u, +-v] = CC -+ SS + j (SC +- CS)
-    i1, i2 = np.concatenate([cos, sin[:c]]), np.concatenate([sin, cos[:c]]) + b + 1
-    s, w = np.concatenate([sign, -sign[:c]]), np.where(np.arange(2 * c + 1) == c, 1.0, _SQRT_2)
-    for array in (i1, i2, s, w):
-        array.setflags(write=False)  # shared by every call at this b
-    return i1, i2, s, w
+def weights(b: int) -> np.ndarray:
+    """W = w^T w for w = [1, sqrt 2, ..., sqrt 2] (2b+1 entries), the norms that make
+    the ``cos_sin`` tables orthonormal: 1 at (0, 0), sqrt 2 on the rest of row
+    and column 0, and 2 elsewhere. Read-only."""
+    W = np.full((2 * b + 1, 2 * b + 1), 2.0)
+    W[0], W[:, 0], W[0, 0] = _SQRT_2, _SQRT_2, 1.0
+    W.setflags(write=False)  # shared by every call at this b
+    return W
 
 
-def coordinate_matrix(a) -> np.ndarray:
-    """The real (2b+2) x (2b+2) M with t_x M t_y^T the series of real
-    coordinates a at each point, for the ``cos_sin`` tables t_x, t_y of x and y:
-    a through the transpose of `pairs`' map, two bincounts."""
-    b = (math.isqrt(len(a)) - 1) // 2
-    i1, i2, s, w = pairs(b)
-    size = (2 * b + 2) ** 2
-    return (np.bincount(i1, w * a, size) + np.bincount(i2, w * s * a, size)).reshape(2 * b + 2, -1)
+@lru_cache
+def product_map(b: int) -> np.ndarray:
+    """The ((2b+1)^2, 4b+1) A with t[i] t[j] = sum_g A[(i, j), g] t2[g] for the
+    ``cos_sin`` tables t at b and t2 at 2b of one point, entries 0, +-1/2 and 1:
+    cos p cos q and sin p sin q are (cos(p-q) +- cos(p+q))/2, sin p cos q and
+    cos p sin q are (sin(p+q) +- sin(p-q))/2, with sin(-m) = -sin m. Read-only."""
+    sine = np.arange(2 * b + 1) > b
+    freq = np.where(sine, np.arange(2 * b + 1) - b, np.arange(2 * b + 1))
+    A = np.zeros((2 * b + 1, 2 * b + 1, 4 * b + 1))
+    for i, j in np.ndindex(A.shape[:2]):
+        plus = -0.5 if sine[i] and sine[j] else 0.5  # the sign of cos(p+q) or sin(p+q)
+        minus = -0.5 if sine[j] and not sine[i] else 0.5  # and of cos(p-q) or sin(p-q)
+        for m, half in ((freq[i] + freq[j], plus), (freq[i] - freq[j], minus)):
+            if sine[i] == sine[j]:
+                A[i, j, abs(m)] += half
+            elif m:
+                A[i, j, 2 * b + abs(m)] += half * np.sign(m)
+    A = A.reshape(-1, 4 * b + 1)
+    A.setflags(write=False)  # shared by every call at this b
+    return A
 
 
-def real_sum(M: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-    """t_x M t_y^T per row: at each point, the series of the coordinates M came from."""
-    return np.einsum("pi,pi->p", tx @ M, ty)
+@lru_cache
+def _axis_basis(b: int) -> np.ndarray:
+    """The unitary V[i, k + b] with exp(j 2 pi k t) = sum_i V[i, k + b] phi_i(t):
+    exp(+-j 2 pi k t) = (sqrt 2 cos 2 pi k t +- j sqrt 2 sin 2 pi k t) / sqrt 2."""
+    k = np.arange(1, b + 1)
+    V = np.zeros((2 * b + 1, 2 * b + 1), dtype=complex)
+    V[0, b] = 1.0
+    V[k, b + k] = V[k, b - k] = 1 / _SQRT_2
+    V[b + k, b + k], V[b + k, b - k] = 1j / _SQRT_2, -1j / _SQRT_2
+    V.setflags(write=False)
+    return V
+
+
+def real_sum(a: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """The series of real coordinates a at each point, t_x (W * T) t_y^T per row
+    of the ``cos_sin`` tables tx and ty, with T the (2b+1) x (2b+1) grid of a."""
+    W = weights(tx.shape[-1] // 2)
+    return np.einsum("pi,pi->p", tx @ (W * a.reshape(W.shape)), ty)
 
 
 @dataclass(frozen=True)
@@ -126,10 +135,10 @@ class BandlimitedField:
 
     @cached_property
     def coordinates(self) -> np.ndarray:
-        """Q* a, the coefficients in real coordinates (module docstring); read-only."""
-        a, c = self.coeffs.ravel(), self.n // 2
-        h = a[:c:-1]
-        coords = np.concatenate([h.real * _SQRT_2, [a[c].real], -h.imag * _SQRT_2])
+        """T = Re(V a V^T) raveled, the coefficients in real coordinates (module
+        docstring); read-only."""
+        V = _axis_basis(self.b)
+        coords = (V @ self.coeffs @ V.T).real.ravel()
         coords.setflags(write=False)
         return coords
 
@@ -137,7 +146,7 @@ class BandlimitedField:
         """Real field value g(x, y); scalars or broadcastable arrays."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         u = np.exp(2j * np.pi * np.stack([x.ravel(), y.ravel()]))
-        vals = real_sum(coordinate_matrix(self.coordinates), *cos_sin(u, self.b))
+        vals = real_sum(self.coordinates, *cos_sin(u, self.b))
         return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
 
 

@@ -61,6 +61,11 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _real(value) -> bool:
+    """True for a real number that is not a bool; numpy integers and floats pass."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class Scheme(Enum):
     """The eight sampling strategies."""
 
@@ -191,6 +196,9 @@ class SchemeConfig:
             raise ConfigurationError("m must be an integer >= 1")
         if not (_integer(self.b) and self.b >= 0):
             raise ConfigurationError("b must be an integer >= 0")
+        for name, value in (("gamma", self.gamma), ("noise_sigma", self.noise_sigma)):
+            if not _real(value):
+                raise ConfigurationError(f"{name} must be a number, not {type(value).__name__}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ConfigurationError("gamma must be finite and > 0")
         if not (_integer(self.p) and self.p >= 2):

@@ -12,34 +12,30 @@ declared endpoints (a single reading sits at the first), or with the hive center
 for bee-and-hive loops. Point schemes then get one row per location, and
 every other scheme one mean row per path.
 
-Both row types come from one kernel, E_x^T diag(w) E_y over the per-axis
-tables of blocks of at most BLOCK points, so no table is ever whole (the
-structure of Feichtinger, Groechenig and Strohmer's ACT method). The tables
-are real, cos and sin 2 pi k t for k = 0..K (`cos_sin`, both axes in one call),
-made from the locations' phasors exp(j 2 pi (x, y)): a trial computes those once
-per sample point (`PathSet.phasors`), or once per stand-in location when it is
-unaware, and every pass reuses them. The point Gram sums the kernel over all
-points at bandwidth 2b; a mean row sums it over one path's points at bandwidth
-b, in groups of paths of similar length (`_mean_rows`), and divides by the
-path's length. Point rows are never formed: R^T g and R^T (g - R a) rebuild the
-tables block by block. A value eigensolves its Gram at most once (`spectrum`).
+Both row types come from one kernel, t_x^T diag(r) t_y summed over the
+per-axis tables of blocks of at most BLOCK points, so no table is ever whole
+(the structure of Feichtinger, Groechenig and Strohmer's ACT method). The
+tables are real, [1, cos, sin] 2 pi k t (`cos_sin`, both axes in one call),
+made from the locations' phasors exp(j 2 pi (x, y)): a trial computes those
+once per sample point (`PathSet.phasors`), or once per stand-in location when
+it is unaware, and every pass reuses them.
 
-The field is real, so a phasor row's entries at (k, l) and (-k, -l) are
-conjugates. The operator works in the real coordinates of the field module:
-R = X Q for the complex phasor matrix X and the unitary Q of
-``BandlimitedField.coordinates``, so a phasor row becomes
-[sqrt 2 cos; 1; -sqrt 2 sin] of 2 pi (k x + l y). R has X's singular values and
-||c - Q* a|| = ||Q c - a||, so kappa and the score mean what they mean in
-complex coordinates, while the Gram, its eigensolve and the solves are real.
-So is the kernel, one GEMM of the tables per block, whose quadrants give the
-complex product D[u, +-v] = CC -+ SS + j (SC +- CS) for u, v >= 0. One map
-serves every pass: `pairs` reads real coordinates off a product, and its
-transpose `coordinate_matrix` turns coordinates a into the M with
-t_x M t_y^T = R a at each point (`real_sum`), whether `measure` evaluates the
-field (a its coordinates) or R^T (g - R a) forms R a. The point Gram reads
-Re D and Im D at 2b through the same pairs and mirrors them to u < 0.
-The dense references, complex phasor rows and the whole of R, are `point_rows`
-and `dense_matrix` in ``tests/real_basis.py``.
+The operator works in the field module's real coordinates, the tensor basis
+phi_i(x) phi_j(y): R = X Q for the complex phasor matrix X and the unitary Q
+of ``BandlimitedField.coordinates``, so R has X's singular values and
+||c - Q* a|| = ||Q c - a||; kappa and the score mean what they mean in complex
+coordinates, while the Gram, its eigensolve and the solves are real. A point
+row is t_x^T t_y, raveled and scaled by `weights` W, so a kernel product is
+already in real coordinates: a mean row (`_mean_rows`, in groups of paths of
+similar length) and R^T r are the product reshaped and scaled by W, and R a at
+each point is t_x (W * a) t_y^T (`real_sum`), as `measure` evaluates the field.
+The point Gram sums the kernel at bandwidth 2b and maps that product P back
+through the product-to-sum identities A (`product_map`): A P A^T with its
+middle axes swapped, scaled by W on both sides. Point rows are never formed:
+R^T g and R^T (g - R a) rebuild the tables block by block. A value eigensolves
+its Gram at most once (`spectrum`). The dense references, complex phasor rows
+and the whole of R, are `point_rows` and `dense_matrix` in
+``tests/real_basis.py``.
 
 `measure` returns one reading per row of `build_matrix`'s operator, and takes
 that operator: an aware averaging trial's noiseless readings are its mean rows
@@ -57,11 +53,11 @@ the relative coefficient error, is also the field's relative L2 error (Parseval)
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .field import BandlimitedField, coordinate_matrix, cos_sin, harmonics, pairs, real_sum
+from .field import BandlimitedField, cos_sin, product_map, real_sum, weights
 from .paths import (ConfigurationError, PathSet, Scheme, SchemeConfig, POINT_SCHEMES,
                     UNAWARE_SCHEMES)
 
@@ -100,36 +96,16 @@ def blocks(count: int):
     return (slice(lo, min(lo + BLOCK, count)) for lo in range(0, count, BLOCK))
 
 
-def _pair_sums(prod: np.ndarray, b: int) -> np.ndarray:
-    """P[i1] + s P[i2] over the last two axes of kernel products P: their real
-    coordinates before the weights w of `pairs`."""
-    i1, i2, s, _ = pairs(b)
-    flat = prod.reshape(prod.shape[:-2] + (-1,))
-    sums = flat[..., i2] * s
-    sums += flat[..., i1]  # in place: a mean-row group's sums are its largest array
-    return sums
-
-
-@lru_cache
-def _gram_index(b: int) -> np.ndarray:
-    """Flat int32 indices into the raveled kernel d[u + 2b, v + 2b], u, v = -2b..2b,
-    of the point Gram's blocks: c rows of T, c rows of W and the row e, c = (n-1)/2."""
-    k, l = harmonics(b)[:(2 * b + 1) ** 2 // 2].T.astype(np.int32)
-    h, centre = k * (4 * b + 1) + l, 2 * b * (4 * b + 2)  # (k, l)'s offset from d[0, 0]
-    index = np.vstack([centre + h - h[:, None], centre - h - h[:, None], centre - h])
-    index.setflags(write=False)  # shared by every call at this b
-    return index
-
-
 def _mean_rows(phasors: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
-    """One mean phasor row per path in real coordinates: E_x^T E_y summed over
-    the path's points, one batched product per group of length-sorted paths whose
-    tables, zero-padded to the longest, span at most BLOCK points. A path longer
-    than BLOCK is a group of its own, summed BLOCK points at a time."""
+    """One mean row per path in real coordinates: t_x^T t_y summed over the
+    path's points, scaled by W and divided by their count, one batched product
+    per group of length-sorted paths whose tables, zero-padded to the longest,
+    span at most BLOCK points. A path longer than BLOCK is a group of its own,
+    summed BLOCK points at a time."""
     counts = np.diff(offsets)
     order = np.argsort(counts, kind="stable")
     length = counts[order]
-    rows, w = np.empty((len(counts), (2 * b + 1) ** 2)), pairs(b)[3]
+    rows, W = np.empty((len(counts), (2 * b + 1) ** 2)), weights(b).ravel()
     lo = 0
     while lo < len(order):
         # Paths lo..hi-1 padded to path hi-1's length fill at most BLOCK points.
@@ -143,8 +119,8 @@ def _mean_rows(phasors: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
             u = np.take(phasors, index, axis=0, mode="clip")  # (paths, L, 2)
             tx, ty = cos_sin(np.moveaxis(u, -1, 0), b)
             tx[padding] = 0.0
-            sums = sums + _pair_sums(tx.transpose(0, 2, 1) @ ty, b)
-        rows[paths] = sums * w / length[lo:hi, None]
+            sums = sums + tx.transpose(0, 2, 1) @ ty
+        rows[paths] = sums.reshape(len(paths), -1) * W / length[lo:hi, None]
         lo = hi
     return rows
 
@@ -156,7 +132,7 @@ class Sensing:
     Point rows (`from_phasors`) keep only their locations' (rows, 2) phasors;
     mean rows (`from_rows`) keep the dense rows. ``adjoint(g)`` is R^T g and
     ``adjoint(g, a)`` is R^T (g - R a); columns are the real coordinates of
-    ``harmonics(b)`` (module docstring).
+    ``BandlimitedField.coordinates`` (module docstring).
     """
 
     gram: np.ndarray
@@ -168,31 +144,20 @@ class Sensing:
     def from_phasors(cls, phasors: np.ndarray, b: int) -> "Sensing":
         """Point rows at the locations whose per-axis phasors exp(j 2 pi (x, y))
         are the rows of ``phasors`` (P, 2), kept as they are."""
-        # G[(k, l), (k', l')] = d[k' - k + 2b, l' - l + 2b], where
-        # d[u + 2b, v + 2b] = sum_p exp(j 2 pi (u x_p + v y_p)) for u, v = -2b..2b.
-        prod = np.zeros((4 * b + 2, 4 * b + 2))
+        # Row p is W * t_x^T t_y, and a product of two bandwidth-b table entries
+        # is a sum over the bandwidth-2b table, so with P = sum_p t_x^T t_y at 2b,
+        # G[(i, j), (k, l)] = W[i, j] W[k, l] (A P A^T)[(i, k), (j, l)]. As
+        # W = w^T w, W[i, j] W[k, l] = W[i, k] W[j, l] scales A's rows, and the
+        # swap of j and k is one batched product over (i, j).
+        prod = np.zeros((4 * b + 1, 4 * b + 1))
         for s in blocks(len(phasors)):
             tx, ty = cos_sin(phasors[s].T, 2 * b)
             prod += tx.T @ ty
-        x = _pair_sums(prod, 2 * b)  # [Re d; d[0, 0]; Im d] at the mirrors of i < mid
-        mid = len(x) // 2
-        d = np.empty(len(x), dtype=complex)  # raveled, with d[-u, -v] = conj d[u, v]
-        d.real[mid:], d.imag[mid], d.imag[mid + 1:] = x[mid::-1], 0.0, x[:mid:-1]
-        d[:mid] = d[:mid:-1].conj()
-        # Q* G Q from G's blocks T = G[:c, :c], W = G[:c, :c:-1] and e = sqrt 2
-        # G[:c, c], read from d, with G[n-1-i, n-1-j] = conj(G[i, j]).
-        parts = d[_gram_index(b)]
-        c = len(parts) // 2
-        T, W, e = parts[:c], parts[c:-1], math.sqrt(2.0) * parts[-1]
-        gram = np.empty((2 * c + 1, 2 * c + 1))
-        np.add(T.real, W.real, out=gram[:c, :c])
-        np.subtract(T.real, W.real, out=gram[c + 1:, c + 1:])
-        np.subtract(W.imag, T.imag, out=gram[:c, c + 1:])
-        gram[c + 1:, :c] = gram[:c, c + 1:].T
-        gram[:c, c] = gram[c, :c] = e.real
-        gram[c + 1:, c] = gram[c, c + 1:] = e.imag
-        gram[c, c] = x[mid]  # d[0, 0]
-        return cls(gram, (len(phasors), 2 * c + 1), phasors=phasors)
+        W = weights(b)
+        A = W.reshape(-1, 1) * product_map(b)  # rows (i, k)
+        right = (prod @ A.T).reshape(-1, *W.shape).transpose(1, 0, 2)  # [j, g, l]
+        gram = A.reshape(*W.shape, -1)[:, None] @ right  # [i, j, k, l]
+        return cls(gram.reshape(W.size, -1), (len(phasors), W.size), phasors=phasors)
 
     @classmethod
     def from_rows(cls, rows) -> "Sensing":
@@ -213,14 +178,12 @@ class Sensing:
         if self.rows is not None:
             return self.rows.T @ (g if a is None else g - self.rows @ a)
         b = (math.isqrt(self.shape[1]) - 1) // 2
-        M = None if a is None else coordinate_matrix(a)  # t_x M t_y^T = R a
         acc = 0.0
         for block in blocks(self.shape[0]):
             tx, ty = cos_sin(self.phasors[block].T, b)
-            r = g[block] if a is None else g[block] - real_sum(M, tx, ty)
-            # R^T r = Re(Q^T X^T r) for real r, and X^T r = E_x^T diag(r) E_y.
-            acc = acc + (tx.T * r) @ ty
-        return pairs(b)[3] * _pair_sums(acc, b)
+            r = g[block] if a is None else g[block] - real_sum(a, tx, ty)
+            acc = acc + (tx.T * r) @ ty  # t_x^T diag(r) t_y
+        return (weights(b) * acc).ravel()
 
 
 def _unaware_locations(paths: PathSet, scheme: Scheme) -> np.ndarray:
@@ -288,10 +251,10 @@ def measure(field: BandlimitedField, X: Sensing, paths: PathSet, config: SchemeC
             noise = rng.normal(0.0, config.noise_sigma, size=len(paths.points))
             values = values + _path_means(noise, paths)
         return values
-    phasors, M = paths.phasors, coordinate_matrix(field.coordinates)
+    phasors = paths.phasors
     values = np.empty(len(phasors))
     for block in blocks(len(phasors)):
-        values[block] = real_sum(M, *cos_sin(phasors[block].T, field.b))
+        values[block] = real_sum(field.coordinates, *cos_sin(phasors[block].T, field.b))
     if config.noise_sigma > 0:
         values = values + rng.normal(0.0, config.noise_sigma, size=values.shape)
     return _path_means(values, paths) if averaging else values

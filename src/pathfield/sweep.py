@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from itertools import product
 from pathlib import Path
@@ -159,6 +160,11 @@ def _flag(value) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
+def _number(value) -> bool:
+    """True for a value the range tests can compare: a real number or a bool."""
+    return isinstance(value, numbers.Real) or _flag(value)
+
+
 # Config key -> (its one SweepSpec field, parser of its value (ValueError if bad),
 # then each (test the value must pass, message when it fails)), in check order.
 SETTINGS = {
@@ -166,11 +172,13 @@ SETTINGS = {
     "b": ("b_values", _list_of(int), (lambda v: v and all(_integer(b) and b >= 0 for b in v),
                                       "b values must be integers >= 0")),
     "m_multiples": ("m_multiples", _list_of(float),
+                    (lambda v: all(map(_number, v)), "m multiples must be numbers"),
                     (lambda v: v and all(1.0 <= mult < math.inf for mult in v),
                      "m multiples must be finite and >= 1 (m >= n keeps the system solvable)"),
                     (lambda v: not any(map(_flag, v)),
                      "m multiples must be numbers, not booleans")),
     "gamma": ("gamma_values", _list_of(float),
+              (lambda v: all(map(_number, v)), "gamma values must be numbers"),
               (lambda v: v and all(0 < g < math.inf for g in v),
                "gamma values must be finite and > 0"),
               (lambda v: not any(map(_flag, v)), "gamma values must be numbers, not booleans")),
@@ -179,7 +187,7 @@ SETTINGS = {
     "aware": ("aware", _list_of(_parse_bool), (bool, "at least one awareness flag is required"),
               (lambda v: all(map(_flag, v)), "awareness flags must be booleans")),
     "p": ("p", int, (lambda v: _integer(v) and v >= 2, "p must be an integer >= 2")),
-    "noise_sigma": ("noise_sigma", float,
+    "noise_sigma": ("noise_sigma", float, (_number, "noise_sigma must be a number"),
                     (lambda v: 0 <= v < math.inf, "noise_sigma must be finite and >= 0"),
                     (lambda v: not _flag(v), "noise_sigma must be a number, not a boolean")),
     "seed": ("base_seed", int, (_integer, "seed must be an integer")),

@@ -1,12 +1,13 @@
 """Dense oracles for the phasor rows and the real coordinates of the sensing operator.
 
-Q is built here from its definition, not from pathfield.sensing. Harmonic i
-of ``harmonics(b)`` and its mirror n-1-i (k and l negated) form a pair, and
-c = (n-1)/2 is the index of (0, 0). Column i < c of Q is
-(e_i + e_{n-1-i})/sqrt 2, column c is e_c and column c+1+i is
-j (e_i - e_{n-1-i})/sqrt 2. Q is unitary, so the sensing matrix R = X Q has
-the singular values of the complex phasor matrix X, and the coordinates of a
-coefficient vector a are Q* a.
+Q is built here from its definition, not from pathfield. Per axis the real
+basis is phi = [1, sqrt 2 cos 2 pi k t, sqrt 2 sin 2 pi k t] for k = 1..b, and
+the unitary V[i, k + b] gives exp(j 2 pi k t) = sum_i V[i, k + b] phi_i(t):
+exp(+-j 2 pi k t) = (phi_k +- j phi_{b+k}) / sqrt 2. The harmonics (k, l) are
+ordered k-major as ``coeffs.ravel()``, the real coordinates (i, j) i-major,
+and Q = (V kron V)*. Q is unitary, so the sensing matrix R = X Q has the
+singular values of the complex phasor matrix X, its rows are
+phi_i(x) phi_j(y), and the coordinates of a coefficient vector a are Q* a.
 
 ``point_rows`` forms the complex phasor rows that pathfield never forms, from
 one ``np.exp`` per entry (``exp_table``), and ``dense_matrix`` a `Sensing`
@@ -19,16 +20,27 @@ import math
 import numpy as np
 
 
+def harmonics(b: int) -> np.ndarray:
+    """All (k, l) harmonic pairs of a bandwidth-b field, shape ((2b+1)^2, 2),
+    k-major: the order of ``BandlimitedField.coeffs.ravel()``."""
+    k = np.arange(-b, b + 1)
+    return np.column_stack([np.repeat(k, len(k)), np.tile(k, len(k))])
+
+
+def axis_basis(b: int) -> np.ndarray:
+    """The per-axis unitary V, (2b+1) x (2b+1)."""
+    V = np.zeros((2 * b + 1, 2 * b + 1), dtype=complex)
+    V[0, b] = 1.0
+    for k in range(1, b + 1):
+        V[k, b + k] = V[k, b - k] = 1 / np.sqrt(2)
+        V[b + k, b + k], V[b + k, b - k] = 1j / np.sqrt(2), -1j / np.sqrt(2)
+    return V
+
+
 def real_basis(n: int) -> np.ndarray:
-    """The unitary n x n Q, for odd n."""
-    c = (n - 1) // 2
-    Q = np.zeros((n, n), dtype=complex)
-    Q[c, c] = 1.0
-    for i in range(c):
-        Q[i, i] = Q[n - 1 - i, i] = 1 / np.sqrt(2)
-        Q[i, c + 1 + i] = 1j / np.sqrt(2)
-        Q[n - 1 - i, c + 1 + i] = -1j / np.sqrt(2)
-    return Q
+    """The unitary n x n Q = (V kron V)*, for n = (2b+1)^2."""
+    V = axis_basis((math.isqrt(n) - 1) // 2)
+    return np.kron(V, V).conj().T
 
 
 # The tables below are (len(t), 2b+1) views of k-major arrays, and so are the
@@ -52,7 +64,7 @@ def power_table(t, b: int) -> np.ndarray:
 
 
 def point_rows(points, b: int, table=exp_table) -> np.ndarray:
-    """Phasor rows exp(j 2 pi (k x + l y)) over harmonics(b) for points of shape (m, 2)."""
+    """Phasor rows exp(j 2 pi (k x + l y)) over `harmonics` (b) for points of shape (m, 2)."""
     ex, ey = (table(t, b) for t in np.atleast_2d(np.asarray(points, dtype=float)).T)
     return (ex[:, :, None] * ey[:, None, :]).reshape(len(ex), -1)
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathfield.field import (BandlimitedField, coordinate_matrix, cos_sin, generate_random_field,
-                             harmonics, real_sum)
+from pathfield.field import (BandlimitedField, cos_sin, generate_random_field, product_map,
+                             real_sum, weights)
 from real_basis import point_rows, power_table, real_coeffs
 
 EPS = np.finfo(float).eps
@@ -21,15 +21,11 @@ def make_field(b, assignments):
     return BandlimitedField(b=b, coeffs=grid)
 
 
-def test_harmonics_ordering_row_major_k_outer():
-    kl = harmonics(1)
-    expected = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
-    assert [tuple(pair) for pair in kl] == expected
-
-
-def test_harmonics_rejects_negative_bandwidth():
-    with pytest.raises(ValueError):
-        harmonics(-1)
+def test_negative_bandwidth_rejected():
+    with pytest.raises(ValueError, match="b must be >= 0"):
+        generate_random_field(-1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="b must be >= 0"):
+        BandlimitedField(b=-1, coeffs=np.zeros((1, 1)))
 
 
 def test_b0_field_is_single_real_coefficient():
@@ -149,32 +145,31 @@ def test_phasors_match_the_exponential_oracle(b):
     k = np.arange(b + 1)
     t = np.random.default_rng(b).uniform(-1.0, 2.0, 2000)
     table = cos_sin(np.exp(2j * np.pi * t), b)
-    assert table.shape == (2000, 2 * b + 2)
+    assert table.shape == (2000, 2 * b + 1)
     angles = 2 * np.pi * np.multiply.outer(t, k)
-    assert np.abs(table - np.c_[np.cos(angles), np.sin(angles)]).max() <= 1e-13
+    assert np.abs(table - np.c_[np.cos(angles), np.sin(angles[:, 1:])]).max() <= 1e-13
     scalar = cos_sin(np.exp(2j * np.pi * t[7]), b)
-    assert scalar.shape == (2 * b + 2,)
+    assert scalar.shape == (2 * b + 1,)
     assert np.array_equal(scalar, table[7])
-    # Harmonic 0 is exactly cos 0 = 1 and sin 0 = 0.
+    # Harmonic 0 is exactly cos 0 = 1; sin 0 = 0 has no column.
     assert np.array_equal(table[:, 0], np.ones(2000))
-    assert np.array_equal(table[:, b + 1], np.zeros(2000))
 
 
 def test_half_tables_are_the_nonnegative_columns_of_the_full_tables():
-    # A narrower table is the k = 0..b cosine and sine columns of a wider one,
+    # A narrower table is the k <= b cosine and sine columns of a wider one,
     # bit for bit, whatever the shape of the phasors.
     u = np.exp(2j * np.pi * np.random.default_rng(79).uniform(-1.0, 2.0, 500))
     wide = cos_sin(u, 5)
     for b in range(6):
-        assert np.array_equal(cos_sin(u, b), np.c_[wide[:, :b + 1], wide[:, 6:7 + b]])
+        assert np.array_equal(cos_sin(u, b), np.c_[wide[:, :b + 1], wide[:, 6:6 + b]])
     grid = u.reshape(20, 25)
-    assert np.array_equal(cos_sin(grid, 3), cos_sin(u, 3).reshape(20, 25, 8))
+    assert np.array_equal(cos_sin(grid, 3), cos_sin(u, 3).reshape(20, 25, 7))
     assert np.array_equal(cos_sin(u[4], 3), cos_sin(u, 3)[4])
 
 
 @pytest.mark.parametrize("b", range(5))
 def test_coordinates_are_the_dense_real_coefficients(b):
-    # Q* a read at the mirrors, against the dense unitary Q of tests/real_basis.py.
+    # Re(V a V^T), against the dense unitary Q = (V kron V)* of tests/real_basis.py.
     field = generate_random_field(b, np.random.default_rng(30 + b))
     a = field.coeffs.ravel()
     assert np.abs(field.coordinates - real_coeffs(a)).max() <= 1e-15 * np.abs(a).max()
@@ -182,11 +177,41 @@ def test_coordinates_are_the_dense_real_coefficients(b):
         field.coordinates[0] = 0.0
 
 
-def test_coordinate_matrix_at_b0_is_the_constant_field():
-    # The one coordinate at b = 0 is a[0, 0]; its M gives that value at every point.
+@pytest.mark.parametrize("b", range(5))
+def test_coordinates_keep_the_norm(b):
+    # V is unitary, so the real coordinates keep ||a|| (Parseval).
+    field = generate_random_field(b, np.random.default_rng(60 + b))
+    norm = np.linalg.norm(field.coeffs)
+    assert abs(np.linalg.norm(field.coordinates) - norm) <= 4 * EPS * norm
+
+
+def test_real_sum_at_b0_is_the_constant_field():
+    # The one coordinate at b = 0 is a[0, 0], the field's value at every point.
     u = np.exp(2j * np.pi * np.random.default_rng(31).uniform(-1.0, 2.0, (2, 50)))
-    assert np.array_equal(real_sum(coordinate_matrix(np.array([3.25])), *cos_sin(u, 0)),
-                          np.full(50, 3.25))
+    assert np.array_equal(real_sum(np.array([3.25]), *cos_sin(u, 0)), np.full(50, 3.25))
+
+
+@pytest.mark.parametrize("b", range(5))
+def test_tensor_basis_is_orthonormal(b):
+    # phi_i(x) phi_j(y), the rows W * (t_x^T t_y), on the (4b+2)^2 grid whose
+    # mean is the exact integral of a degree-2b trigonometric polynomial.
+    N = 4 * b + 2
+    tables = cos_sin(np.exp(2j * np.pi * np.arange(N) / N), b)
+    rows = (weights(b) * tables[:, None, :, None] * tables[None, :, None, :]).reshape(N * N, -1)
+    assert np.abs(rows.T @ rows / N ** 2 - np.eye((2 * b + 1) ** 2)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("b", [0, 1, 3, 10])
+def test_product_map_is_the_product_to_sum_identities(b):
+    A = product_map(b)
+    assert A.shape == ((2 * b + 1) ** 2, 4 * b + 1)
+    assert set(np.unique(A)) <= {-0.5, 0.0, 0.5, 1.0}
+    u = np.exp(2j * np.pi * np.random.default_rng(70 + b).uniform(-1.0, 2.0, 300))
+    t, t2 = cos_sin(u, b), cos_sin(u, 2 * b)
+    products = (t[:, :, None] * t[:, None, :]).reshape(len(u), -1)
+    assert np.abs(products - t2 @ A.T).max() <= 8 * EPS
+    with pytest.raises(ValueError):
+        A[0, 0] = 0.0
 
 
 # (x shape, y shape) pairs: scalars, one array against a scalar, and a broadcast grid.
@@ -196,8 +221,8 @@ SHAPES = [((), ()), ((7,), ()), ((), (5,)), ((3, 1), (4,)), ((6,), (6,))]
 @PROPERTY
 @given(b=st.integers(0, 6), seed=st.integers(0, 2**32 - 1), shapes=st.sampled_from(SHAPES))
 def test_evaluate_matches_the_full_table_oracle(b, seed, shapes):
-    # evaluate contracts the k >= 0 tables with the M of the field's real
-    # coordinates; the oracle sums every (k, l) term of the same tables and
+    # evaluate contracts the cos/sin tables with W times the field's real
+    # coordinates; the oracle sums every (k, l) term of the complex tables and
     # drops the imaginary part.
     rng = np.random.default_rng(seed)
     field = generate_random_field(b, rng)

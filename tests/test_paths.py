@@ -335,6 +335,18 @@ def test_config_integer_settings_refuse_floats_and_bools(setting):
         SchemeConfig(scheme=Scheme.SCATTERED, **{"m": 5, **setting})
 
 
+@pytest.mark.parametrize("setting", [dict(gamma=True), dict(gamma=np.True_), dict(gamma="0.1"),
+                                     dict(noise_sigma=True), dict(noise_sigma="0.1")], ids=repr)
+def test_config_real_settings_refuse_bools_and_strings(setting):
+    # gamma=True once ran as gamma = 1, and a string raised a TypeError.
+    (name,) = setting
+    with pytest.raises(ConfigurationError, match=f"^{name} must be a number, not "):
+        SchemeConfig(scheme=Scheme.SCATTERED, m=5, **setting)
+    config = SchemeConfig(scheme=Scheme.SCATTERED, m=5, gamma=np.float32(0.5),
+                          noise_sigma=np.int64(0))
+    assert (config.gamma, config.noise_sigma) == (0.5, 0)
+
+
 def test_config_accepts_numpy_integers():
     config = SchemeConfig(scheme=Scheme.DIRECTED_INNER, m=np.int64(3), b=np.int32(1),
                           p=np.int64(4), seed=np.uint8(2))

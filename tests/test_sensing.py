@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pathfield.field import cos_sin, generate_random_field, harmonics, real_sum
+from pathfield.field import cos_sin, generate_random_field, real_sum
 from pathfield.paths import (
     POINT_SCHEMES,
     UNAWARE_SCHEMES,
@@ -16,7 +16,8 @@ from pathfield.paths import (
 )
 from pathfield import sensing
 from pathfield.sensing import Sensing, build_matrix
-from real_basis import complex_rows, dense_matrix, point_rows, power_table, real_basis, real_rows
+from real_basis import (complex_rows, dense_matrix, harmonics, point_rows, power_table, real_basis,
+                        real_rows)
 
 EPS = np.finfo(float).eps
 
@@ -53,11 +54,12 @@ def test_real_basis_is_unitary_and_makes_field_coefficients_real(b):
 
 
 def test_point_rows_in_real_coordinates_are_cos_const_sin():
-    # A phasor row maps to [sqrt 2 cos; 1; -sqrt 2 sin] of 2 pi (k x + l y).
+    # A phasor row maps to phi(x) phi(y)^T, raveled, with the per-axis basis
+    # phi = [1; sqrt 2 cos 2 pi k t; sqrt 2 sin 2 pi k t] for k = 1, 2.
     x, y = 0.3, 0.7
-    c = 12
-    angles = 2 * np.pi * (harmonics(2)[:c] @ [x, y])
-    expected = np.r_[np.sqrt(2) * np.cos(angles), 1.0, -np.sqrt(2) * np.sin(angles)]
+    phi = [np.r_[1.0, np.sqrt(2) * np.cos(2 * np.pi * np.r_[1, 2] * t),
+                 np.sqrt(2) * np.sin(2 * np.pi * np.r_[1, 2] * t)] for t in (x, y)]
+    expected = np.outer(*phi).ravel()
     assert np.abs(point_matrix([(x, y)], 2)[0] - expected).max() <= 1e-14
     # The operator never forms the row; R^T g with g = [1] at one point is that row.
     row = point_sensing([(x, y)], 2).adjoint(np.ones(1))
@@ -67,8 +69,8 @@ def test_point_rows_in_real_coordinates_are_cos_const_sin():
 @pytest.mark.parametrize("b", range(7))
 def test_map_and_its_transpose_match_the_dense_rows(monkeypatch, b):
     # R^T g with g = [1] at one point reads that point's row of R off its
-    # product t_x^T t_y through the map. R^T (g - R a) forms R a as t_x M t_y^T,
-    # with M built from a through the map's transpose; real_sum's values are R a.
+    # product t_x^T t_y, scaled by W. R^T (g - R a) forms R a as t_x (W * a) t_y^T;
+    # real_sum's values are R a.
     rng = np.random.default_rng(90 + b)
     points = rng.random((20, 2))
     dense = real_rows(point_rows(points, b, power_table))
@@ -175,8 +177,8 @@ def test_column_count_for_every_kind():
                               location_aware=aware, seed=3)
         X = dense_matrix(build_matrix(generate_paths(config), config))
         assert X.shape[1] == 25
-        # Columns follow harmonics(2): the (0, 0) column is the constant mean.
-        assert np.allclose(X[:, 12], 1.0, atol=1e-12)
+        # Column 0 is phi_0(x) phi_0(y) = 1, so mean rows read 1 there too.
+        assert np.allclose(X[:, 0], 1.0, atol=1e-12)
 
 
 def test_unaware_line_points_rows_match_sample_counts():
@@ -295,7 +297,7 @@ def test_build_matrix_matches_dense_oracle(scheme, aware, b):
     expected = oracle_matrix(paths, config)
     Q = real_basis(expected.shape[1])
     assert X.shape == expected.shape
-    # The phasor matrix is real in the paired cos/sin coordinates.
+    # The phasor matrix is real in the tensor cos/sin coordinates.
     assert np.abs((expected @ Q).imag).max() <= 1e-12
     assert np.abs(dense_matrix(X) - (expected @ Q).real).max() <= 1e-12
     # The operator without the matrix: Gram, R^T g and R^T (g - R a), each the
@@ -325,7 +327,7 @@ def test_point_tables_are_slices_of_the_double_bandwidth_tables():
     u = np.exp(2j * np.pi * np.random.default_rng(78).random(500))
     for b in range(6):
         double = cos_sin(u, 2 * b)
-        assert np.array_equal(np.c_[double[:, :b + 1], double[:, 2 * b + 1:3 * b + 2]],
+        assert np.array_equal(np.c_[double[:, :b + 1], double[:, 2 * b + 1:3 * b + 1]],
                               cos_sin(u, b))
 
 
@@ -386,7 +388,7 @@ def test_mean_rows_of_a_long_path_stay_within_a_few_block_tables():
     finally:
         tracemalloc.stop()
     assert X.shape == (1, 441)
-    assert peak < 4 * (2 * sensing.BLOCK * 22 * 8)
+    assert peak < 4 * (2 * sensing.BLOCK * 21 * 8)
 
 
 def test_mean_rows_peak_below_twice_the_rows():

@@ -169,12 +169,16 @@ def test_spec_integer_settings_refuse_floats_and_bools(setting):
     (dict(aware=["yes"]), "awareness flags must be booleans"),
     (dict(m_multiples=[True]), "m multiples must be numbers, not booleans"),
     (dict(gamma_values=[True]), "gamma values must be numbers, not booleans"),
-    (dict(noise_sigma=True), "noise_sigma must be a number, not a boolean")], ids=repr)
+    (dict(noise_sigma=True), "noise_sigma must be a number, not a boolean"),
+    (dict(m_multiples=["2"]), "m multiples must be numbers"),
+    (dict(gamma_values=["0.1"]), "gamma values must be numbers"),
+    (dict(noise_sigma="0.1"), "noise_sigma must be a number")], ids=repr)
 def test_spec_refuses_settings_of_the_wrong_type(setting, message):
     # Unchecked, each would be read as its truth value or as 1:
     # reconstruct="false" would run the solve, aware=["yes"] would write true,
-    # and a True multiple, gamma or sigma would run as 1. The config parsers
-    # never produce these, so only library callers can pass them.
+    # and a True multiple, gamma or sigma would run as 1; a string multiple,
+    # gamma or sigma would fail its range test with a TypeError. The config
+    # parsers never produce these, so only library callers can pass them.
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
         quick_spec(**setting)
 
