@@ -8,9 +8,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .paths import ConfigurationError, SchemeConfig, check_cell_bytes, generate_paths, paths_to_csv
-from .sweep import (RESULT_HEADER, SCHEME_NAMES, SweepResult, SweepSpec, parse_schemes,
-                    rank_schemes, run_sweep)
+from .paths import (SCHEME_NAMES, ConfigurationError, SchemeConfig, check_cell_bytes,
+                    generate_paths, paths_to_csv)
+from .sweep import RESULT_HEADER, SweepResult, SweepSpec, parse_schemes, rank_schemes, run_sweep
 from .svgplot import NoFiniteValues, condition_svg, trajectory_svg
 
 PATHS_CSV = "paths_{scheme}.csv"
@@ -18,11 +18,20 @@ TRAJECTORY_SVG = "trajectories.svg"
 SWEEP_CSV = "sweep.csv"
 CONDITION_SVG = "cond_{scheme}.svg"
 
-# Sweep flag -> the config key it sets, which is also its argparse dest.
+# Sweep flag -> (the config key it sets, which is also its argparse dest, its help).
+# The flags for the two boolean keys take no value and set them to false.
 SWEEP_FLAGS = {
-    "--scheme": "schemes", "--b": "b", "--m": "m_multiples", "--gamma": "gamma", "--p": "p",
-    "--iters": "iterations", "--seed": "seed", "--noise-sigma": "noise_sigma",
-    "--unaware": "aware", "--no-reconstruct": "reconstruct",
+    "--scheme": ("schemes", "override: comma-separated schemes or 'all'"),
+    "--b": ("b", "override: comma-separated bandwidths"),
+    "--m": ("m_multiples", "override: comma-separated m multiples of n=(2b+1)^2"),
+    "--gamma": ("gamma", "override: comma-separated step-size bounds"),
+    "--p": ("p", "override: points per directed walk"),
+    "--iters": ("iterations", "override: trials per cell"),
+    "--seed": ("seed", "override: base seed"),
+    "--noise-sigma": ("noise_sigma", "override: measurement noise std dev"),
+    "--unaware": ("aware", "run the location-unaware variants instead of location-aware"),
+    "--no-reconstruct": ("reconstruct",
+                         "skip least-squares reconstruction (condition numbers only)"),
 }
 
 
@@ -50,7 +59,7 @@ def _sweep_spec(args) -> SweepSpec:
     """The config file's lines (or CI-scale defaults), then one `key = value`
     line per sweep flag given, all read by the config parser: flags win."""
     overrides = [(flag, f"{key} = {getattr(args, key)}")
-                 for flag, key in SWEEP_FLAGS.items() if getattr(args, key) is not None]
+                 for flag, (key, _) in SWEEP_FLAGS.items() if getattr(args, key) is not None]
     if args.config:
         return SweepSpec.from_file(args.config, overrides)
     return SweepSpec.from_text("iterations = 10", "defaults", overrides)
@@ -138,21 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
                       f"(columns {','.join(RESULT_HEADER)})",
     )
     p_sweep.add_argument("--config", help="sweep config file (key = value lines, '#' comments)")
-    p_sweep.add_argument("--scheme", dest="schemes",
-                         help="override: comma-separated schemes or 'all'")
-    p_sweep.add_argument("--b", help="override: comma-separated bandwidths")
-    p_sweep.add_argument("--m", dest="m_multiples",
-                         help="override: comma-separated m multiples of n=(2b+1)^2")
-    p_sweep.add_argument("--gamma", help="override: comma-separated step-size bounds")
-    p_sweep.add_argument("--p", help="override: points per directed walk")
-    p_sweep.add_argument("--iters", dest="iterations", help="override: trials per cell")
-    p_sweep.add_argument("--seed", help="override: base seed")
-    p_sweep.add_argument("--noise-sigma", help="override: measurement noise std dev")
-    p_sweep.add_argument("--unaware", dest="aware", action="store_const", const="false",
-                         help="run the location-unaware variants instead of location-aware")
-    p_sweep.add_argument("--no-reconstruct", dest="reconstruct", action="store_const",
-                         const="false",
-                         help="skip least-squares reconstruction (condition numbers only)")
+    for flag, (key, text) in SWEEP_FLAGS.items():
+        switch = dict(action="store_const", const="false")
+        p_sweep.add_argument(flag, dest=key, help=text,
+                             **(switch if key in ("aware", "reconstruct") else {}))
     p_sweep.add_argument("--out", default="out")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -29,6 +29,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .paths import _integer
+
 __all__ = ["BandlimitedField", "cos_sin", "generate_random_field", "product_map", "real_sum",
            "weights"]
 
@@ -68,21 +70,18 @@ def weights(b: int) -> np.ndarray:
 @lru_cache
 def product_map(b: int) -> np.ndarray:
     """The ((2b+1)^2, 4b+1) A with t[i] t[j] = sum_g A[(i, j), g] t2[g] for the
-    ``cos_sin`` tables t at b and t2 at 2b of one point, entries 0, +-1/2 and 1:
-    cos p cos q and sin p sin q are (cos(p-q) +- cos(p+q))/2, sin p cos q and
-    cos p sin q are (sin(p+q) +- sin(p-q))/2, with sin(-m) = -sin m. Read-only."""
-    sine = np.arange(2 * b + 1) > b
-    freq = np.where(sine, np.arange(2 * b + 1) - b, np.arange(2 * b + 1))
-    A = np.zeros((2 * b + 1, 2 * b + 1, 4 * b + 1))
-    for i, j in np.ndindex(A.shape[:2]):
-        plus = -0.5 if sine[i] and sine[j] else 0.5  # the sign of cos(p+q) or sin(p+q)
-        minus = -0.5 if sine[j] and not sine[i] else 0.5  # and of cos(p-q) or sin(p-q)
-        for m, half in ((freq[i] + freq[j], plus), (freq[i] - freq[j], minus)):
-            if sine[i] == sine[j]:
-                A[i, j, abs(m)] += half
-            elif m:
-                A[i, j, 2 * b + abs(m)] += half * np.sign(m)
-    A = A.reshape(-1, 4 * b + 1)
+    ``cos_sin`` tables t at b and t2 at 2b of one point, entries 0, +-1/2 and 1
+    (the product-to-sum identities). A product has frequencies up to 2b, so on
+    the N = 4b+1 points s/N, where the columns of t2 are orthogonal with squared
+    norms N (the constant) and N/2, it is its own projection onto t2; A is that
+    projection rounded to halves. Read-only."""
+    N = 4 * b + 1
+    u = np.exp(2j * np.pi * np.arange(N) / N)
+    t, t2 = cos_sin(u, b), cos_sin(u, 2 * b)
+    norms = np.full(N, N / 2)
+    norms[0] = N
+    products = (t[:, :, None] * t[:, None, :]).reshape(N, -1)
+    A = np.round(2 * (products.T @ t2) / norms) / 2 + 0.0  # + 0.0 turns -0.0 into 0.0
     A.setflags(write=False)  # shared by every call at this b
     return A
 
@@ -107,6 +106,11 @@ def real_sum(a: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
     return np.einsum("pi,pi->p", tx @ (W * a.reshape(W.shape)), ty)
 
 
+def _check_bandwidth(b) -> None:
+    if not (_integer(b) and b >= 0):
+        raise ValueError("bandwidth b must be an integer >= 0")
+
+
 @dataclass(frozen=True)
 class BandlimitedField:
     """Bandwidth parameter plus the complex coefficient grid a[k+b, l+b]."""
@@ -115,8 +119,7 @@ class BandlimitedField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.b < 0:
-            raise ValueError("bandwidth b must be >= 0")
+        _check_bandwidth(self.b)
         coeffs = np.array(self.coeffs, dtype=complex)
         size = 2 * self.b + 1
         if coeffs.shape != (size, size):
@@ -159,8 +162,7 @@ def generate_random_field(b: int, rng: np.random.Generator) -> BandlimitedField:
     studies depend on sample locations only, and the flat profile keeps
     every harmonic equally weighted in recovery-error metrics.
     """
-    if b < 0:
-        raise ValueError("bandwidth b must be >= 0")
+    _check_bandwidth(b)
     size = 2 * b + 1
     draw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     k = np.arange(-b, b + 1)

@@ -56,16 +56,6 @@ class PathGenerationError(RuntimeError):
     """Path generation exhausted its retry budget."""
 
 
-def _integer(value) -> bool:
-    """True for an integer that is not a bool; numpy integers pass."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _real(value) -> bool:
-    """True for a real number that is not a bool; numpy integers and floats pass."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 class Scheme(Enum):
     """The eight sampling strategies."""
 
@@ -80,6 +70,34 @@ class Scheme(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+SCHEME_NAMES = [s.value for s in Scheme]
+
+
+def _scheme(value) -> Scheme:
+    """value if it is a Scheme, else the Scheme it names; a ConfigurationError
+    for anything else."""
+    try:
+        return value if isinstance(value, Scheme) else Scheme(value)
+    except ValueError:
+        raise ConfigurationError(f"unknown scheme {value!r}; "
+                                 f"valid schemes: {', '.join(SCHEME_NAMES)}") from None
+
+
+def _integer(value) -> bool:
+    """True for an integer that is not a bool; numpy integers pass."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:
+    """True for a finite real number that is not a bool; numpy integers and floats pass."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _flag(value) -> bool:
+    """True for a bool or a numpy bool."""
+    return isinstance(value, (bool, np.bool_))
 
 
 # Schemes whose sensing rows are individual point samples; the rest average
@@ -190,27 +208,26 @@ class SchemeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.scheme, Scheme):
-            self.scheme = Scheme(self.scheme)
-        if not (_integer(self.m) and self.m >= 1):
-            raise ConfigurationError("m must be an integer >= 1")
-        if not (_integer(self.b) and self.b >= 0):
-            raise ConfigurationError("b must be an integer >= 0")
-        for name, value in (("gamma", self.gamma), ("noise_sigma", self.noise_sigma)):
-            if not _real(value):
-                raise ConfigurationError(f"{name} must be a number, not {type(value).__name__}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ConfigurationError("gamma must be finite and > 0")
-        if not (_integer(self.p) and self.p >= 2):
-            raise ConfigurationError("p must be an integer >= 2")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ConfigurationError("noise_sigma must be finite and >= 0")
-        if not (_integer(self.seed) and self.seed >= 0):
-            raise ConfigurationError("seed must be an integer >= 0")
+        self.scheme = _scheme(self.scheme)
+        for name, (test, message) in CHECKS.items():
+            if not test(getattr(self, name)):
+                raise ConfigurationError(message)
 
     @property
     def n(self) -> int:
         return (2 * self.b + 1) ** 2
+
+
+# SchemeConfig field -> (the test its value must pass, the message if it fails).
+CHECKS = {
+    "m": (lambda v: _integer(v) and v >= 1, "m must be an integer >= 1"),
+    "b": (lambda v: _integer(v) and v >= 0, "b must be an integer >= 0"),
+    "gamma": (lambda v: _real(v) and v > 0, "gamma must be a finite number > 0"),
+    "p": (lambda v: _integer(v) and v >= 2, "p must be an integer >= 2"),
+    "noise_sigma": (lambda v: _real(v) and v >= 0, "noise_sigma must be a finite number >= 0"),
+    "location_aware": (_flag, "location_aware must be a boolean"),
+    "seed": (lambda v: _integer(v) and v >= 0, "seed must be an integer >= 0"),
+}
 
 
 def _boundary_points(count: int, rng: np.random.Generator) -> np.ndarray:

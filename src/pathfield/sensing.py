@@ -266,21 +266,16 @@ def _path_means(values: np.ndarray, paths: PathSet) -> np.ndarray:
     return np.bincount(owner, weights=values) / paths.counts
 
 
-def _kappa(eigenvalues) -> float:
-    """sigma_max/sigma_min from ascending Gram eigenvalues; inf when singular."""
-    lam_max = float(eigenvalues[-1])
-    lam_min = float(eigenvalues[0])
-    kappa = math.sqrt(lam_max / lam_min) if lam_min > 0.0 else math.inf
-    return kappa if kappa * SINGULAR_RATIO <= 1.0 else math.inf
-
-
 def condition_number(S: Sensing) -> float:
     """sigma_max/sigma_min of the sensing matrix, from its Gram eigenvalues.
 
     Returns inf when sigma_min/sigma_max falls below SINGULAR_RATIO
     (numerically singular draw).
     """
-    return _kappa(S.spectrum)
+    lam_max = float(S.spectrum[-1])
+    lam_min = float(S.spectrum[0])
+    kappa = math.sqrt(lam_max / lam_min) if lam_min > 0.0 else math.inf
+    return kappa if kappa * SINGULAR_RATIO <= 1.0 else math.inf
 
 
 def reconstruct_and_score(field: BandlimitedField, S: Sensing, g) -> float:
@@ -297,7 +292,7 @@ def reconstruct_and_score(field: BandlimitedField, S: Sensing, g) -> float:
         raise ValueError(f"underdetermined system: {m} measurements for {n} coefficients")
     if len(values) != m:
         raise ValueError(f"got {len(values)} measurements for {m} matrix rows")
-    kappa = _kappa(S.spectrum)
+    kappa = condition_number(S)
     if not math.isfinite(kappa):
         raise SingularSystemError(f"sensing matrix is numerically singular: {S.spectrum[[0, -1]]}")
     estimate = np.linalg.solve(S.gram, S.adjoint(values))

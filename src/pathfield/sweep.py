@@ -11,7 +11,6 @@ import csv
 import hashlib
 import io
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from itertools import product
 from pathlib import Path
@@ -19,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .field import generate_random_field
-from .paths import (ConfigurationError, Scheme, SchemeConfig, UNAWARE_SCHEMES, _integer,
-                    check_cell_bytes, generate_paths)
+from .paths import (CHECKS, ConfigurationError, Scheme, SchemeConfig, UNAWARE_SCHEMES, _flag,
+                    _integer, _real, _scheme, check_cell_bytes, generate_paths)
 from .sensing import build_matrix, condition_number, measure, reconstruct_and_score
 
 __all__ = [
@@ -32,9 +31,6 @@ __all__ = [
     "trial_seed",
     "rank_schemes",
 ]
-
-SCHEME_NAMES = [s.value for s in Scheme]
-
 
 @dataclass
 class SweepSpec:
@@ -57,9 +53,9 @@ class SweepSpec:
     reconstruct: bool = True
 
     def __post_init__(self):
-        self.schemes = [s if isinstance(s, Scheme) else Scheme(s) for s in self.schemes]
         for key, (name, *_) in SETTINGS.items():
             _check(key, getattr(self, name))
+        self.schemes = list(map(_scheme, self.schemes))
         if False in self.aware:
             unsupported = [s.value for s in self.schemes if s not in UNAWARE_SCHEMES]
             if unsupported:
@@ -135,11 +131,7 @@ def parse_schemes(value: str) -> list:
         return list(Scheme)
     if not names:
         raise ConfigurationError("at least one scheme is required")
-    for name in names:
-        if name not in SCHEME_NAMES:
-            raise ConfigurationError(
-                f"unknown scheme {name!r}; valid schemes: {', '.join(SCHEME_NAMES)}")
-    return [Scheme(name) for name in names]
+    return list(map(_scheme, names))
 
 
 def _list_of(parse):
@@ -155,52 +147,42 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _flag(value) -> bool:
-    """True for a bool or a numpy bool."""
-    return isinstance(value, (bool, np.bool_))
+def _each(test):
+    """A test that a value is a non-empty list or tuple whose every item passes `test`."""
+    return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(test, v))
 
 
-def _number(value) -> bool:
-    """True for a value the range tests can compare: a real number or a bool."""
-    return isinstance(value, numbers.Real) or _flag(value)
-
-
-# Config key -> (its one SweepSpec field, parser of its value (ValueError if bad),
-# then each (test the value must pass, message when it fails)), in check order.
+# Config key -> (its one SweepSpec field, the parser of its value (ValueError if
+# bad), the test the value must pass, the message if it fails). A setting that
+# is a SchemeConfig field takes its test from `paths.CHECKS`; `_scheme` raises
+# its own message for an unknown scheme.
 SETTINGS = {
-    "schemes": ("schemes", parse_schemes, (bool, "at least one scheme is required")),
-    "b": ("b_values", _list_of(int), (lambda v: v and all(_integer(b) and b >= 0 for b in v),
-                                      "b values must be integers >= 0")),
-    "m_multiples": ("m_multiples", _list_of(float),
-                    (lambda v: all(map(_number, v)), "m multiples must be numbers"),
-                    (lambda v: v and all(1.0 <= mult < math.inf for mult in v),
-                     "m multiples must be finite and >= 1 (m >= n keeps the system solvable)"),
-                    (lambda v: not any(map(_flag, v)),
-                     "m multiples must be numbers, not booleans")),
-    "gamma": ("gamma_values", _list_of(float),
-              (lambda v: all(map(_number, v)), "gamma values must be numbers"),
-              (lambda v: v and all(0 < g < math.inf for g in v),
-               "gamma values must be finite and > 0"),
-              (lambda v: not any(map(_flag, v)), "gamma values must be numbers, not booleans")),
-    "iterations": ("iterations", int, (lambda v: _integer(v) and v >= 1,
-                                       "iterations must be an integer >= 1")),
-    "aware": ("aware", _list_of(_parse_bool), (bool, "at least one awareness flag is required"),
-              (lambda v: all(map(_flag, v)), "awareness flags must be booleans")),
-    "p": ("p", int, (lambda v: _integer(v) and v >= 2, "p must be an integer >= 2")),
-    "noise_sigma": ("noise_sigma", float, (_number, "noise_sigma must be a number"),
-                    (lambda v: 0 <= v < math.inf, "noise_sigma must be finite and >= 0"),
-                    (lambda v: not _flag(v), "noise_sigma must be a number, not a boolean")),
-    "seed": ("base_seed", int, (_integer, "seed must be an integer")),
-    "reconstruct": ("reconstruct", _parse_bool, (_flag, "reconstruct must be a boolean")),
+    "schemes": ("schemes", parse_schemes, _each(_scheme),
+                "schemes must be a non-empty list of schemes"),
+    "b": ("b_values", _list_of(int), _each(CHECKS["b"][0]),
+          "b values must be a non-empty list of integers >= 0"),
+    "m_multiples": ("m_multiples", _list_of(float), _each(lambda v: _real(v) and v >= 1),
+                    "m multiples must be a non-empty list of finite numbers >= 1 "
+                    "(m >= n keeps the system solvable)"),
+    "gamma": ("gamma_values", _list_of(float), _each(CHECKS["gamma"][0]),
+              "gamma values must be a non-empty list of finite numbers > 0"),
+    "iterations": ("iterations", int, lambda v: _integer(v) and v >= 1,
+                   "iterations must be an integer >= 1"),
+    "aware": ("aware", _list_of(_parse_bool), _each(CHECKS["location_aware"][0]),
+              "awareness flags must be a non-empty list of booleans"),
+    "p": ("p", int, *CHECKS["p"]),
+    "noise_sigma": ("noise_sigma", float, *CHECKS["noise_sigma"]),
+    "seed": ("base_seed", int, _integer, "seed must be an integer"),
+    "reconstruct": ("reconstruct", _parse_bool, _flag, "reconstruct must be a boolean"),
 }
 
 
 def _check(key: str, value):
-    """The value, if it passes every test of its SETTINGS row; else a
-    ConfigurationError with the message of the first test it fails."""
-    for test, message in SETTINGS[key][2:]:
-        if not test(value):
-            raise ConfigurationError(message)
+    """The value, if it passes the test of its SETTINGS row; else a
+    ConfigurationError with the row's message."""
+    _, _, test, message = SETTINGS[key]
+    if not test(value):
+        raise ConfigurationError(message)
     return value
 
 

@@ -143,8 +143,9 @@ def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
         (["--b", "x"], ["error: --b:"]),
         (["--b", "1#2"], ["error: --b:"]),
         (["--gamma", "abc"], ["error: --gamma:"]),
-        (["--gamma", "inf"], ["error: --gamma: gamma values must be finite and > 0"]),
-        (["--m", "2,inf"], ["error: --m: m multiples must be finite"]),
+        (["--gamma", "inf"], ["error: --gamma: gamma values must be a non-empty list of finite "
+                              "numbers > 0"]),
+        (["--m", "2,inf"], ["error: --m: m multiples must be a non-empty list of finite numbers"]),
         (["--m", "1e308", "--scheme", "scattered", "--iters", "1"],
          ["m multiple 1e+308", "b=3", "not finite"]),
         (["--m", "1.5,q"], ["error: --m:"]),

@@ -22,10 +22,13 @@ def make_field(b, assignments):
 
 
 def test_negative_bandwidth_rejected():
-    with pytest.raises(ValueError, match="b must be >= 0"):
-        generate_random_field(-1, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="b must be >= 0"):
-        BandlimitedField(b=-1, coeffs=np.zeros((1, 1)))
+    # A float or bool b once passed, and evaluate or the draw then raised a TypeError.
+    for b in (-1, 1.5, True, 2.0):
+        with pytest.raises(ValueError, match="^bandwidth b must be an integer >= 0$"):
+            generate_random_field(b, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^bandwidth b must be an integer >= 0$"):
+            BandlimitedField(b=b, coeffs=np.zeros((4, 4)))
+    assert BandlimitedField(b=np.int64(0), coeffs=np.ones((1, 1))).evaluate(0.3, 0.4) == 1.0
 
 
 def test_b0_field_is_single_real_coefficient():

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 import warnings
 
@@ -340,11 +341,25 @@ def test_config_integer_settings_refuse_floats_and_bools(setting):
 def test_config_real_settings_refuse_bools_and_strings(setting):
     # gamma=True once ran as gamma = 1, and a string raised a TypeError.
     (name,) = setting
-    with pytest.raises(ConfigurationError, match=f"^{name} must be a number, not "):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be a finite number "):
         SchemeConfig(scheme=Scheme.SCATTERED, m=5, **setting)
     config = SchemeConfig(scheme=Scheme.SCATTERED, m=5, gamma=np.float32(0.5),
                           noise_sigma=np.int64(0))
     assert (config.gamma, config.noise_sigma) == (0.5, 0)
+
+
+@pytest.mark.parametrize("setting, message", [
+    (dict(scheme="foo"), "unknown scheme 'foo'; valid schemes: scattered, line_boundary_points, "
+                         "line_boundary_avg, line_inner_avg, random_walk, directed_boundary, "
+                         "directed_inner, bee_hive"),
+    (dict(location_aware="false"), "location_aware must be a boolean"),
+    (dict(location_aware=1), "location_aware must be a boolean")], ids=repr)
+def test_config_refuses_an_unknown_scheme_and_a_non_boolean_awareness(setting, message):
+    # location_aware="false" once ran location-aware, read as its truth value.
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        SchemeConfig(**{"scheme": Scheme.LINE_BOUNDARY_AVG, "m": 5, **setting})
+    config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=5, location_aware=np.False_)
+    assert not config.location_aware
 
 
 def test_config_accepts_numpy_integers():

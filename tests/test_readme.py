@@ -37,7 +37,7 @@ def test_each_setting_has_one_key_one_flag_and_a_readme_entry():
     # config key has one sweep flag and no flag sets anything else, and the
     # README names every key and flag.
     assert sorted(row[0] for row in SETTINGS.values()) == sorted(f.name for f in fields(SweepSpec))
-    assert sorted(cli.SWEEP_FLAGS.values()) == sorted(SETTINGS)
+    assert sorted(key for key, _ in cli.SWEEP_FLAGS.values()) == sorted(SETTINGS)
     readme = README.read_text()
     missing = [name for name in [*SETTINGS, *cli.SWEEP_FLAGS] if f"`{name}`" not in readme]
     assert not missing

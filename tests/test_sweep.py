@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -146,11 +147,11 @@ def test_spec_rejects_m_below_n():
 def test_spec_rejects_non_finite_values():
     # The spec rejects these itself, before any trial runs or any m is
     # rounded from multiple * n; no config parser needs to catch them first.
-    with pytest.raises(ConfigurationError, match="gamma values must be finite"):
+    with pytest.raises(ConfigurationError, match="gamma values must be a non-empty list of finite"):
         quick_spec(gamma_values=[math.inf])
-    with pytest.raises(ConfigurationError, match="noise_sigma must be finite"):
+    with pytest.raises(ConfigurationError, match="noise_sigma must be a finite number"):
         quick_spec(noise_sigma=math.inf)
-    with pytest.raises(ConfigurationError, match="m multiples must be finite"):
+    with pytest.raises(ConfigurationError, match="m multiples must be a non-empty list of finite"):
         quick_spec(m_multiples=[math.inf])
 
 
@@ -160,35 +161,45 @@ def test_spec_rejects_non_finite_values():
 def test_spec_integer_settings_refuse_floats_and_bools(setting):
     # b = True would reach the CSV as "True", which from_csv_text refuses; a
     # float would fail deep inside numpy with a TypeError, or pass silently.
-    with pytest.raises(ConfigurationError, match=r"must be (an integer|integers)\b"):
+    with pytest.raises(ConfigurationError, match=r"\b(an integer|integers)\b"):
         quick_spec(**setting)
+
+
+MULTIPLES = ("m multiples must be a non-empty list of finite numbers >= 1 "
+             "(m >= n keeps the system solvable)")
+GAMMAS = "gamma values must be a non-empty list of finite numbers > 0"
+AWARE = "awareness flags must be a non-empty list of booleans"
+SIGMA = "noise_sigma must be a finite number >= 0"
 
 
 @pytest.mark.parametrize("setting, message", [
     (dict(reconstruct="false"), "reconstruct must be a boolean"),
-    (dict(aware=["yes"]), "awareness flags must be booleans"),
-    (dict(m_multiples=[True]), "m multiples must be numbers, not booleans"),
-    (dict(gamma_values=[True]), "gamma values must be numbers, not booleans"),
-    (dict(noise_sigma=True), "noise_sigma must be a number, not a boolean"),
-    (dict(m_multiples=["2"]), "m multiples must be numbers"),
-    (dict(gamma_values=["0.1"]), "gamma values must be numbers"),
-    (dict(noise_sigma="0.1"), "noise_sigma must be a number")], ids=repr)
+    (dict(aware=["yes"]), AWARE),
+    (dict(m_multiples=[True]), MULTIPLES),
+    (dict(gamma_values=[True]), GAMMAS),
+    (dict(noise_sigma=True), SIGMA),
+    (dict(m_multiples=["2"]), MULTIPLES),
+    (dict(gamma_values=["0.1"]), GAMMAS),
+    (dict(noise_sigma="0.1"), SIGMA),
+    (dict(schemes=["foo"]), "unknown scheme 'foo'; valid schemes: scattered, "
+                            "line_boundary_points, line_boundary_avg, line_inner_avg, "
+                            "random_walk, directed_boundary, directed_inner, bee_hive"),
+    (dict(schemes="scattered"), "schemes must be a non-empty list of schemes"),
+    (dict(b_values=3), "b values must be a non-empty list of integers >= 0"),
+    (dict(aware=True), AWARE)], ids=repr)
 def test_spec_refuses_settings_of_the_wrong_type(setting, message):
     # Unchecked, each would be read as its truth value or as 1:
     # reconstruct="false" would run the solve, aware=["yes"] would write true,
     # and a True multiple, gamma or sigma would run as 1; a string multiple,
-    # gamma or sigma would fail its range test with a TypeError. The config
-    # parsers never produce these, so only library callers can pass them.
-    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+    # gamma or sigma would fail its range test with a TypeError, and so would
+    # a scalar where a list belongs. The config parsers never produce these,
+    # so only library callers can pass them.
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         quick_spec(**setting)
 
 
 def test_spec_type_tests_follow_the_value_tests():
-    # A value the older tests refuse keeps its message; numpy bools are bools.
-    with pytest.raises(ConfigurationError, match="^m multiples must be finite"):
-        quick_spec(m_multiples=[0.5, True])
-    with pytest.raises(ConfigurationError, match="^at least one awareness flag"):
-        quick_spec(aware=[])
+    # Numpy bools are bools.
     spec = quick_spec(aware=[np.True_], reconstruct=np.False_)
     assert run_sweep(spec).to_csv_text() == run_sweep(quick_spec(reconstruct=False)).to_csv_text()
 
