@@ -91,8 +91,13 @@ def _integer(value) -> bool:
 
 
 def _real(value) -> bool:
-    """True for a finite real number that is not a bool; numpy integers and floats pass."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """True for a finite real number that is not a bool; numpy integers and floats pass.
+    Only floats are tested with isfinite: an int is compared with the largest
+    float, never converted, so one beyond the float range fails too."""
+    if isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 def _flag(value) -> bool:
@@ -189,13 +194,15 @@ class PathSet:
         return map(self.__getitem__, range(len(self)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchemeConfig:
     """Scheme selector plus every knob a single experiment cell needs.
 
     gamma bounds the Uniform(0, gamma) inter-sample spacing, p is the number
     of points in a directed walk, and m counts paths (or points, for the
-    scattered benchmark).
+    scattered benchmark). Only `UNAWARE_SCHEMES` may run location-unaware.
+    A config is frozen, so what its checks admitted holds; vary one with
+    `dataclasses.replace`.
     """
 
     scheme: Scheme
@@ -208,10 +215,19 @@ class SchemeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.scheme = _scheme(self.scheme)
+        object.__setattr__(self, "scheme", _scheme(self.scheme))
         for name, (test, message) in CHECKS.items():
             if not test(getattr(self, name)):
                 raise ConfigurationError(message)
+        if not self.location_aware and self.scheme not in UNAWARE_SCHEMES:
+            raise ConfigurationError(
+                f"scheme {self.scheme.value} has no location-unaware variant; supported: "
+                f"{', '.join(s.value for s in Scheme if s in UNAWARE_SCHEMES)}")
+
+    def __str__(self) -> str:
+        """The label messages give a sweep cell: scheme, b, m, gamma and, if set, unawareness."""
+        return (f"cell ({self.scheme.value}, b={self.b}, m={self.m}, gamma={self.gamma:g}"
+                f"{'' if self.location_aware else ', unaware'})")
 
     @property
     def n(self) -> int:

@@ -58,8 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .field import BandlimitedField, cos_sin, product_map, real_sum, weights
-from .paths import (ConfigurationError, PathSet, Scheme, SchemeConfig, POINT_SCHEMES,
-                    UNAWARE_SCHEMES)
+from .paths import ConfigurationError, PathSet, Scheme, SchemeConfig, POINT_SCHEMES
 
 __all__ = [
     "Sensing",
@@ -207,19 +206,12 @@ def build_matrix(paths: PathSet, config: SchemeConfig) -> Sensing:
 
     Rows are point phasors at every location for point schemes and one mean
     phasor row per path for the rest. Locations are the sample points, or
-    their location-unaware stand-ins; schemes without a defined unaware
-    variant are rejected.
+    their location-unaware stand-ins; `SchemeConfig` admits an unaware config
+    only for the schemes that have stand-ins, `UNAWARE_SCHEMES`.
     """
     scheme = config.scheme
-    if config.location_aware:
-        phasors = paths.phasors
-    elif scheme in UNAWARE_SCHEMES:
-        phasors = np.exp(2j * np.pi * _unaware_locations(paths, scheme))
-    else:
-        raise ConfigurationError(
-            f"scheme {scheme} has no location-unaware variant; "
-            f"supported: {sorted(s.value for s in UNAWARE_SCHEMES)}"
-        )
+    phasors = (paths.phasors if config.location_aware
+               else np.exp(2j * np.pi * _unaware_locations(paths, scheme)))
     if scheme in POINT_SCHEMES or len(phasors) == len(paths):
         # The mean of one location's row is that row.
         return Sensing.from_phasors(phasors, config.b)

@@ -1,17 +1,18 @@
 """Seeded Monte Carlo sweeps over schemes, sample counts, and step sizes.
 
-Each sweep cell (scheme, b, m, gamma, awareness) runs a number of independent
-trials: fresh random field and paths, then from `sensing` the sensing matrix,
-its condition number and, optionally, readings and a least-squares
-reconstruction. Per-trial seeds are derived by hashing the cell key, so results
-are independent of execution order and of the other cells in the sweep.
+Each sweep cell is one `SchemeConfig` (scheme, b, m, gamma and awareness, plus
+the spec's p and noise) and runs a number of independent trials: fresh random
+field and paths, then from `sensing` the sensing matrix, its condition number
+and, optionally, readings and a least-squares reconstruction. Per-trial seeds
+are derived by hashing the cell key, so results are independent of execution
+order and of the other cells in the sweep.
 """
 
 import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -56,30 +57,22 @@ class SweepSpec:
         for key, (name, *_) in SETTINGS.items():
             _check(key, getattr(self, name))
         self.schemes = list(map(_scheme, self.schemes))
-        if False in self.aware:
-            unsupported = [s.value for s in self.schemes if s not in UNAWARE_SCHEMES]
-            if unsupported:
-                raise ConfigurationError(
-                    f"location-unaware mode is undefined for schemes {unsupported}; "
-                    "run them in a separate location-aware sweep"
-                )
         for mult, b in product(self.m_multiples, self.b_values):
-            if not math.isfinite(mult * (2 * b + 1) ** 2):
+            if not math.isfinite(float(mult) * (2 * b + 1) ** 2):
                 raise ConfigurationError(f"m multiple {mult:g} times n at b={b} is not finite")
         cells = self.cells()
-        for i, (scheme, b, m, gamma, aware) in enumerate(cells):
-            name = (f"cell ({scheme.value}, b={b}, m={m}, gamma={gamma:g}"
-                    f"{'' if aware else ', unaware'})")
-            config = SchemeConfig(scheme=scheme, m=m, b=b, gamma=gamma, p=self.p)
-            check_cell_bytes(name, config, sensing=True)
-            if cells[i] in cells[:i]:
-                raise ConfigurationError(f"the grid repeats {name}; m is round(multiple * n)")
+        for i, cell in enumerate(cells):
+            check_cell_bytes(str(cell), cell, sensing=True)
+            if cell in cells[:i]:
+                raise ConfigurationError(f"the grid repeats {cell}; m is round(multiple * n)")
 
     def cells(self) -> list:
-        """The (scheme, b, m, gamma, aware) cells in run order; m = round(multiple * n)."""
+        """One `SchemeConfig` per cell, in run order, with seed 0; m = round(multiple * n)."""
         grid = product(self.schemes, self.b_values, self.m_multiples, self.gamma_values,
                        self.aware)
-        return [(scheme, b, int(round(mult * (2 * b + 1) ** 2)), gamma, aware)
+        return [SchemeConfig(scheme=scheme, m=int(round(mult * (2 * b + 1) ** 2)), b=b,
+                             gamma=gamma, p=self.p, noise_sigma=self.noise_sigma,
+                             location_aware=aware)
                 for scheme, b, mult, gamma, aware in grid]
 
     @classmethod
@@ -262,11 +255,12 @@ class SweepResult:
         return cls(cells=cells)
 
 
-def trial_seed(base_seed: int, scheme: Scheme, b: int, m: int, gamma: float,
-               aware: bool, iteration: int) -> int:
-    """Stable per-trial seed derived from the cell key and iteration index; gamma
-    is keyed by its float value, so 1, 1.0 and np.float64(1.0) share a seed."""
-    key = f"{base_seed}|{scheme.value}|{b}|{m}|{float(gamma)!r}|{aware}|{iteration}"
+def trial_seed(base_seed: int, cell: SchemeConfig, iteration: int) -> int:
+    """Stable per-trial seed derived from the cell's key (scheme, b, m, gamma,
+    awareness) and the iteration index; gamma is keyed by its float value, so
+    1, 1.0 and np.float64(1.0) share a seed."""
+    key = (f"{base_seed}|{cell.scheme.value}|{cell.b}|{cell.m}|{float(cell.gamma)!r}|"
+           f"{cell.location_aware}|{iteration}")
     digest = hashlib.sha256(key.encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -292,17 +286,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     the cell's `excluded` field; a cell whose draws were all singular reports
     nan means.
     """
-    cells = []
-    for scheme, b, m, gamma, aware in spec.cells():
+    results = []
+    for cell in spec.cells():
         conds = []
         errors = []
         excluded = 0
         for iteration in range(spec.iterations):
-            seed = trial_seed(spec.base_seed, scheme, b, m, gamma, aware, iteration)
-            config = SchemeConfig(
-                scheme=scheme, m=m, b=b, gamma=gamma, p=spec.p,
-                noise_sigma=spec.noise_sigma, location_aware=aware, seed=seed,
-            )
+            config = replace(cell, seed=trial_seed(spec.base_seed, cell, iteration))
             cond, rel_err = run_trial(config, reconstruct=spec.reconstruct)
             if not math.isfinite(cond):
                 excluded += 1
@@ -310,14 +300,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             conds.append(cond)
             if math.isfinite(rel_err):
                 errors.append(rel_err)
-        cells.append(CellResult(
-            scheme=scheme, b=b, m=m, gamma=gamma, aware=aware,
+        results.append(CellResult(
+            scheme=cell.scheme, b=cell.b, m=cell.m, gamma=cell.gamma, aware=cell.location_aware,
             mean_cond=float(np.mean(conds)) if conds else float("nan"),
             std_cond=float(np.std(conds)) if conds else float("nan"),
             mean_rel_err=float(np.mean(errors)) if errors else float("nan"),
             excluded=excluded,
         ))
-    return SweepResult(cells=cells)
+    return SweepResult(cells=results)
 
 
 def rank_schemes(result: SweepResult, m: int, gamma: float,

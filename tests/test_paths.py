@@ -336,10 +336,13 @@ def test_config_integer_settings_refuse_floats_and_bools(setting):
         SchemeConfig(scheme=Scheme.SCATTERED, **{"m": 5, **setting})
 
 
-@pytest.mark.parametrize("setting", [dict(gamma=True), dict(gamma=np.True_), dict(gamma="0.1"),
-                                     dict(noise_sigma=True), dict(noise_sigma="0.1")], ids=repr)
+@pytest.mark.parametrize("setting", [
+    dict(gamma=True), dict(gamma=np.True_), dict(gamma="0.1"), dict(noise_sigma=True),
+    dict(noise_sigma="0.1"), pytest.param(dict(gamma=10 ** 400), id="{'gamma': 10 ** 400}"),
+    pytest.param(dict(noise_sigma=10 ** 400), id="{'noise_sigma': 10 ** 400}")], ids=repr)
 def test_config_real_settings_refuse_bools_and_strings(setting):
-    # gamma=True once ran as gamma = 1, and a string raised a TypeError.
+    # gamma=True once ran as gamma = 1, and a string raised a TypeError; an int
+    # beyond the float range raised an OverflowError.
     (name,) = setting
     with pytest.raises(ConfigurationError, match=f"^{name} must be a finite number "):
         SchemeConfig(scheme=Scheme.SCATTERED, m=5, **setting)

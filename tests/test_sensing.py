@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -216,11 +217,17 @@ def test_unaware_hive_matrix_equals_scattered_matrix_at_hives():
     Scheme.SCATTERED, Scheme.RANDOM_WALK, Scheme.DIRECTED_BOUNDARY, Scheme.DIRECTED_INNER,
 ])
 def test_unaware_mode_rejected_where_undefined(scheme):
-    config = SchemeConfig(scheme=scheme, m=5, b=1, gamma=0.1, p=6,
-                          location_aware=False, seed=7)
-    paths = generate_paths(config)
-    with pytest.raises(ConfigurationError, match="unaware"):
-        build_matrix(paths, config)
+    # The config itself refuses, so no paths are drawn for a build that cannot
+    # run; it is frozen, so build_matrix never meets an unaware config of these.
+    message = (f"^scheme {scheme.value} has no location-unaware variant; supported: "
+               "line_boundary_points, line_boundary_avg, line_inner_avg, bee_hive$")
+    with pytest.raises(ConfigurationError, match=message):
+        SchemeConfig(scheme=scheme, m=5, b=1, gamma=0.1, p=6, location_aware=False, seed=7)
+    config = SchemeConfig(scheme=scheme, m=5, b=1, gamma=0.1, p=6, seed=7)
+    with pytest.raises(ConfigurationError, match=message):
+        replace(config, location_aware=False)
+    with pytest.raises(FrozenInstanceError):
+        config.location_aware = False
 
 
 def test_unaware_mode_requires_endpoint_metadata():

@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -129,12 +129,36 @@ def test_reconstruct_flag_skips_errors():
 
 
 def test_trial_seed_is_stable_and_distinct():
-    s1 = trial_seed(0, Scheme.SCATTERED, 3, 100, 0.05, True, 0)
-    s2 = trial_seed(0, Scheme.SCATTERED, 3, 100, 0.05, True, 0)
-    s3 = trial_seed(0, Scheme.SCATTERED, 3, 100, 0.05, True, 1)
-    s4 = trial_seed(1, Scheme.SCATTERED, 3, 100, 0.05, True, 0)
+    cell = SchemeConfig(scheme=Scheme.SCATTERED, m=100, b=3, gamma=0.05)
+    s1 = trial_seed(0, cell, 0)
+    s2 = trial_seed(0, replace(cell, p=7, noise_sigma=0.5, seed=9), 0)
+    s3 = trial_seed(0, cell, 1)
+    s4 = trial_seed(1, cell, 0)
     assert s1 == s2
     assert len({s1, s3, s4}) == 3
+    # Every sweep.csv rests on these seeds, so they are pinned by value.
+    unaware = SchemeConfig(scheme=Scheme.BEE_HIVE, m=3528, b=10, gamma=0.02,
+                           location_aware=False)
+    assert s1 == 14881953123529138862
+    assert trial_seed(7, unaware, 49) == 3517701530602497934
+
+
+def test_each_trial_runs_its_cell_with_its_seed(monkeypatch):
+    spec = quick_spec(schemes=[Scheme.LINE_INNER_AVG], m_multiples=[1.5, 2.0], iterations=2,
+                      base_seed=5, p=7, noise_sigma=0.01, aware=[False], reconstruct=False)
+    cells = spec.cells()
+    assert [(c.m, c.p, c.noise_sigma, c.location_aware, c.seed) for c in cells] == \
+        [(14, 7, 0.01, False, 0), (18, 7, 0.01, False, 0)]
+    calls = []
+
+    def run_trial(config, reconstruct):
+        calls.append((config, reconstruct))
+        return 1.0, 0.0
+
+    monkeypatch.setattr(sweep, "run_trial", run_trial)
+    run_sweep(spec)
+    assert calls == [(replace(cell, seed=trial_seed(5, cell, i)), False)
+                     for cell in cells for i in range(2)]
 
 
 # --------------------------------------------------------------- validation
@@ -186,14 +210,21 @@ SIGMA = "noise_sigma must be a finite number >= 0"
                             "random_walk, directed_boundary, directed_inner, bee_hive"),
     (dict(schemes="scattered"), "schemes must be a non-empty list of schemes"),
     (dict(b_values=3), "b values must be a non-empty list of integers >= 0"),
-    (dict(aware=True), AWARE)], ids=repr)
+    (dict(aware=True), AWARE),
+    pytest.param(dict(gamma_values=[10 ** 400]), GAMMAS, id="{'gamma_values': [10 ** 400]}"),
+    pytest.param(dict(noise_sigma=10 ** 400), SIGMA, id="{'noise_sigma': 10 ** 400}"),
+    pytest.param(dict(m_multiples=[2 ** 1024]), MULTIPLES, id="{'m_multiples': [2 ** 1024]}"),
+    pytest.param(dict(m_multiples=[10 ** 308]), "m multiple 1e+308 times n at b=1 is not finite",
+                 id="{'m_multiples': [10 ** 308]}")], ids=repr)
 def test_spec_refuses_settings_of_the_wrong_type(setting, message):
     # Unchecked, each would be read as its truth value or as 1:
     # reconstruct="false" would run the solve, aware=["yes"] would write true,
     # and a True multiple, gamma or sigma would run as 1; a string multiple,
     # gamma or sigma would fail its range test with a TypeError, and so would
     # a scalar where a list belongs. The config parsers never produce these,
-    # so only library callers can pass them.
+    # so only library callers can pass them; the ints beyond the float range
+    # raised an OverflowError. 10 ** 308 is inside the range, but its product
+    # with n is not.
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         quick_spec(**setting)
 
@@ -255,7 +286,7 @@ def test_full_config_fits_the_byte_budget(path):
     # Every shipped config parses and fits; full.cfg's largest cell is b = 10, m = 8n.
     spec = SweepSpec.from_file(path)
     if path.name == "full.cfg":
-        assert max(m for _, b, m, _, _ in spec.cells() if b == 10) == 8 * 441
+        assert max(cell.m for cell in spec.cells() if cell.b == 10) == 8 * 441
 
 
 def test_spec_rejects_empty_lists():
@@ -268,15 +299,17 @@ def test_spec_rejects_empty_lists():
 def test_spec_cells_are_the_grid_in_run_order():
     spec = quick_spec(b_values=[1, 2], m_multiples=[1.5, 2.0], aware=[True, False],
                       schemes=[Scheme.BEE_HIVE])
-    assert spec.cells() == [(Scheme.BEE_HIVE, b, m, 0.05, aware)
+    assert spec.cells() == [SchemeConfig(scheme=Scheme.BEE_HIVE, m=m, b=b, gamma=0.05,
+                                         location_aware=aware)
                             for b, ms in ((1, (14, 18)), (2, (38, 50)))
                             for m in ms for aware in (True, False)]
     assert [(c.b, c.m, c.aware) for c in run_sweep(spec).cells] == \
-        [(b, m, aware) for _, b, m, _, aware in spec.cells()]
+        [(cell.b, cell.m, cell.location_aware) for cell in spec.cells()]
 
 
 def test_spec_rejects_unaware_for_unsupported_scheme():
-    with pytest.raises(ConfigurationError, match="unaware"):
+    with pytest.raises(ConfigurationError,
+                       match="^scheme random_walk has no location-unaware variant; supported: "):
         quick_spec(schemes=[Scheme.RANDOM_WALK], aware=[True, False])
 
 
