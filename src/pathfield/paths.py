@@ -11,17 +11,20 @@ A cell's m paths form one ragged `PathSet`: every path's points back to back
 in one (P, 2) array, with `offsets` marking where each path starts; indexing
 or iterating a set yields `SamplePath` views, slices of its arrays.
 
-`generate_paths` is the one entry point. Its private generators take float
-(m, 2) arrays and trust the parameters `SchemeConfig` has checked. Each draws
-its random numbers as whole arrays for all m paths at once, in the order its
-docstring states; no Python loop runs once per path.
+`generate_paths` is the one entry point. It draws a trial's paths in chunks
+of CHUNK paths, each from its own generator, and a cell takes the first m, so
+a cell's paths are a prefix of every larger cell's in the same trial. A `Draw`
+carries the chunks from one cell to the next. The private generators take
+float (k, 2) arrays and trust the parameters `SchemeConfig` has checked. Each
+draws its random numbers as whole arrays for all k paths of a chunk at once,
+in the order its docstring states; no Python loop runs once per path.
 """
 
 import csv
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -29,6 +32,7 @@ import numpy as np
 
 __all__ = [
     "Scheme",
+    "Draw",
     "SamplePath",
     "PathSet",
     "SchemeConfig",
@@ -40,6 +44,9 @@ __all__ = [
     "paths_to_csv",
 ]
 
+# Paths per chunk of a trial's draw: chunk c comes from the generator seeded
+# by (the trial's entropy draw, c), whatever m a cell asks for.
+CHUNK = 256
 WALK_RETRIES = 200
 # Each of the k random walks still running draws max(16, WALK_ROUND // k)
 # steps per round: long rounds for the few heavy-tailed walks left at the end.
@@ -145,7 +152,8 @@ class PathSet:
     each path's declared start and end and ``hives`` (m, 2) each loop's
     center, or None. ``paths[i]`` is path i's `SamplePath` view, and
     iterating yields one view per path. The arrays are read-only views, so
-    ``phasors``, computed once, always matches ``points``.
+    ``phasors``, computed once, always matches ``points``; a `head` shares
+    them with its set, so the cells of one draw compute each point's once.
     """
 
     points: np.ndarray
@@ -171,10 +179,26 @@ class PathSet:
     def phasors(self) -> np.ndarray:
         """exp(j 2 pi points), shape (P, 2): the one exponential per sample
         coordinate that every per-axis table of a trial is built from."""
-        phasors = 2j * np.pi * self.points
-        np.exp(phasors, out=phasors)
-        phasors.setflags(write=False)
-        return phasors
+        return vars(self).get("_whole", self)._leading_phasors(len(self.points))
+
+    def _leading_phasors(self, count: int) -> np.ndarray:
+        """The phasors of the first `count` points. Each point's is computed
+        once, when a head of this set (or the set) first needs it."""
+        known = vars(self).get("_known", np.empty((0, 2), dtype=complex))
+        if len(known) < count:
+            new = 2j * np.pi * self.points[len(known):count]
+            np.exp(new, out=new)
+            known = new if not len(known) else np.concatenate([known, new])
+            known.setflags(write=False)
+            object.__setattr__(self, "_known", known)
+        return known[:count]
+
+    def head(self, m: int) -> "PathSet":
+        """The first m paths, views of this set's arrays that share its phasors."""
+        head = PathSet(self.points[:self.offsets[m]], self.offsets[:m + 1],
+                       *(None if a is None else a[:m] for a in (self.endpoints, self.hives)))
+        object.__setattr__(head, "_whole", self)
+        return head
 
     @property
     def counts(self) -> np.ndarray:
@@ -283,17 +307,16 @@ def check_cell_bytes(name: str, config: SchemeConfig, sensing: bool) -> None:
     """Refuse, from its settings alone, a cell that would ask for one array over
     CELL_BYTES. With `sensing` it builds an n x n Gram and, for averaging schemes,
     m x n mean rows (8 B an entry), and its points' phasors (32 B each). Its
-    sample points take 16 B each, counted as `generate_paths` draws them: m W
-    gaps for lines, m p for directed walks and bee hives, m for scattered. A
-    random walk's length is random, so only its m starts count; `_random_walks`
-    stops the rest."""
+    sample points take 16 B each, counted as `generate_paths` draws them, in
+    whole chunks of k = CHUNK * ceil(m / CHUNK) paths: k W gaps for lines, k p
+    for directed walks and bee hives, k for scattered. A random walk's length is
+    random, so only its k starts count; `_random_walks` stops the rest."""
     n, m, scheme = config.n, config.m, config.scheme
-    if scheme in (Scheme.SCATTERED, Scheme.RANDOM_WALK):
-        drawn = m
-    elif scheme in (Scheme.BEE_HIVE, Scheme.DIRECTED_BOUNDARY, Scheme.DIRECTED_INNER):
-        drawn = m * config.p
-    else:
-        drawn = m * _gap_width(config.gamma)
+    drawn = -(-m // CHUNK) * CHUNK
+    if scheme in (Scheme.BEE_HIVE, Scheme.DIRECTED_BOUNDARY, Scheme.DIRECTED_INNER):
+        drawn *= config.p
+    elif scheme not in (Scheme.SCATTERED, Scheme.RANDOM_WALK):
+        drawn *= _gap_width(config.gamma)
     arrays = (("n x n Gram", 8 * n * n, sensing),
               ("m x n mean rows", 8 * m * n, sensing and scheme not in POINT_SCHEMES),
               ("sample points", 16 * drawn, True), ("sample point phasors", 32 * drawn, sensing))
@@ -333,7 +356,7 @@ def _line_paths(starts, ends, gamma: float, rng: np.random.Generator) -> PathSet
     return PathSet(points, np.r_[0, np.cumsum(counts)], endpoints=np.stack([starts, ends], axis=1))
 
 
-def _random_walks(starts, gamma: float, rng: np.random.Generator) -> PathSet:
+def _random_walks(starts, gamma: float, rng: np.random.Generator, drawn: int = 0) -> PathSet:
     """Free random walks, one from each start, each stopped at the region edge.
 
     Each step advances by Uniform(0, gamma) at an independent Uniform(0, 2pi)
@@ -341,9 +364,10 @@ def _random_walks(starts, gamma: float, rng: np.random.Generator) -> PathSet:
     is discarded, so all returned points are in-region. A walk whose first
     step leaves is re-rolled from its start, up to WALK_RETRIES times, so every
     walk has at least two points. The walks still running draw their steps
-    together, one round at a time. Once the points kept would need more than
-    CELL_BYTES for their phasors, 32 B each, the walks stop with a
-    ConfigurationError: a small gamma has no other bound on their length.
+    together, one round at a time. Once the points kept, with the `drawn`
+    points of the cell's earlier chunks, would need more than CELL_BYTES for
+    their phasors, 32 B each, the walks stop with a ConfigurationError: a small
+    gamma has no other bound on their length.
     """
     m = len(starts)
     rows = np.arange(m)
@@ -351,7 +375,7 @@ def _random_walks(starts, gamma: float, rng: np.random.Generator) -> PathSet:
     moved = np.zeros(m, dtype=bool)  # has a point besides its start
     failures = np.zeros(m, dtype=np.int64)
     owner, xs, ys = [rows], [starts[:, 0]], [starts[:, 1]]
-    kept = m
+    kept = drawn + m
     while rows.size:
         chunk = max(16, WALK_ROUND // rows.size)
         dx, dy = _step_axes(rng, gamma, (rows.size, chunk))
@@ -427,33 +451,85 @@ def _endpoint_pairs(m: int, rng: np.random.Generator, boundary: bool,
     return pairs
 
 
-def generate_paths(config: SchemeConfig, rng: np.random.Generator | None = None) -> PathSet:
-    """All m sampling paths for one experiment cell.
+@dataclass(eq=False)
+class Draw:
+    """The paths of one trial drawn so far, whole chunks end to end in one set,
+    keyed by the trial's entropy draw and the settings the generators read.
+    `generate_paths` extends it, so the cells of one curve and trial that pass
+    one Draw draw each chunk once."""
 
-    With no explicit rng the stream is seeded from config.seed, so identical
-    configs reproduce identical paths. Scattered points are one (m, 2) draw;
-    random walks draw their m boundary starts, bee hives their m centers, and
-    lines and directed walks their m endpoint pairs, each before their gaps
-    or steps. Same-edge boundary pairs are redrawn for directed boundary walks
-    only; straight boundary lines keep them (they degenerate to sampling
-    along one edge).
+    key: tuple | None = None
+    paths: PathSet | None = None
+
+
+def _joined(parts: list) -> PathSet:
+    """The sets end to end as one; it keeps the phasors the first has computed."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def cat(name):
+        return None if getattr(parts[0], name) is None else np.concatenate(
+            [getattr(part, name) for part in parts])
+
+    whole = PathSet(cat("points"), np.r_[0, np.cumsum(cat("counts"))], cat("endpoints"),
+                    cat("hives"))
+    if "_known" in vars(parts[0]):
+        object.__setattr__(whole, "_known", vars(parts[0])["_known"])
+    return whole
+
+
+def _chunk(config: SchemeConfig, rng: np.random.Generator, drawn: int) -> PathSet:
+    """CHUNK paths of the config's scheme; `drawn` points came before them in the cell.
+
+    Scattered points are one (CHUNK, 2) draw; random walks draw their boundary
+    starts, bee hives their centers, and lines and directed walks their
+    endpoint pairs, each before their gaps or steps. Same-edge boundary pairs
+    are redrawn for directed boundary walks only; straight boundary lines keep
+    them (they degenerate to sampling along one edge).
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    scheme, m, gamma = config.scheme, config.m, config.gamma
+    scheme, gamma = config.scheme, config.gamma
     if scheme is Scheme.SCATTERED:
-        return PathSet(rng.random((m, 2)), np.arange(m + 1))
+        return PathSet(rng.random((CHUNK, 2)), np.arange(CHUNK + 1))
     if scheme is Scheme.RANDOM_WALK:
-        return _random_walks(_boundary_points(m, rng), gamma, rng)
+        return _random_walks(_boundary_points(CHUNK, rng), gamma, rng, drawn)
     if scheme is Scheme.BEE_HIVE:
-        hives = rng.random((m, 2))
+        hives = rng.random((CHUNK, 2))
         return _directed_walks(hives, hives, config.p, gamma, rng, hives=hives)
     boundary = scheme in (Scheme.LINE_BOUNDARY_POINTS, Scheme.LINE_BOUNDARY_AVG,
                           Scheme.DIRECTED_BOUNDARY)
-    pairs = _endpoint_pairs(m, rng, boundary, reject_same_edge=scheme is Scheme.DIRECTED_BOUNDARY)
+    pairs = _endpoint_pairs(CHUNK, rng, boundary,
+                            reject_same_edge=scheme is Scheme.DIRECTED_BOUNDARY)
     if scheme in (Scheme.DIRECTED_BOUNDARY, Scheme.DIRECTED_INNER):
         return _directed_walks(pairs[:, 0], pairs[:, 1], config.p, gamma, rng)
     return _line_paths(pairs[:, 0], pairs[:, 1], gamma, rng)
+
+
+def generate_paths(config: SchemeConfig, rng: np.random.Generator | None = None,
+                   draw: Draw | None = None) -> PathSet:
+    """All m sampling paths for one experiment cell: the first m of its trial's draw.
+
+    With no explicit rng the stream is seeded from config.seed, so identical
+    configs reproduce identical paths. The trial's rng gives one entropy draw;
+    chunk c of CHUNK paths then comes from ``default_rng([entropy, c])``
+    (`_chunk`), and the last chunk a cell needs is cut at m. So a cell's paths
+    do not depend on its m beyond their count: they are the first m of any
+    larger cell's. A `draw` passed from the last cell of the same trial (same
+    entropy, scheme, gamma and p) keeps its chunks, and only new ones are drawn.
+    """
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    entropy = int(rng.integers(2 ** 63))
+    draw = Draw() if draw is None else draw
+    key = (entropy, config.scheme, config.gamma, config.p)
+    if draw.paths is not None and draw.key != key:
+        raise ValueError("a Draw serves the cells of one trial and curve")
+    draw.key = key
+    parts = [] if draw.paths is None else [draw.paths]
+    for c in range(sum(map(len, parts)) // CHUNK, -(-config.m // CHUNK)):
+        drawn = sum(len(part.points) for part in parts)
+        parts.append(_chunk(config, np.random.default_rng([entropy, c]), drawn))
+    draw.paths = _joined(parts)
+    return draw.paths.head(config.m)
 
 
 def paths_to_csv(paths: PathSet, path) -> None:

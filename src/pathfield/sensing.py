@@ -20,6 +20,12 @@ made from the locations' phasors exp(j 2 pi (x, y)): a trial computes those
 once per sample point (`PathSet.phasors`), or once per stand-in location when
 it is unaware, and every pass reuses them.
 
+Every sum over points or paths runs over blocks aligned to the first point or
+path, and mean rows are grouped within aligned blocks of PATH_BLOCK paths. So a
+cell whose paths begin with a smaller cell's (the cells of one curve and
+trial) continues the smaller cell's `Sums` and adds only the rest, with the
+operator it would build from nothing, bit for bit.
+
 The operator works in the field module's real coordinates, the tensor basis
 phi_i(x) phi_j(y): R = X Q for the complex phasor matrix X and the unitary Q
 of ``BandlimitedField.coordinates``, so R has X's singular values and
@@ -62,6 +68,7 @@ from .paths import ConfigurationError, PathSet, Scheme, SchemeConfig, POINT_SCHE
 
 __all__ = [
     "Sensing",
+    "Sums",
     "build_matrix",
     "SingularSystemError",
     "measure",
@@ -73,6 +80,14 @@ __all__ = [
 # take 0.7 MB per axis, however many points a trial has. A mean-row group's
 # tables, zero padding included, span at most BLOCK points too.
 BLOCK = 2048
+
+# A path's mean row depends on the paths it is grouped with, whose padded
+# length sets the batched product's sums, so groups never cross a block of
+# PATH_BLOCK paths aligned to the first; R^T R sums ROW_BLOCK rows at a time.
+# Measured on a curve's four cells (1.5n to 8n): smaller path blocks recompute
+# fewer rows per cell, and Gram blocks below 256 rows slowed b = 10.
+PATH_BLOCK = 64
+ROW_BLOCK = 256
 
 # A matrix whose sigma_min/sigma_max falls below this is numerically
 # singular: its condition number is reported as inf and a solve refuses it;
@@ -90,25 +105,27 @@ CORRECTION_KAPPA = 10.0
 CORRECTION_STEPS = 2
 
 
-def blocks(count: int):
-    """Slices of BLOCK consecutive indices that cover range(count)."""
-    return (slice(lo, min(lo + BLOCK, count)) for lo in range(0, count, BLOCK))
+def blocks(count: int, block: int = BLOCK, start: int = 0):
+    """Slices of `block` consecutive indices that cover range(start, count)."""
+    return (slice(lo, min(lo + block, count)) for lo in range(start, count, block))
 
 
 def _mean_rows(phasors: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
     """One mean row per path in real coordinates: t_x^T t_y summed over the
     path's points, scaled by W and divided by their count, one batched product
-    per group of length-sorted paths whose tables, zero-padded to the longest,
-    span at most BLOCK points. A path longer than BLOCK is a group of its own,
-    summed BLOCK points at a time."""
+    per group of length-sorted paths of one PATH_BLOCK (counted from the first
+    path) whose tables, zero-padded to the longest, span at most BLOCK points.
+    A path longer than BLOCK is a group of its own, summed BLOCK points at a
+    time. ``offsets`` index ``phasors``; they may start past 0."""
     counts = np.diff(offsets)
-    order = np.argsort(counts, kind="stable")
+    order = np.lexsort((counts, np.arange(len(counts)) // PATH_BLOCK))  # stable
     length = counts[order]
     rows, W = np.empty((len(counts), (2 * b + 1) ** 2)), weights(b).ravel()
     lo = 0
     while lo < len(order):
-        # Paths lo..hi-1 padded to path hi-1's length fill at most BLOCK points.
-        run = length[lo:lo + BLOCK]
+        # Paths lo..hi-1 of lo's block, padded to path hi-1's length, fill at
+        # most BLOCK points.
+        run = length[lo:min(lo + BLOCK, (lo // PATH_BLOCK + 1) * PATH_BLOCK)]
         hi = lo + max(1, int(np.searchsorted(run * np.arange(1, len(run) + 1), BLOCK, "right")))
         paths, longest = order[lo:hi], length[hi - 1]
         sums = 0.0
@@ -122,6 +139,38 @@ def _mean_rows(phasors: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
         rows[paths] = sums.reshape(len(paths), -1) * W / length[lo:hi, None]
         lo = hi
     return rows
+
+
+class Sums:
+    """What one cell's operator leaves the next, larger cell of its curve and
+    trial: the sum after the last whole block (BLOCK points or ROW_BLOCK rows),
+    the mean rows of the whole PATH_BLOCKs, and the stand-in phasors of the
+    paths seen, which depend on each path alone. Extending a Sums equals
+    starting from an empty one, bit for bit."""
+
+    def __init__(self):
+        self.kind = None  # "points" or "means", the operator the sums belong to
+        self.done = 0  # points or paths in the whole blocks summed into `total`
+        self.total = 0.0
+        self.rows = np.empty((0, 0))  # the mean rows of the whole PATH_BLOCKs
+        self.located = 0  # paths whose stand-in phasors `stand_ins` holds
+        self.stand_ins = np.empty((0, 2), dtype=complex)
+
+    def restart(self, kind: str, count: int) -> None:
+        """Empty the sums unless they are of this kind and cover at most count rows."""
+        if self.kind != kind or self.done > count or len(self.rows) > count:
+            self.kind, self.done, self.total, self.rows = kind, 0, 0.0, np.empty((0, 0))
+
+    def extend(self, count: int, block: int, term):
+        """term(s) summed over slices s of `block` indices from 0 up to count, in
+        order: the kept sum, then the blocks after it. The sum after the last
+        whole block is kept."""
+        total = self.total
+        for s in blocks(count, block, self.done):
+            total = total + term(s)
+            if s.stop - s.start == block:
+                self.done, self.total = s.stop, total
+        return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,18 +189,22 @@ class Sensing:
     phasors: np.ndarray | None = None
 
     @classmethod
-    def from_phasors(cls, phasors: np.ndarray, b: int) -> "Sensing":
+    def from_phasors(cls, phasors: np.ndarray, b: int, sums: Sums | None = None) -> "Sensing":
         """Point rows at the locations whose per-axis phasors exp(j 2 pi (x, y))
-        are the rows of ``phasors`` (P, 2), kept as they are."""
+        are the rows of ``phasors`` (P, 2), kept as they are. ``sums`` holds
+        the product sum of a prefix of these points."""
         # Row p is W * t_x^T t_y, and a product of two bandwidth-b table entries
         # is a sum over the bandwidth-2b table, so with P = sum_p t_x^T t_y at 2b,
         # G[(i, j), (k, l)] = W[i, j] W[k, l] (A P A^T)[(i, k), (j, l)]. As
         # W = w^T w, W[i, j] W[k, l] = W[i, k] W[j, l] scales A's rows, and the
         # swap of j and k is one batched product over (i, j).
-        prod = np.zeros((4 * b + 1, 4 * b + 1))
-        for s in blocks(len(phasors)):
+        def product(s):
             tx, ty = cos_sin(phasors[s].T, 2 * b)
-            prod += tx.T @ ty
+            return tx.T @ ty
+
+        sums = Sums() if sums is None else sums
+        sums.restart("points", len(phasors))
+        prod = sums.extend(len(phasors), BLOCK, product)
         W = weights(b)
         A = W.reshape(-1, 1) * product_map(b)  # rows (i, k)
         right = (prod @ A.T).reshape(-1, *W.shape).transpose(1, 0, 2)  # [j, g, l]
@@ -159,12 +212,17 @@ class Sensing:
         return cls(gram.reshape(W.size, -1), (len(phasors), W.size), phasors=phasors)
 
     @classmethod
-    def from_rows(cls, rows) -> "Sensing":
-        """A dense real (m, n) matrix, such as one mean row per path, taken as R."""
+    def from_rows(cls, rows, sums: Sums | None = None) -> "Sensing":
+        """A dense real (m, n) matrix, such as one mean row per path, taken as R;
+        its Gram is summed ROW_BLOCK rows at a time. ``sums`` holds the Gram of
+        a prefix of these rows."""
         if np.iscomplexobj(rows):
             raise TypeError("sensing rows must be real coordinates")
         rows = np.asarray(rows, dtype=float)
-        return cls(rows.T @ rows, rows.shape, rows=rows)
+        sums = Sums() if sums is None else sums
+        sums.restart("means", len(rows))
+        gram = sums.extend(len(rows), ROW_BLOCK, lambda s: rows[s].T @ rows[s])
+        return cls(gram, rows.shape, rows=rows)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -185,37 +243,55 @@ class Sensing:
         return (weights(b) * acc).ravel()
 
 
-def _unaware_locations(paths: PathSet, scheme: Scheme) -> np.ndarray:
-    """The locations a location-unaware reconstruction assumes, path by path."""
+def _unaware_locations(paths: PathSet, scheme: Scheme, first: int = 0) -> np.ndarray:
+    """The locations a location-unaware reconstruction assumes, path by path,
+    from path `first` on."""
     if scheme is Scheme.BEE_HIVE:
         if paths.hives is None:
             raise ConfigurationError("bee-and-hive paths must carry their hive center")
-        return paths.hives
+        return paths.hives[first:]
     if paths.endpoints is None:
         raise ConfigurationError("location-unaware mode needs declared path endpoints")
-    counts = paths.counts
-    start, end = paths.endpoints[:, 0], paths.endpoints[:, 1]
+    counts, offsets = paths.counts[first:], paths.offsets[first:]
+    start, end = paths.endpoints[first:, 0], paths.endpoints[first:, 1]
     # Reading t of a path of c readings sits at start + t (end - start) / (c - 1).
     step = (end - start) / np.maximum(counts - 1, 1)[:, None]
-    t = np.arange(paths.offsets[-1]) - np.repeat(paths.offsets[:-1], counts)
+    t = np.arange(offsets[0], offsets[-1]) - np.repeat(offsets[:-1], counts)
     return np.repeat(start, counts, axis=0) + t[:, None] * np.repeat(step, counts, axis=0)
 
 
-def build_matrix(paths: PathSet, config: SchemeConfig) -> Sensing:
+def _stand_ins(paths: PathSet, scheme: Scheme, sums: Sums) -> np.ndarray:
+    """The phasors of the unaware locations of every path: those ``sums`` holds
+    for the first paths, then those of the rest."""
+    first = min(sums.located, len(paths))
+    known = sums.stand_ins[:first if scheme is Scheme.BEE_HIVE else paths.offsets[first]]
+    new = np.exp(2j * np.pi * _unaware_locations(paths, scheme, first))
+    sums.located, sums.stand_ins = len(paths), np.concatenate([known, new])
+    return sums.stand_ins
+
+
+def build_matrix(paths: PathSet, config: SchemeConfig, sums: Sums | None = None) -> Sensing:
     """The sensing operator of one cell's paths.
 
     Rows are point phasors at every location for point schemes and one mean
     phasor row per path for the rest. Locations are the sample points, or
     their location-unaware stand-ins; `SchemeConfig` admits an unaware config
-    only for the schemes that have stand-ins, `UNAWARE_SCHEMES`.
+    only for the schemes that have stand-ins, `UNAWARE_SCHEMES`. ``sums``, from
+    a cell of the same trial whose paths began these, is extended (`Sums`).
     """
+    sums = Sums() if sums is None else sums
     scheme = config.scheme
-    phasors = (paths.phasors if config.location_aware
-               else np.exp(2j * np.pi * _unaware_locations(paths, scheme)))
+    phasors = paths.phasors if config.location_aware else _stand_ins(paths, scheme, sums)
     if scheme in POINT_SCHEMES or len(phasors) == len(paths):
         # The mean of one location's row is that row.
-        return Sensing.from_phasors(phasors, config.b)
-    return Sensing.from_rows(_mean_rows(phasors, paths.offsets, config.b))
+        return Sensing.from_phasors(phasors, config.b, sums)
+    m = len(paths)
+    sums.restart("means", m)
+    rows = _mean_rows(phasors, paths.offsets[len(sums.rows):], config.b)
+    if len(sums.rows):
+        rows = np.concatenate([sums.rows, rows])
+    sums.rows = rows[:m - m % PATH_BLOCK]
+    return Sensing.from_rows(rows, sums)
 
 
 class SingularSystemError(RuntimeError):

@@ -1,11 +1,16 @@
 """Seeded Monte Carlo sweeps over schemes, sample counts, and step sizes.
 
 Each sweep cell is one `SchemeConfig` (scheme, b, m, gamma and awareness, plus
-the spec's p and noise) and runs a number of independent trials: fresh random
-field and paths, then from `sensing` the sensing matrix, its condition number
-and, optionally, readings and a least-squares reconstruction. Per-trial seeds
-are derived by hashing the cell key, so results are independent of execution
-order and of the other cells in the sweep.
+the spec's p and noise) and runs a number of trials: a random field and paths,
+then from `sensing` the sensing matrix, its condition number and, optionally,
+readings and a least-squares reconstruction. A curve is the cells that differ
+only in m. Trials are independent across iterations; in one iteration the
+cells of a curve share a seed hashed from the curve's key and the iteration,
+so they share the field and one draw of paths, of which each takes the first m
+(common random numbers). The unit of work is one (curve, iteration): its cells
+run in increasing m, each extending the last one's paths and operator sums
+(`Carry`) to the result of its trial run alone. So results are independent of
+execution order and of the other cells in the sweep.
 """
 
 import csv
@@ -19,27 +24,31 @@ from pathlib import Path
 import numpy as np
 
 from .field import generate_random_field
-from .paths import (CHECKS, ConfigurationError, Scheme, SchemeConfig, UNAWARE_SCHEMES, _flag,
-                    _integer, _real, _scheme, check_cell_bytes, generate_paths)
-from .sensing import build_matrix, condition_number, measure, reconstruct_and_score
+from .paths import (CHECKS, ConfigurationError, Draw, Scheme, SchemeConfig, UNAWARE_SCHEMES,
+                    _flag, _integer, _real, _scheme, check_cell_bytes, generate_paths)
+from .sensing import Sums, build_matrix, condition_number, measure, reconstruct_and_score
 
 __all__ = [
     "SweepSpec",
     "parse_schemes",
     "CellResult",
     "SweepResult",
+    "Carry",
     "run_sweep",
+    "run_trial",
     "trial_seed",
     "rank_schemes",
 ]
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
     """Grid of sweep cells plus the shared trial parameters.
 
     m values are specified as multiples of n = (2b+1)^2, the field's
     degree-of-freedom count, so one grid spans several bandwidths; every
     multiple must be >= 1 to keep the least-squares system overdetermined.
+    A spec is frozen, so what its checks admitted holds; vary one with
+    `dataclasses.replace`.
     """
 
     schemes: list = field(default_factory=lambda: list(Scheme))
@@ -56,7 +65,7 @@ class SweepSpec:
     def __post_init__(self):
         for key, (name, *_) in SETTINGS.items():
             _check(key, getattr(self, name))
-        self.schemes = list(map(_scheme, self.schemes))
+        object.__setattr__(self, "schemes", list(map(_scheme, self.schemes)))
         for mult, b in product(self.m_multiples, self.b_values):
             if not math.isfinite(float(mult) * (2 * b + 1) ** 2):
                 raise ConfigurationError(f"m multiple {mult:g} times n at b={b} is not finite")
@@ -74,6 +83,11 @@ class SweepSpec:
                              gamma=gamma, p=self.p, noise_sigma=self.noise_sigma,
                              location_aware=aware)
                 for scheme, b, mult, gamma, aware in grid]
+
+    def curves(self) -> dict:
+        """The cells grouped into curves along m: {(scheme, b, gamma, aware):
+        cells sorted by m}, in order of each key's first appearance."""
+        return _curves(self.cells(), lambda c: (c.scheme, c.b, c.gamma, c.location_aware))
 
     @classmethod
     def from_file(cls, path, overrides=()) -> "SweepSpec":
@@ -111,6 +125,14 @@ class SweepSpec:
             except ValueError as exc:
                 raise ConfigurationError(f"{where}: {exc}") from None
         return cls(**kwargs)
+
+
+def _curves(cells, key) -> dict:
+    """{key(cell): its cells sorted by m}, in order of each key's first appearance."""
+    groups = {}
+    for cell in cells:
+        groups.setdefault(key(cell), []).append(cell)
+    return {k: sorted(group, key=lambda c: c.m) for k, group in groups.items()}
 
 
 def _items(value: str) -> list:
@@ -209,10 +231,7 @@ class SweepResult:
     def curves(self) -> dict:
         """The cells grouped into curves along m: {(scheme, b, gamma, aware):
         cells sorted by m}, in order of each key's first appearance."""
-        groups = {}
-        for c in self.cells:
-            groups.setdefault((c.scheme, c.b, c.gamma, c.aware), []).append(c)
-        return {key: sorted(cells, key=lambda c: c.m) for key, cells in groups.items()}
+        return _curves(self.cells, lambda c: (c.scheme, c.b, c.gamma, c.aware))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -256,21 +275,36 @@ class SweepResult:
 
 
 def trial_seed(base_seed: int, cell: SchemeConfig, iteration: int) -> int:
-    """Stable per-trial seed derived from the cell's key (scheme, b, m, gamma,
-    awareness) and the iteration index; gamma is keyed by its float value, so
-    1, 1.0 and np.float64(1.0) share a seed."""
-    key = (f"{base_seed}|{cell.scheme.value}|{cell.b}|{cell.m}|{float(cell.gamma)!r}|"
+    """Stable per-trial seed derived from the cell's curve key (scheme, b,
+    gamma, awareness) and the iteration index. m is not in the key, so the
+    cells of one curve share each iteration's trial. gamma is keyed by its
+    float value, so 1, 1.0 and np.float64(1.0) share a seed."""
+    key = (f"{base_seed}|{cell.scheme.value}|{cell.b}|{float(cell.gamma)!r}|"
            f"{cell.location_aware}|{iteration}")
     digest = hashlib.sha256(key.encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def run_trial(config: SchemeConfig, reconstruct: bool = True):
-    """One independent trial: returns (condition number, rel error or nan)."""
+@dataclass
+class Carry:
+    """What a trial leaves the next, larger cell of its curve with the same
+    seed: the chunks of paths drawn so far and the operator's sums."""
+
+    draw: Draw = field(default_factory=Draw)
+    sums: Sums = field(default_factory=Sums)
+
+
+def run_trial(config: SchemeConfig, reconstruct: bool = True, carry: Carry | None = None):
+    """One trial: returns (condition number, rel error or nan).
+
+    Without a carry it starts from nothing; with one, from what the last cell of
+    the same curve and seed left, and the result is the same.
+    """
+    carry = Carry() if carry is None else carry
     rng = np.random.default_rng(config.seed)
     fld = generate_random_field(config.b, rng)
-    paths = generate_paths(config, rng)
-    X = build_matrix(paths, config)
+    paths = generate_paths(config, rng, carry.draw)
+    X = build_matrix(paths, config, carry.sums)
     cond = condition_number(X)
     if not math.isfinite(cond) or not reconstruct:
         return cond, float("nan")
@@ -282,32 +316,38 @@ def run_trial(config: SchemeConfig, reconstruct: bool = True):
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run every cell of the spec; deterministic given spec.base_seed.
 
-    Numerically singular draws are excluded from the averages and counted in
-    the cell's `excluded` field; a cell whose draws were all singular reports
-    nan means.
+    Each (curve, iteration) runs its cells in increasing m with one `Carry`;
+    rows come out in `SweepSpec.cells` order. Numerically singular draws are
+    excluded from the averages and counted in the cell's `excluded` field; a
+    cell whose draws were all singular reports nan means.
     """
-    results = []
-    for cell in spec.cells():
-        conds = []
-        errors = []
-        excluded = 0
+    trials = {cell: [] for cell in spec.cells()}
+    for curve in spec.curves().values():
         for iteration in range(spec.iterations):
-            config = replace(cell, seed=trial_seed(spec.base_seed, cell, iteration))
-            cond, rel_err = run_trial(config, reconstruct=spec.reconstruct)
-            if not math.isfinite(cond):
-                excluded += 1
-                continue
-            conds.append(cond)
-            if math.isfinite(rel_err):
-                errors.append(rel_err)
-        results.append(CellResult(
-            scheme=cell.scheme, b=cell.b, m=cell.m, gamma=cell.gamma, aware=cell.location_aware,
-            mean_cond=float(np.mean(conds)) if conds else float("nan"),
-            std_cond=float(np.std(conds)) if conds else float("nan"),
-            mean_rel_err=float(np.mean(errors)) if errors else float("nan"),
-            excluded=excluded,
-        ))
-    return SweepResult(cells=results)
+            for cell, outcome in zip(curve, _curve_trial(spec, curve, iteration)):
+                trials[cell].append(outcome)
+    return SweepResult(cells=[_cell_result(cell, outcomes) for cell, outcomes in trials.items()])
+
+
+def _curve_trial(spec: SweepSpec, curve: list, iteration: int) -> list:
+    """One (curve, iteration), from the spec and the curve's cells (sorted by m)
+    alone: each cell's (condition number, rel error or nan), in curve order."""
+    carry = Carry()
+    return [run_trial(replace(cell, seed=trial_seed(spec.base_seed, cell, iteration)),
+                      spec.reconstruct, carry) for cell in curve]
+
+
+def _cell_result(cell: SchemeConfig, outcomes: list) -> CellResult:
+    """A cell's aggregates over its (condition number, rel error) per trial."""
+    conds = [cond for cond, _ in outcomes if math.isfinite(cond)]
+    errors = [err for cond, err in outcomes if math.isfinite(cond) and math.isfinite(err)]
+    return CellResult(
+        scheme=cell.scheme, b=cell.b, m=cell.m, gamma=cell.gamma, aware=cell.location_aware,
+        mean_cond=float(np.mean(conds)) if conds else float("nan"),
+        std_cond=float(np.std(conds)) if conds else float("nan"),
+        mean_rel_err=float(np.mean(errors)) if errors else float("nan"),
+        excluded=len(outcomes) - len(conds),
+    )
 
 
 def rank_schemes(result: SweepResult, m: int, gamma: float,

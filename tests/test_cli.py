@@ -1,13 +1,16 @@
 import csv
 import re
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pathfield.cli import main
-from pathfield.paths import (UNAWARE_SCHEMES, ConfigurationError, Scheme, SchemeConfig,
-                             generate_paths)
-from pathfield.sweep import SweepSpec
+from pathfield.field import generate_random_field
+from pathfield.paths import (CHUNK, UNAWARE_SCHEMES, ConfigurationError, Draw, Scheme,
+                             SchemeConfig, generate_paths)
+from pathfield.sweep import SweepSpec, trial_seed
 
 
 def read_paths_csv(path):
@@ -71,12 +74,13 @@ def test_paths_invalid_scheme_is_usage_error(tmp_path, capsys):
         (["--m", "0"], ["m must be"]),
         (["--p", "1"], ["p must be"]),
         (["--seed", "-1"], ["seed must be"]),
-        # Over the byte budget, counted as drawn: m W line gaps, m p walk points.
-        # numpy refuses these arrays at once, so a missing check fails fast.
+        # Over the byte budget, counted as drawn, in whole chunks of CHUNK = 256
+        # paths: CHUNK W line gaps, CHUNK p walk points. numpy refuses these
+        # arrays at once, so a missing check fails fast.
         (["--scheme", "line_boundary_points", "--m", "3", "--gamma", "1e-15"],
          ["cell (line_boundary_points, m=3, gamma=1e-15) needs", "bytes for its sample points"]),
         (["--scheme", "directed_inner", "--m", "1", "--p", str(10 ** 17)],
-         ["cell (directed_inner, m=1, gamma=0.05) needs 1600000000000000000 bytes"]),
+         ["cell (directed_inner, m=1, gamma=0.05) needs 409600000000000000000 bytes"]),
     ]
     out = tmp_path / "out"
     for argv, expected in cases:
@@ -155,7 +159,7 @@ def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
          ["cell (line_boundary_avg, b=10, m=441000000, gamma=0.05)", "1555848000000 bytes",
           "m x n mean rows"]),
         (["--m", "1e6", "--b", "10", "--scheme", "scattered", "--iters", "1"],
-         ["cell (scattered, b=10, m=441000000, gamma=0.05) needs 7056000000 bytes for its "
+         ["cell (scattered, b=10, m=441000000, gamma=0.05) needs 7056003072 bytes for its "
           "sample points, over the 1073741824-byte budget"]),
         (["--m", "1e308", "--b", "0", "--scheme", "scattered", "--iters", "1"],
          ["cell (scattered, b=0, m=1000", "bytes for its sample points"]),
@@ -199,19 +203,49 @@ def test_sweep_all_singular_cell_is_excluded_and_warned(tmp_path, capsys):
 
 
 def test_sweep_random_walk_cell_over_the_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # The settings admit the cell: its largest up-front array, 5184 B of mean
-    # rows (b = 1, m = 72), fits the 6400-byte budget. The walks refuse it as
-    # their points pass the budget, here 200 points' phasors; the trial's
-    # walks reach 797 points when unbounded.
-    monkeypatch.setattr("pathfield.paths.CELL_BYTES", 6400)
+    # The settings admit the cell: its largest up-front array, 8192 B of
+    # phasors for the 256 walk starts of its one chunk (b = 1, m = 72), fits
+    # the 16000-byte budget. The walks refuse it as their points pass the
+    # budget, here 500 points' phasors; the trial's chunk of walks reaches 4594
+    # points when unbounded.
+    monkeypatch.setattr("pathfield.paths.CELL_BYTES", 16000)
     argv = ["--scheme", "random_walk", "--b", "1", "--m", "8", "--gamma", "0.1", "--iters", "1"]
     rc = main(["sweep", *argv, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
     assert re.fullmatch(r"error: random walks at gamma=0\.1 reached (\d+) points, whose phasors "
-                        r"need (\d+) bytes, over the 6400-byte budget\n", err), err
+                        r"need (\d+) bytes, over the 16000-byte budget\n", err), err
     points, size = map(int, re.search(r"reached (\d+) .* need (\d+)", err).groups())
-    assert 200 < points <= 797 and size == 32 * points
+    assert 500 < points <= 4594 and size == 32 * points
+
+
+def test_random_walk_budget_counts_every_chunk_of_a_cell(tmp_path, capsys, monkeypatch):
+    # A cell of 3 * CHUNK walks draws three chunks. Each chunk's points, and the
+    # first two chunks' together, fit a budget that their total passes by one
+    # point, so the walks refuse the cell only because they count across chunks.
+    cell = SchemeConfig(scheme=Scheme.RANDOM_WALK, m=3 * CHUNK, b=1, gamma=0.1)
+    config = replace(cell, seed=trial_seed(0, cell, 0))
+
+    def trial_paths(draw=None):
+        rng = np.random.default_rng(config.seed)  # run_trial's draws: field, then paths
+        generate_random_field(config.b, rng)
+        return generate_paths(config, rng, draw)
+
+    draw = Draw()
+    trial_paths(draw)
+    per_chunk = np.diff(draw.paths.offsets[::CHUNK])
+    total = int(per_chunk.sum())
+    budget = 32 * (total - 1)
+    assert len(per_chunk) == 3 and 32 * int(per_chunk[:2].sum()) <= budget
+    monkeypatch.setattr("pathfield.paths.CELL_BYTES", budget)
+    message = (f"random walks at gamma=0.1 reached {total} points, whose phasors need "
+               f"{32 * total} bytes, over the {budget}-byte budget")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        trial_paths()
+    argv = ["--scheme", "random_walk", "--b", "1", "--m", repr(3 * CHUNK / 9), "--gamma", "0.1",
+            "--iters", "1", "--no-reconstruct"]
+    assert main(["sweep", *argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_one_budget_serves_sweeps_paths_and_walks(tmp_path, capsys, monkeypatch):
@@ -225,7 +259,7 @@ def test_one_budget_serves_sweeps_paths_and_walks(tmp_path, capsys, monkeypatch)
         SweepSpec(schemes=[Scheme.SCATTERED], b_values=[3], m_multiples=[8.0])
     out = tmp_path / "out"
     assert main(["paths", "--scheme", "scattered", "--m", "100", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == ("error: cell (scattered, m=100, gamma=0.05) needs 1600 "
+    assert capsys.readouterr().err == ("error: cell (scattered, m=100, gamma=0.05) needs 4096 "
                                        "bytes for its sample points, over the 1000-byte budget\n")
     assert not out.exists()
     with pytest.raises(ConfigurationError, match="^random walks at gamma=0.1 reached .* "

@@ -2,6 +2,7 @@ import hashlib
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 import reference_paths
 
 from pathfield.paths import (
+    CHUNK,
     ConfigurationError,
+    Draw,
     PathGenerationError,
     PathSet,
     Scheme,
@@ -212,11 +215,12 @@ def test_random_walk_small_gamma_walks_longer():
 
 # (m, gamma, seed) -> sha256 of a random-walk cell's points, rounded to 10
 # decimals as in test_stream (they go through sin/cos), and its offsets. Seed 3
-# at gamma = 0.02 has a walk of 7422 points, longer than sensing.BLOCK.
+# at gamma = 0.02 has a walk of 5377 points, longer than sensing.BLOCK; the
+# last two cells span two chunks.
 WALK_DIGESTS = {
-    (49, 0.1, 1): "a58ace53a9cbf90ec7f45380e0476d5321409805a4fd428879aaed98b26b935e",
-    (392, 0.05, 2): "f1b55c1df386b55df3d3ed25139172964bf73cc4378aaeb200bc34e65f38a7f9",
-    (300, 0.02, 3): "e5fde91a6611c207f4ce5e4b5ee9ffd47fdcf5058a31607b8157f11c4188d6b6",
+    (49, 0.1, 1): "e6cb8ce804fc8ae50086ee9ca01ab9cdbfbebfe9104563524a8792662549592a",
+    (392, 0.05, 2): "35d3c5a5a007e3a12fbac42412e7d7ede3a0894741ba7cad408adfce4fb2362a",
+    (300, 0.02, 3): "a6e7b932c44ae6483bdd6aa295a8c55f53288a6b062cf3a43936f93365c0ce1b",
 }
 
 
@@ -230,11 +234,14 @@ def test_random_walks_are_pinned(m, gamma, seed):
 
 def test_random_walks_stop_once_their_phasors_pass_the_cell_budget(monkeypatch):
     # A walk's length is random, so the walks count their points as they draw
-    # them: one phasor byte over the budget refuses the cell, naming the budget
-    # and the count, and a budget that fits leaves the points as they are.
+    # them, every walk of the chunk the cell's 49 are cut from: one phasor byte
+    # over the budget refuses the cell, naming the budget and the count, and a
+    # budget that fits leaves the points as they are.
     config = SchemeConfig(scheme=Scheme.RANDOM_WALK, m=49, gamma=0.1, seed=1)
-    points = generate_paths(config).points
-    total = len(points)
+    draw = Draw()
+    points = generate_paths(config, draw=draw).points
+    total = len(draw.paths.points)
+    assert len(draw.paths) == CHUNK and total > len(points)
     monkeypatch.setattr("pathfield.paths.CELL_BYTES", 32 * total - 1)
     with pytest.raises(ConfigurationError, match=f"reached {total} points, whose phasors need "
                                                  f"{32 * total} bytes, over the {32 * total - 1}-byte"):
@@ -495,6 +502,62 @@ def test_pathset_rejects_empty_or_non_finite_points():
         PathSet(np.zeros((5, 2)), np.array([0, 2.5, 5]))  # a path would end mid-point
     with pytest.raises(ValueError):
         PathSet(np.zeros((5, 2)), np.array([0.0, 2.0, 5.0]))  # not usable as slice bounds
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=str)
+def test_a_cells_paths_are_the_first_m_of_its_trials_draw(scheme):
+    # Chunk c of CHUNK paths comes from its own generator, so a smaller cell's
+    # paths, endpoints and hives are the first of a larger cell's, across a
+    # chunk boundary too, and a Draw passed on extends them without a change.
+    config = SchemeConfig(scheme=scheme, m=CHUNK + 40, b=1, gamma=0.1, p=7, seed=8)
+    large = generate_paths(config)
+    draw = Draw()
+    for m in (30, CHUNK, CHUNK + 40):
+        for small in (generate_paths(replace(config, m=m)),
+                      generate_paths(replace(config, m=m), draw=draw)):
+            end = small.offsets[-1]
+            assert np.array_equal(small.offsets, large.offsets[:m + 1])
+            assert small.points.tobytes() == large.points[:end].tobytes()
+            for name in ("endpoints", "hives"):
+                mine, theirs = getattr(small, name), getattr(large, name)
+                assert (mine is None) == (theirs is None)
+                assert mine is None or mine.tobytes() == theirs[:m].tobytes()
+    assert len(draw.paths) == 2 * CHUNK
+
+
+def test_a_draw_serves_one_trial():
+    # A Draw keeps the chunks of one trial's paths: another seed, scheme or
+    # gamma would read chunks it did not draw.
+    config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=10, seed=1)
+    draw = Draw()
+    generate_paths(config, draw=draw)
+    for change in (dict(seed=2), dict(scheme=Scheme.LINE_BOUNDARY_AVG), dict(gamma=0.1)):
+        with pytest.raises(ValueError, match="one trial"):
+            generate_paths(replace(config, **change), draw=draw)
+    generate_paths(replace(config, m=20), draw=draw)
+
+
+def test_cells_of_one_draw_exponentiate_each_point_once(monkeypatch):
+    # A cell's phasors are those of its draw's leading points, each computed
+    # when a cell first needs it: a larger cell, across a chunk boundary too,
+    # adds only its new points', and a smaller one none.
+    config = SchemeConfig(scheme=Scheme.DIRECTED_INNER, m=100, p=5, seed=3)
+    exponentiated = []
+    real_exp = np.exp
+
+    def exp(x, *args, **kwargs):
+        exponentiated.append(np.size(x))
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", exp)
+    draw = Draw()
+    for m, new in ((100, 500), (CHUNK + 1, 5 * (CHUNK + 1) - 500), (50, 0)):
+        paths = generate_paths(replace(config, m=m), draw=draw)
+        before = sum(exponentiated)
+        phasors = paths.phasors
+        assert sum(exponentiated) - before == 2 * new
+        assert phasors.tobytes() == real_exp(2j * np.pi * paths.points).tobytes()
+        assert not phasors.flags.writeable
 
 
 def test_pathset_arrays_are_read_only_and_its_phasors_cached():

@@ -4,9 +4,10 @@
 from one generator seeded per trial. The digest below covers all three draws
 for one small trial per scheme, location-aware and -unaware, so any change to
 what a seed produces fails here. A deliberate stream change updates the digest
-and says so in CHANGES.md. The digest last changed when every generator
-started to draw all m paths of a cell as whole arrays (endpoint pairs first,
-then gaps or steps) instead of drawing path by path.
+and says so in CHANGES.md. The digest last changed when paths started to be
+drawn in chunks of CHUNK paths, each from a generator seeded by one entropy
+draw of the trial's and the chunk's index, so that a cell's paths are the first
+m of one draw whatever m is.
 
 Values are rounded to 10 decimals before hashing: path points go through
 sin/cos, whose last bits may differ between numpy builds, and a changed stream
@@ -21,7 +22,7 @@ from pathfield.field import BandlimitedField, generate_random_field
 from pathfield.paths import UNAWARE_SCHEMES, Scheme, SchemeConfig, generate_paths
 from pathfield.sensing import build_matrix, measure
 
-STREAM_DIGEST = "776db4090d561d0c95b7d66f879f7531d6bcccaaa90f66cdc9f556f6e318d8f0"
+STREAM_DIGEST = "2f0367489cc952dd6fedd58ecdaad2e736ba94e1dcbea639888066018b56f958"
 
 CASES = [(s, True) for s in Scheme] + [(s, False) for s in Scheme if s in UNAWARE_SCHEMES]
 

@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,8 @@ import pytest
 
 import pathfield
 from pathfield import sweep
-from pathfield.paths import (ConfigurationError, Scheme, SchemeConfig, check_cell_bytes,
+from pathfield.field import product_map
+from pathfield.paths import (CHUNK, ConfigurationError, Scheme, SchemeConfig, check_cell_bytes,
                              generate_paths)
 from pathfield.sensing import CORRECTION_KAPPA, CORRECTION_STEPS
 from pathfield.sweep import (
@@ -129,39 +130,58 @@ def test_reconstruct_flag_skips_errors():
 
 
 def test_trial_seed_is_stable_and_distinct():
+    # The cells of one curve share each iteration's seed: m is not in its key.
     cell = SchemeConfig(scheme=Scheme.SCATTERED, m=100, b=3, gamma=0.05)
     s1 = trial_seed(0, cell, 0)
-    s2 = trial_seed(0, replace(cell, p=7, noise_sigma=0.5, seed=9), 0)
+    s2 = trial_seed(0, replace(cell, m=392, p=7, noise_sigma=0.5, seed=9), 0)
     s3 = trial_seed(0, cell, 1)
     s4 = trial_seed(1, cell, 0)
     assert s1 == s2
     assert len({s1, s3, s4}) == 3
+    assert len({trial_seed(0, replace(cell, **change), 0) for change in (
+        {}, dict(scheme=Scheme.BEE_HIVE), dict(b=2), dict(gamma=0.1))}) == 4
     # Every sweep.csv rests on these seeds, so they are pinned by value.
     unaware = SchemeConfig(scheme=Scheme.BEE_HIVE, m=3528, b=10, gamma=0.02,
                            location_aware=False)
-    assert s1 == 14881953123529138862
-    assert trial_seed(7, unaware, 49) == 3517701530602497934
+    assert s1 == 8035927220434791528
+    assert trial_seed(7, unaware, 49) == 6461852421054750369
 
 
 def test_each_trial_runs_its_cell_with_its_seed(monkeypatch):
-    spec = quick_spec(schemes=[Scheme.LINE_INNER_AVG], m_multiples=[1.5, 2.0], iterations=2,
+    # One (curve, iteration) at a time: its cells in increasing m, with one
+    # carry, which no other (curve, iteration) shares.
+    spec = quick_spec(schemes=[Scheme.LINE_INNER_AVG], m_multiples=[2.0, 1.5], iterations=2,
                       base_seed=5, p=7, noise_sigma=0.01, aware=[False], reconstruct=False)
     cells = spec.cells()
     assert [(c.m, c.p, c.noise_sigma, c.location_aware, c.seed) for c in cells] == \
-        [(14, 7, 0.01, False, 0), (18, 7, 0.01, False, 0)]
+        [(18, 7, 0.01, False, 0), (14, 7, 0.01, False, 0)]
     calls = []
 
-    def run_trial(config, reconstruct):
-        calls.append((config, reconstruct))
+    def run_trial(config, reconstruct, carry):
+        calls.append((config, reconstruct, carry))
         return 1.0, 0.0
 
     monkeypatch.setattr(sweep, "run_trial", run_trial)
     run_sweep(spec)
-    assert calls == [(replace(cell, seed=trial_seed(5, cell, i)), False)
-                     for cell in cells for i in range(2)]
+    assert [call[:2] for call in calls] == [(replace(cell, seed=trial_seed(5, cell, i)), False)
+                                            for i in range(2) for cell in cells[::-1]]
+    assert all(first[2] is second[2] for first, second in zip(calls[::2], calls[1::2]))
+    assert calls[0][2] is not calls[2][2]
 
 
 # --------------------------------------------------------------- validation
+
+def test_a_built_spec_is_frozen():
+    # Assigned after construction, a setting would skip every check: on a
+    # mutable spec, iterations = 0 wrote a row of nans with excluded = 0.
+    # replace() builds a new spec, and so runs them.
+    spec = quick_spec()
+    with pytest.raises(FrozenInstanceError):
+        spec.iterations = 0
+    with pytest.raises(ConfigurationError, match="^iterations must be an integer >= 1$"):
+        replace(spec, iterations=0)
+    assert replace(spec, schemes=["scattered"]).schemes == [Scheme.SCATTERED]
+
 
 def test_spec_rejects_m_below_n():
     with pytest.raises(ConfigurationError, match="multiples"):
@@ -244,18 +264,19 @@ def test_spec_accepts_numpy_integers():
 
 def test_spec_rejects_a_cell_over_the_byte_budget(monkeypatch):
     # (scheme, b, multiple, budget): the largest array the cell builds takes
-    # one byte more than `paths.CELL_BYTES`, the one budget. A point scheme
-    # builds no mean rows, so scattered at b = 1, m = 18 is judged by its Gram,
-    # 8 * 9 * 9 B, not by 8 * 18 * 9 B of rows. Directed walks with p = 2 at
-    # b = 2, m = 50 draw 100 points, and their mean rows, 8 * 50 * 25 B, are
-    # the largest array; at m = n = 25 the Gram and the rows tie, and the
-    # Gram is named first. b = 0, m = 2: the points' phasors 64 B, twice the
-    # points' own 32 B.
+    # one byte more than `paths.CELL_BYTES`, the one budget. Points are drawn
+    # in whole chunks of CHUNK = 256 paths: 4096 B of scattered points, 8192 B
+    # of their phasors. A point scheme builds no mean rows, so scattered at
+    # b = 3, m = 98 is judged by its Gram, 8 * 49 * 49 B, not by 8 * 98 * 49 B
+    # of rows. Directed walks with p = 2 at b = 3, m = 98 draw 512 points, and
+    # their mean rows, 8 * 98 * 49 B, are the largest array; at m = n = 49 the
+    # Gram and the rows tie, and the Gram is named first. b = 0, m = 2: the
+    # points' phasors 8192 B, twice the points' own 4096 B.
     for scheme, b, mult, budget, what in (
-            (Scheme.SCATTERED, 1, 2.0, 647, "648 bytes for its n x n Gram"),
-            (Scheme.DIRECTED_INNER, 2, 2.0, 9999, "10000 bytes for its m x n mean rows"),
-            (Scheme.DIRECTED_INNER, 2, 1.0, 4999, "5000 bytes for its n x n Gram"),
-            (Scheme.SCATTERED, 0, 2.0, 63, "64 bytes for its sample point phasors")):
+            (Scheme.SCATTERED, 3, 2.0, 19207, "19208 bytes for its n x n Gram"),
+            (Scheme.DIRECTED_INNER, 3, 2.0, 38415, "38416 bytes for its m x n mean rows"),
+            (Scheme.DIRECTED_INNER, 3, 1.0, 19207, "19208 bytes for its n x n Gram"),
+            (Scheme.SCATTERED, 0, 2.0, 8191, "8192 bytes for its sample point phasors")):
         spec = dict(schemes=[scheme], b_values=[b], m_multiples=[mult], p=2)
         monkeypatch.setattr("pathfield.paths.CELL_BYTES", budget + 1)
         quick_spec(**spec)
@@ -264,10 +285,12 @@ def test_spec_rejects_a_cell_over_the_byte_budget(monkeypatch):
                            match=f"^cell \\({scheme.value}, b={b}, .*{what}, over the "
                                  f"{budget}-byte budget$"):
             quick_spec(**spec)
-    # `pathfield paths` builds no sensing, so it counts the points alone.
-    check_cell_bytes("paths", SchemeConfig(scheme=Scheme.SCATTERED, m=2, b=0), sensing=False)
-    with pytest.raises(ConfigurationError, match="^paths needs 96 bytes for its sample points"):
-        check_cell_bytes("paths", SchemeConfig(scheme=Scheme.SCATTERED, m=6, b=0), sensing=False)
+    # `pathfield paths` builds no sensing, so it counts the points alone: one
+    # chunk fits, and one path more draws a second.
+    check_cell_bytes("paths", SchemeConfig(scheme=Scheme.SCATTERED, m=CHUNK, b=0), sensing=False)
+    with pytest.raises(ConfigurationError, match="^paths needs 8192 bytes for its sample points"):
+        check_cell_bytes("paths", SchemeConfig(scheme=Scheme.SCATTERED, m=CHUNK + 1, b=0),
+                         sensing=False)
 
 
 def test_spec_admits_a_point_cell_whose_mean_rows_it_never_builds():
@@ -573,6 +596,7 @@ def test_trial_takes_one_exponential_per_coordinate(monkeypatch, scheme, aware):
     sweep.generate_random_field(config.b, rng)
     points = len(generate_paths(config, rng).points)
     stand_ins = 0 if aware else points  # one equispaced stand-in per reading
+    product_map(config.b)  # a cached constant of b, not of the points
     exponentiated = []
     real_exp = np.exp
 
