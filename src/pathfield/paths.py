@@ -9,7 +9,9 @@ random, and whether the path closes on itself (bee-and-hive loops).
 
 A cell's m paths form one ragged `PathSet`: every path's points back to back
 in one (P, 2) array, with `offsets` marking where each path starts; indexing
-or iterating a set yields `SamplePath` views, slices of its arrays.
+or iterating a set yields `SamplePath` views, slices of its arrays. The
+locations a location-unaware reconstruction assumes are a set of the same
+paths too (`PathSet.stand_ins`).
 
 `generate_paths` is the one entry point. It draws a trial's paths in chunks
 of CHUNK paths, each from its own generator, and a cell takes the first m, so
@@ -192,6 +194,25 @@ class PathSet:
             known.setflags(write=False)
             object.__setattr__(self, "_known", known)
         return known[:count]
+
+    @cached_property
+    def stand_ins(self) -> "PathSet":
+        """The same paths at the locations a location-unaware reconstruction
+        assumes: each loop's hive center if the set has hives, else one per
+        reading, equispaced between the declared endpoints. A head's are the
+        head of its set's, so each stand-in's phasors are computed once."""
+        if "_whole" in vars(self):
+            return self._whole.stand_ins.head(len(self))
+        if self.hives is not None:
+            return PathSet(self.hives, np.arange(len(self) + 1))
+        if self.endpoints is None:
+            raise ConfigurationError("location-unaware mode needs declared path endpoints")
+        counts, start, end = self.counts, self.endpoints[:, 0], self.endpoints[:, 1]
+        # Reading t of a path of c readings sits at start + t (end - start) / (c - 1).
+        step = (end - start) / np.maximum(counts - 1, 1)[:, None]
+        t = np.arange(len(self.points)) - np.repeat(self.offsets[:-1], counts)
+        return PathSet(np.repeat(start, counts, axis=0)
+                       + t[:, None] * np.repeat(step, counts, axis=0), self.offsets)
 
     def head(self, m: int) -> "PathSet":
         """The first m paths, views of this set's arrays that share its phasors."""
@@ -463,7 +484,7 @@ class Draw:
 
 
 def _joined(parts: list) -> PathSet:
-    """The sets end to end as one; it keeps the phasors the first has computed."""
+    """The sets end to end as one, keeping the phasors and stand-ins the first has."""
     if len(parts) == 1:
         return parts[0]
 
@@ -475,6 +496,8 @@ def _joined(parts: list) -> PathSet:
                     cat("hives"))
     if "_known" in vars(parts[0]):
         object.__setattr__(whole, "_known", vars(parts[0])["_known"])
+    if "stand_ins" in vars(parts[0]):
+        object.__setattr__(whole, "stand_ins", _joined([part.stand_ins for part in parts]))
     return whole
 
 

@@ -6,25 +6,24 @@ per-axis tables exp(j 2 pi x k) and exp(j 2 pi y l). A path that averages its
 readings contributes the mean of its locations' phasor rows.
 
 The operator follows one location rule and one row rule. Locations are the
-sample points when the reconstruction is location-aware; location-unaware
-variants replace them with one equispaced point per reading between the
-declared endpoints (a single reading sits at the first), or with the hive center
-for bee-and-hive loops. Point schemes then get one row per location, and
-every other scheme one mean row per path.
+sample points when the reconstruction is location-aware, and the paths'
+`PathSet.stand_ins` when it is not: one equispaced point per reading between
+the declared endpoints, or the hive center of a bee-and-hive loop. Point
+schemes then get one row per location, and every other scheme one mean row
+per path.
 
 Both row types come from one kernel, t_x^T diag(r) t_y summed over the
 per-axis tables of blocks of at most BLOCK points, so no table is ever whole
 (the structure of Feichtinger, Groechenig and Strohmer's ACT method). The
 tables are real, [1, cos, sin] 2 pi k t (`cos_sin`, both axes in one call),
-made from the locations' phasors exp(j 2 pi (x, y)): a trial computes those
-once per sample point (`PathSet.phasors`), or once per stand-in location when
-it is unaware, and every pass reuses them.
+made from the locations' phasors exp(j 2 pi (x, y)) (`PathSet.phasors`), which
+a trial computes once per location and every pass reuses.
 
 Every sum over points or paths runs over blocks aligned to the first point or
 path, and mean rows are grouped within aligned blocks of PATH_BLOCK paths. So a
 cell whose paths begin with a smaller cell's (the cells of one curve and
-trial) continues the smaller cell's `Sums` and adds only the rest, with the
-operator it would build from nothing, bit for bit.
+trial) continues what the smaller cell's operator kept (`Sensing.kept`) and
+adds only the rest, with the operator it would build from nothing, bit for bit.
 
 The operator works in the field module's real coordinates, the tensor basis
 phi_i(x) phi_j(y): R = X Q for the complex phasor matrix X and the unitary Q
@@ -60,6 +59,7 @@ the relative coefficient error, is also the field's relative L2 error (Parseval)
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +68,7 @@ from .paths import ConfigurationError, PathSet, Scheme, SchemeConfig, POINT_SCHE
 
 __all__ = [
     "Sensing",
-    "Sums",
+    "Kept",
     "build_matrix",
     "SingularSystemError",
     "measure",
@@ -110,17 +110,16 @@ def blocks(count: int, block: int = BLOCK, start: int = 0):
     return (slice(lo, min(lo + block, count)) for lo in range(start, count, block))
 
 
-def _mean_rows(phasors: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
-    """One mean row per path in real coordinates: t_x^T t_y summed over the
-    path's points, scaled by W and divided by their count, one batched product
-    per group of length-sorted paths of one PATH_BLOCK (counted from the first
-    path) whose tables, zero-padded to the longest, span at most BLOCK points.
-    A path longer than BLOCK is a group of its own, summed BLOCK points at a
-    time. ``offsets`` index ``phasors``; they may start past 0."""
+def _mean_rows(phasors: np.ndarray, offsets: np.ndarray, b: int, rows: np.ndarray) -> None:
+    """Fill ``rows`` with one mean row per path in real coordinates: t_x^T t_y
+    summed over the path's points, scaled by W and divided by their count, one
+    batched product per group of length-sorted paths of one PATH_BLOCK (counted
+    from the first path) whose tables, zero-padded to the longest, span at most
+    BLOCK points. A path longer than BLOCK is a group of its own, summed BLOCK
+    points at a time. ``offsets`` index ``phasors``; they may start past 0."""
     counts = np.diff(offsets)
     order = np.lexsort((counts, np.arange(len(counts)) // PATH_BLOCK))  # stable
-    length = counts[order]
-    rows, W = np.empty((len(counts), (2 * b + 1) ** 2)), weights(b).ravel()
+    length, W = counts[order], weights(b).ravel()
     lo = 0
     while lo < len(order):
         # Paths lo..hi-1 of lo's block, padded to path hi-1's length, fill at
@@ -138,39 +137,29 @@ def _mean_rows(phasors: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
             sums = sums + tx.transpose(0, 2, 1) @ ty
         rows[paths] = sums.reshape(len(paths), -1) * W / length[lo:hi, None]
         lo = hi
-    return rows
 
 
-class Sums:
-    """What one cell's operator leaves the next, larger cell of its curve and
-    trial: the sum after the last whole block (BLOCK points or ROW_BLOCK rows),
-    the mean rows of the whole PATH_BLOCKs, and the stand-in phasors of the
-    paths seen, which depend on each path alone. Extending a Sums equals
-    starting from an empty one, bit for bit."""
+class Kept(NamedTuple):
+    """What a cell's operator leaves a larger cell of its curve and trial: its
+    kind, the sum over its whole blocks (BLOCK points or ROW_BLOCK rows), the
+    count `done` they cover and the mean rows of its whole PATH_BLOCKs."""
 
-    def __init__(self):
-        self.kind = None  # "points" or "means", the operator the sums belong to
-        self.done = 0  # points or paths in the whole blocks summed into `total`
-        self.total = 0.0
-        self.rows = np.empty((0, 0))  # the mean rows of the whole PATH_BLOCKs
-        self.located = 0  # paths whose stand-in phasors `stand_ins` holds
-        self.stand_ins = np.empty((0, 2), dtype=complex)
+    kind: str
+    done: int = 0
+    total: np.ndarray | float = 0.0
+    rows: np.ndarray = np.empty((0, 0))
 
-    def restart(self, kind: str, count: int) -> None:
-        """Empty the sums unless they are of this kind and cover at most count rows."""
-        if self.kind != kind or self.done > count or len(self.rows) > count:
-            self.kind, self.done, self.total, self.rows = kind, 0, 0.0, np.empty((0, 0))
 
-    def extend(self, count: int, block: int, term):
-        """term(s) summed over slices s of `block` indices from 0 up to count, in
-        order: the kept sum, then the blocks after it. The sum after the last
-        whole block is kept."""
-        total = self.total
-        for s in blocks(count, block, self.done):
-            total = total + term(s)
-            if s.stop - s.start == block:
-                self.done, self.total = s.stop, total
-        return total
+def _summed(count: int, block: int, term, kept: Kept) -> tuple:
+    """term(s) summed over slices s of `block` indices from 0 up to count, in
+    order, continuing kept's sum of the first kept.done; and a Kept of its kind
+    with the sum after the last whole block."""
+    total, done, whole = kept.total, kept.done, kept.total
+    for s in blocks(count, block, kept.done):
+        total = total + term(s)
+        if s.stop - s.start == block:
+            done, whole = s.stop, total
+    return total, Kept(kept.kind, done, whole)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,18 +169,20 @@ class Sensing:
     Point rows (`from_phasors`) keep only their locations' (rows, 2) phasors;
     mean rows (`from_rows`) keep the dense rows. ``adjoint(g)`` is R^T g and
     ``adjoint(g, a)`` is R^T (g - R a); columns are the real coordinates of
-    ``BandlimitedField.coordinates`` (module docstring).
+    ``BandlimitedField.coordinates`` (module docstring). ``kept`` is what a
+    larger cell of the same trial continues.
     """
 
     gram: np.ndarray
     shape: tuple
+    kept: Kept
     rows: np.ndarray | None = None
     phasors: np.ndarray | None = None
 
     @classmethod
-    def from_phasors(cls, phasors: np.ndarray, b: int, sums: Sums | None = None) -> "Sensing":
+    def from_phasors(cls, phasors: np.ndarray, b: int, kept: Kept | None = None) -> "Sensing":
         """Point rows at the locations whose per-axis phasors exp(j 2 pi (x, y))
-        are the rows of ``phasors`` (P, 2), kept as they are. ``sums`` holds
+        are the rows of ``phasors`` (P, 2), kept as they are. ``kept`` holds
         the product sum of a prefix of these points."""
         # Row p is W * t_x^T t_y, and a product of two bandwidth-b table entries
         # is a sum over the bandwidth-2b table, so with P = sum_p t_x^T t_y at 2b,
@@ -202,27 +193,24 @@ class Sensing:
             tx, ty = cos_sin(phasors[s].T, 2 * b)
             return tx.T @ ty
 
-        sums = Sums() if sums is None else sums
-        sums.restart("points", len(phasors))
-        prod = sums.extend(len(phasors), BLOCK, product)
+        prod, kept = _summed(len(phasors), BLOCK, product, kept or Kept("points"))
         W = weights(b)
         A = W.reshape(-1, 1) * product_map(b)  # rows (i, k)
         right = (prod @ A.T).reshape(-1, *W.shape).transpose(1, 0, 2)  # [j, g, l]
         gram = A.reshape(*W.shape, -1)[:, None] @ right  # [i, j, k, l]
-        return cls(gram.reshape(W.size, -1), (len(phasors), W.size), phasors=phasors)
+        return cls(gram.reshape(W.size, -1), (len(phasors), W.size), kept, phasors=phasors)
 
     @classmethod
-    def from_rows(cls, rows, sums: Sums | None = None) -> "Sensing":
+    def from_rows(cls, rows, kept: Kept | None = None) -> "Sensing":
         """A dense real (m, n) matrix, such as one mean row per path, taken as R;
-        its Gram is summed ROW_BLOCK rows at a time. ``sums`` holds the Gram of
-        a prefix of these rows."""
+        its Gram is summed ROW_BLOCK rows at a time. ``kept`` holds the Gram of
+        a prefix of these rows and their first whole PATH_BLOCKs."""
         if np.iscomplexobj(rows):
             raise TypeError("sensing rows must be real coordinates")
         rows = np.asarray(rows, dtype=float)
-        sums = Sums() if sums is None else sums
-        sums.restart("means", len(rows))
-        gram = sums.extend(len(rows), ROW_BLOCK, lambda s: rows[s].T @ rows[s])
-        return cls(gram, rows.shape, rows=rows)
+        m = len(rows)
+        gram, kept = _summed(m, ROW_BLOCK, lambda s: rows[s].T @ rows[s], kept or Kept("means"))
+        return cls(gram, rows.shape, kept._replace(rows=rows[:m - m % PATH_BLOCK]), rows=rows)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -243,55 +231,36 @@ class Sensing:
         return (weights(b) * acc).ravel()
 
 
-def _unaware_locations(paths: PathSet, scheme: Scheme, first: int = 0) -> np.ndarray:
-    """The locations a location-unaware reconstruction assumes, path by path,
-    from path `first` on."""
-    if scheme is Scheme.BEE_HIVE:
-        if paths.hives is None:
-            raise ConfigurationError("bee-and-hive paths must carry their hive center")
-        return paths.hives[first:]
-    if paths.endpoints is None:
-        raise ConfigurationError("location-unaware mode needs declared path endpoints")
-    counts, offsets = paths.counts[first:], paths.offsets[first:]
-    start, end = paths.endpoints[first:, 0], paths.endpoints[first:, 1]
-    # Reading t of a path of c readings sits at start + t (end - start) / (c - 1).
-    step = (end - start) / np.maximum(counts - 1, 1)[:, None]
-    t = np.arange(offsets[0], offsets[-1]) - np.repeat(offsets[:-1], counts)
-    return np.repeat(start, counts, axis=0) + t[:, None] * np.repeat(step, counts, axis=0)
-
-
-def _stand_ins(paths: PathSet, scheme: Scheme, sums: Sums) -> np.ndarray:
-    """The phasors of the unaware locations of every path: those ``sums`` holds
-    for the first paths, then those of the rest."""
-    first = min(sums.located, len(paths))
-    known = sums.stand_ins[:first if scheme is Scheme.BEE_HIVE else paths.offsets[first]]
-    new = np.exp(2j * np.pi * _unaware_locations(paths, scheme, first))
-    sums.located, sums.stand_ins = len(paths), np.concatenate([known, new])
-    return sums.stand_ins
-
-
-def build_matrix(paths: PathSet, config: SchemeConfig, sums: Sums | None = None) -> Sensing:
+def build_matrix(paths: PathSet, config: SchemeConfig, kept: Kept | None = None) -> Sensing:
     """The sensing operator of one cell's paths.
 
     Rows are point phasors at every location for point schemes and one mean
     phasor row per path for the rest. Locations are the sample points, or
-    their location-unaware stand-ins; `SchemeConfig` admits an unaware config
-    only for the schemes that have stand-ins, `UNAWARE_SCHEMES`. ``sums``, from
-    a cell of the same trial whose paths began these, is extended (`Sums`).
+    their location-unaware stand-ins (`PathSet.stand_ins`); `SchemeConfig`
+    admits an unaware config only for the schemes that have stand-ins,
+    `UNAWARE_SCHEMES`. ``kept``, what the operator of a cell of the same trial
+    whose paths began these left (`Sensing.kept`), is continued when it is of
+    this operator's kind and its blocks lie within these paths; otherwise the
+    build starts from nothing.
     """
-    sums = Sums() if sums is None else sums
-    scheme = config.scheme
-    phasors = paths.phasors if config.location_aware else _stand_ins(paths, scheme, sums)
-    if scheme in POINT_SCHEMES or len(phasors) == len(paths):
-        # The mean of one location's row is that row.
-        return Sensing.from_phasors(phasors, config.b, sums)
-    m = len(paths)
-    sums.restart("means", m)
-    rows = _mean_rows(phasors, paths.offsets[len(sums.rows):], config.b)
-    if len(sums.rows):
-        rows = np.concatenate([sums.rows, rows])
-    sums.rows = rows[:m - m % PATH_BLOCK]
-    return Sensing.from_rows(rows, sums)
+    if not config.location_aware and config.scheme is Scheme.BEE_HIVE and paths.hives is None:
+        raise ConfigurationError("bee-and-hive paths must carry their hive center")
+    located = paths if config.location_aware else paths.stand_ins
+    phasors = located.phasors
+    # The mean of one location's row is that row.
+    points = config.scheme in POINT_SCHEMES or len(phasors) == len(paths)
+    kind, count = ("points", len(phasors)) if points else ("means", len(paths))
+    if kept is None or kept.kind != kind or max(kept.done, len(kept.rows)) > count:
+        kept = Kept(kind)
+    if points:
+        return Sensing.from_phasors(phasors, config.b, kept)
+    rows, start = np.empty((len(paths), config.n)), len(kept.rows)
+    if start:
+        # Once copied, the kept rows go: if the caller let go of `kept` too,
+        # the last cell's rows are freed before the new ones are made.
+        rows[:start], kept = kept.rows, Kept(kind, kept.done, kept.total)
+    _mean_rows(phasors, located.offsets[start:], config.b, rows[start:])
+    return Sensing.from_rows(rows, kept)
 
 
 class SingularSystemError(RuntimeError):

@@ -8,9 +8,9 @@ only in m. Trials are independent across iterations; in one iteration the
 cells of a curve share a seed hashed from the curve's key and the iteration,
 so they share the field and one draw of paths, of which each takes the first m
 (common random numbers). The unit of work is one (curve, iteration): its cells
-run in increasing m, each extending the last one's paths and operator sums
-(`Carry`) to the result of its trial run alone. So results are independent of
-execution order and of the other cells in the sweep.
+run in increasing m, each extending the last one's paths and what its
+operator kept (`Carry`) to the result of its trial run alone. So results are
+independent of execution order and of the other cells in the sweep.
 """
 
 import csv
@@ -26,7 +26,7 @@ import numpy as np
 from .field import generate_random_field
 from .paths import (CHECKS, ConfigurationError, Draw, Scheme, SchemeConfig, UNAWARE_SCHEMES,
                     _flag, _integer, _real, _scheme, check_cell_bytes, generate_paths)
-from .sensing import Sums, build_matrix, condition_number, measure, reconstruct_and_score
+from .sensing import Kept, build_matrix, condition_number, measure, reconstruct_and_score
 
 __all__ = [
     "SweepSpec",
@@ -288,10 +288,16 @@ def trial_seed(base_seed: int, cell: SchemeConfig, iteration: int) -> int:
 @dataclass
 class Carry:
     """What a trial leaves the next, larger cell of its curve with the same
-    seed: the chunks of paths drawn so far and the operator's sums."""
+    seed: the chunks of paths drawn so far and `Sensing.kept`."""
 
     draw: Draw = field(default_factory=Draw)
-    sums: Sums = field(default_factory=Sums)
+    kept: Kept | None = None
+
+    def take(self) -> Kept | None:
+        """The kept value, which the carry lets go of: on CPython >= 3.11 the build
+        it is passed to then holds it alone and frees the last cell's rows once copied."""
+        kept, self.kept = self.kept, None
+        return kept
 
 
 def run_trial(config: SchemeConfig, reconstruct: bool = True, carry: Carry | None = None):
@@ -304,7 +310,8 @@ def run_trial(config: SchemeConfig, reconstruct: bool = True, carry: Carry | Non
     rng = np.random.default_rng(config.seed)
     fld = generate_random_field(config.b, rng)
     paths = generate_paths(config, rng, carry.draw)
-    X = build_matrix(paths, config, carry.sums)
+    X = build_matrix(paths, config, carry.take())
+    carry.kept = X.kept
     cond = condition_number(X)
     if not math.isfinite(cond) or not reconstruct:
         return cond, float("nan")

@@ -58,30 +58,52 @@ def test_rows_come_out_in_cells_order_whatever_order_they_run_in():
 def _trial_operator(config: SchemeConfig, carry: Carry | None):
     rng = np.random.default_rng(config.seed)  # run_trial's draws: field, then paths
     generate_random_field(config.b, rng)
-    draw, sums = (None, None) if carry is None else (carry.draw, carry.sums)
-    paths = generate_paths(config, rng, draw)
-    return paths, build_matrix(paths, config, sums)
+    carry = Carry() if carry is None else carry
+    paths = generate_paths(config, rng, carry.draw)
+    X = build_matrix(paths, config, carry.kept)
+    carry.kept = X.kept
+    return paths, X
+
+
+def _nested_is_fresh(config: SchemeConfig, carry: Carry):
+    """The config's operator built with the carry, after asserting that it is,
+    bit for bit, the one its trial builds alone, and so is its kappa."""
+    nested_paths, nested = _trial_operator(config, carry)
+    paths, fresh = _trial_operator(config, None)
+    assert nested_paths.points.tobytes() == paths.points.tobytes()
+    assert nested.gram.tobytes() == fresh.gram.tobytes()
+    for name in ("rows", "phasors"):
+        mine, theirs = getattr(nested, name), getattr(fresh, name)
+        assert (mine is None) == (theirs is None)
+        assert mine is None or mine.tobytes() == theirs.tobytes()
+    assert condition_number(nested) == condition_number(fresh)
+    return nested
 
 
 @pytest.mark.parametrize("scheme, aware", CASES, ids=IDS)
-@pytest.mark.parametrize("b, ms", [(2, [38, 50, 100, 200, 300, 600]), (3, [74, 98, 196, 392])],
-                         ids=["b2", "b3"])
+@pytest.mark.parametrize("b, ms", [(2, [38, 50, 100, 200, 300, 600]), (3, [74, 98, 196, 392]),
+                                   (2, [300, 100, 300, 70])],
+                         ids=["b2", "b3", "b2-smaller"])
 def test_a_nested_cell_is_its_trial_built_alone(scheme, aware, b, ms):
     # The m cross PATH_BLOCK, ROW_BLOCK and CHUNK boundaries, and b = 3 line
     # points fill several BLOCKs of points; each nested operator is the one its
-    # fresh trial builds, bit for bit, and so is its kappa.
+    # fresh trial builds, bit for bit, and so is its kappa. A carry handed a
+    # smaller cell holds blocks past its paths, and the build starts afresh.
     carry = Carry()
     for m in ms:
-        config = SchemeConfig(scheme=scheme, m=m, b=b, gamma=0.05, location_aware=aware, seed=9)
-        nested_paths, nested = _trial_operator(config, carry)
-        paths, fresh = _trial_operator(config, None)
-        assert nested_paths.points.tobytes() == paths.points.tobytes()
-        assert nested.gram.tobytes() == fresh.gram.tobytes()
-        for name in ("rows", "phasors"):
-            mine, theirs = getattr(nested, name), getattr(fresh, name)
-            assert (mine is None) == (theirs is None)
-            assert mine is None or mine.tobytes() == theirs.tobytes()
-        assert condition_number(nested) == condition_number(fresh)
+        _nested_is_fresh(SchemeConfig(scheme=scheme, m=m, b=b, gamma=0.05,
+                                      location_aware=aware, seed=9), carry)
+
+
+def test_a_carry_of_point_rows_restarts_for_mean_rows():
+    # At gamma = 1 the trial's one line at m = 1 has a single reading, so
+    # point rows; at m = 2 the operator is mean rows, which continue nothing
+    # of the point sums the carry holds.
+    carry = Carry()
+    point_rows = [_nested_is_fresh(SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=m, b=1,
+                                                gamma=1.0, seed=2), carry).rows is None
+                  for m in (1, 2)]
+    assert point_rows == [True, False]
 
 
 # eigvalsh is backward stable: each computed eigenvalue of a symmetric G is

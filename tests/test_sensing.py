@@ -231,11 +231,12 @@ def test_unaware_mode_rejected_where_undefined(scheme):
 
 
 def test_unaware_mode_requires_endpoint_metadata():
-    config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=2, b=1, gamma=0.1,
-                          location_aware=False, seed=8)
     bare = PathSet(np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([0, 2]))
-    with pytest.raises(ConfigurationError, match="endpoints"):
-        build_matrix(bare, config)
+    for scheme, message in ((Scheme.LINE_INNER_AVG, "endpoints"),
+                            (Scheme.BEE_HIVE, "bee-and-hive paths must carry their hive center")):
+        config = SchemeConfig(scheme=scheme, m=2, b=1, gamma=0.1, location_aware=False, seed=8)
+        with pytest.raises(ConfigurationError, match=message):
+            build_matrix(bare, config)
 
 
 def test_build_matrix_rejects_empty_path_list():
@@ -407,7 +408,8 @@ def test_mean_rows_peak_below_twice_the_rows():
     phasors = paths.phasors
     tracemalloc.start()
     try:
-        rows = sensing._mean_rows(phasors, paths.offsets, config.b)
+        rows = np.empty((len(paths), config.n))
+        sensing._mean_rows(phasors, paths.offsets, config.b, rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -583,19 +583,36 @@ def test_point_trial_never_allocates_the_dense_matrix():
     assert peak < rows * config.n * 16 / 2
 
 
-@pytest.mark.parametrize("scheme, aware", [(Scheme.LINE_BOUNDARY_POINTS, True),
-                                           (Scheme.LINE_BOUNDARY_AVG, True),
-                                           (Scheme.LINE_BOUNDARY_AVG, False)])
-def test_trial_takes_one_exponential_per_coordinate(monkeypatch, scheme, aware):
+# (scheme, aware, curve): a curve case runs one (curve, iteration) of 1.5n, 2n and 8n.
+EXP_CASES = [(Scheme.LINE_BOUNDARY_POINTS, True, False), (Scheme.LINE_BOUNDARY_AVG, True, False),
+             (Scheme.LINE_BOUNDARY_AVG, False, False), (Scheme.LINE_BOUNDARY_AVG, False, True),
+             (Scheme.LINE_BOUNDARY_POINTS, False, True), (Scheme.BEE_HIVE, False, True),
+             (Scheme.LINE_BOUNDARY_AVG, True, True)]
+
+
+@pytest.mark.parametrize("scheme, aware, curve", EXP_CASES,
+                         ids=[f"{s.value}-{a}" + "-curve" * c for s, a, c in EXP_CASES])
+def test_trial_takes_one_exponential_per_coordinate(monkeypatch, scheme, aware, curve):
     # Every table of a trial is built from exp(j 2 pi x) and exp(j 2 pi y) of
     # its P sample points, each computed once for the build, the readings and
-    # the solve; an unaware build adds those of its L stand-in locations.
-    config = SchemeConfig(scheme=scheme, m=74, b=3, gamma=0.05, noise_sigma=0.01,
-                          location_aware=aware, seed=3)
+    # the solve; an unaware build adds those of its L stand-in locations. The
+    # cells of one curve and trial share them, so a curve takes only those of
+    # its largest cell.
+    if curve:
+        spec = SweepSpec(schemes=[scheme], b_values=[3], m_multiples=[1.5, 2.0, 8.0],
+                         iterations=1, noise_sigma=0.01, aware=[aware])
+        (cells,) = spec.curves().values()
+        cells = [replace(cell, seed=trial_seed(0, cell, 0)) for cell in cells]
+    else:
+        cells = [SchemeConfig(scheme=scheme, m=74, b=3, gamma=0.05, noise_sigma=0.01,
+                              location_aware=aware, seed=3)]
+    config = cells[-1]
     rng = np.random.default_rng(config.seed)  # run_trial's draws: field, then paths
     sweep.generate_random_field(config.b, rng)
-    points = len(generate_paths(config, rng).points)
-    stand_ins = 0 if aware else points  # one equispaced stand-in per reading
+    paths = generate_paths(config, rng)
+    points = len(paths.points)
+    # One hive per loop, or one equispaced stand-in per reading.
+    stand_ins = 0 if aware else len(paths) if scheme is Scheme.BEE_HIVE else points
     product_map(config.b)  # a cached constant of b, not of the points
     exponentiated = []
     real_exp = np.exp
@@ -605,8 +622,10 @@ def test_trial_takes_one_exponential_per_coordinate(monkeypatch, scheme, aware):
         return real_exp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", exp)
-    cond, rel_err = run_trial(config)
-    assert math.isfinite(cond) and math.isfinite(rel_err)
+    carry = sweep.Carry()
+    for cell in cells:
+        cond, rel_err = run_trial(cell, True, carry)
+        assert math.isfinite(cond) and math.isfinite(rel_err)
     assert sum(exponentiated) == 2 * points + 2 * stand_ins
 
 
