@@ -16,10 +16,11 @@ paths too (`PathSet.stand_ins`).
 `generate_paths` is the one entry point. It draws a trial's paths in chunks
 of CHUNK paths, each from its own generator, and a cell takes the first m, so
 a cell's paths are a prefix of every larger cell's in the same trial. A `Draw`
-carries the chunks from one cell to the next. The private generators take
-float (k, 2) arrays and trust the parameters `SchemeConfig` has checked. Each
-draws its random numbers as whole arrays for all k paths of a chunk at once,
-in the order its docstring states; no Python loop runs once per path.
+carries the chunks, and what the last cell's operator kept, from one cell to
+the next. The private generators take float (k, 2) arrays and trust the
+parameters `SchemeConfig` has checked. Each draws its random numbers as whole
+arrays for all k paths of a chunk at once, in the order its docstring states;
+no Python loop runs once per path.
 """
 
 import csv
@@ -326,20 +327,23 @@ def _gap_width(gamma: float) -> int:
 
 def check_cell_bytes(name: str, config: SchemeConfig, sensing: bool) -> None:
     """Refuse, from its settings alone, a cell that would ask for one array over
-    CELL_BYTES. With `sensing` it builds an n x n Gram and, for averaging schemes,
-    m x n mean rows (8 B an entry), and its points' phasors (32 B each). Its
-    sample points take 16 B each, counted as `generate_paths` draws them, in
+    CELL_BYTES. With `sensing` it builds an n x n Gram, m x n mean rows (8 B an
+    entry) for an averaging scheme other than an unaware bee hive (whose
+    operator is one point row per hive), and its points' phasors (32 B each).
+    Its sample points take 16 B each, counted as `generate_paths` draws them, in
     whole chunks of k = CHUNK * ceil(m / CHUNK) paths: k W gaps for lines, k p
     for directed walks and bee hives, k for scattered. A random walk's length is
     random, so only its k starts count; `_random_walks` stops the rest."""
     n, m, scheme = config.n, config.m, config.scheme
+    means = sensing and scheme not in POINT_SCHEMES and (config.location_aware
+                                                         or scheme is not Scheme.BEE_HIVE)
     drawn = -(-m // CHUNK) * CHUNK
     if scheme in (Scheme.BEE_HIVE, Scheme.DIRECTED_BOUNDARY, Scheme.DIRECTED_INNER):
         drawn *= config.p
     elif scheme not in (Scheme.SCATTERED, Scheme.RANDOM_WALK):
         drawn *= _gap_width(config.gamma)
     arrays = (("n x n Gram", 8 * n * n, sensing),
-              ("m x n mean rows", 8 * m * n, sensing and scheme not in POINT_SCHEMES),
+              ("m x n mean rows", 8 * m * n, means),
               ("sample points", 16 * drawn, True), ("sample point phasors", 32 * drawn, sensing))
     for what, size, built in arrays:
         if built and size > CELL_BYTES:
@@ -474,13 +478,16 @@ def _endpoint_pairs(m: int, rng: np.random.Generator, boundary: bool,
 
 @dataclass(eq=False)
 class Draw:
-    """The paths of one trial drawn so far, whole chunks end to end in one set,
-    keyed by the trial's entropy draw and the settings the generators read.
-    `generate_paths` extends it, so the cells of one curve and trial that pass
-    one Draw draw each chunk once."""
+    """The one value the cells of one curve and trial carry, each to the next,
+    larger one: the paths drawn so far, whole chunks end to end in one set,
+    keyed by the trial's entropy draw and the settings the generators and the
+    operator read; and `kept`, the `sensing.Kept` the last cell's operator left.
+    `generate_paths` extends the paths, so each chunk is drawn once, and
+    `sensing.build_matrix` continues the kept sums and leaves its own."""
 
     key: tuple | None = None
     paths: PathSet | None = None
+    kept: tuple | None = None
 
 
 def _joined(parts: list) -> PathSet:
@@ -537,13 +544,14 @@ def generate_paths(config: SchemeConfig, rng: np.random.Generator | None = None,
     (`_chunk`), and the last chunk a cell needs is cut at m. So a cell's paths
     do not depend on its m beyond their count: they are the first m of any
     larger cell's. A `draw` passed from the last cell of the same trial (same
-    entropy, scheme, gamma and p) keeps its chunks, and only new ones are drawn.
+    entropy, scheme, gamma, p and awareness) keeps its chunks, and only new ones
+    are drawn.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
     entropy = int(rng.integers(2 ** 63))
     draw = Draw() if draw is None else draw
-    key = (entropy, config.scheme, config.gamma, config.p)
+    key = (entropy, config.scheme, config.gamma, config.p, config.location_aware)
     if draw.paths is not None and draw.key != key:
         raise ValueError("a Draw serves the cells of one trial and curve")
     draw.key = key

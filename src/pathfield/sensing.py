@@ -22,8 +22,9 @@ a trial computes once per location and every pass reuses.
 Every sum over points or paths runs over blocks aligned to the first point or
 path, and mean rows are grouped within aligned blocks of PATH_BLOCK paths. So a
 cell whose paths begin with a smaller cell's (the cells of one curve and
-trial) continues what the smaller cell's operator kept (`Sensing.kept`) and
-adds only the rest, with the operator it would build from nothing, bit for bit.
+trial, which share one `paths.Draw`) continues what the smaller cell's
+operator kept (`Draw.kept`) and adds only the rest, with the operator it would
+build from nothing, bit for bit.
 
 The operator works in the field module's real coordinates, the tensor basis
 phi_i(x) phi_j(y): R = X Q for the complex phasor matrix X and the unitary Q
@@ -64,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import BandlimitedField, cos_sin, product_map, real_sum, weights
-from .paths import ConfigurationError, PathSet, Scheme, SchemeConfig, POINT_SCHEMES
+from .paths import ConfigurationError, Draw, PathSet, Scheme, SchemeConfig, POINT_SCHEMES
 
 __all__ = [
     "Sensing",
@@ -170,7 +171,7 @@ class Sensing:
     mean rows (`from_rows`) keep the dense rows. ``adjoint(g)`` is R^T g and
     ``adjoint(g, a)`` is R^T (g - R a); columns are the real coordinates of
     ``BandlimitedField.coordinates`` (module docstring). ``kept`` is what a
-    larger cell of the same trial continues.
+    larger cell of the same trial continues; `build_matrix` leaves it in the draw.
     """
 
     gram: np.ndarray
@@ -231,16 +232,17 @@ class Sensing:
         return (weights(b) * acc).ravel()
 
 
-def build_matrix(paths: PathSet, config: SchemeConfig, kept: Kept | None = None) -> Sensing:
+def build_matrix(paths: PathSet, config: SchemeConfig, draw: Draw | None = None) -> Sensing:
     """The sensing operator of one cell's paths.
 
     Rows are point phasors at every location for point schemes and one mean
     phasor row per path for the rest. Locations are the sample points, or
     their location-unaware stand-ins (`PathSet.stand_ins`); `SchemeConfig`
     admits an unaware config only for the schemes that have stand-ins,
-    `UNAWARE_SCHEMES`. ``kept``, what the operator of a cell of the same trial
-    whose paths began these left (`Sensing.kept`), is continued when it is of
-    this operator's kind and its blocks lie within these paths; otherwise the
+    `UNAWARE_SCHEMES`. ``draw`` is the `paths.Draw` the paths were taken from:
+    its ``kept``, what the last cell's operator left, is continued when it is
+    of this operator's kind and its blocks lie within these paths, and this
+    operator's `Sensing.kept` replaces it. Otherwise, or without a draw, the
     build starts from nothing.
     """
     if not config.location_aware and config.scheme is Scheme.BEE_HIVE and paths.hives is None:
@@ -250,17 +252,22 @@ def build_matrix(paths: PathSet, config: SchemeConfig, kept: Kept | None = None)
     # The mean of one location's row is that row.
     points = config.scheme in POINT_SCHEMES or len(phasors) == len(paths)
     kind, count = ("points", len(phasors)) if points else ("means", len(paths))
+    draw = Draw() if draw is None else draw
+    # The build holds the kept value alone, so once copied the last cell's rows
+    # are freed before the new ones are made.
+    kept, draw.kept = draw.kept, None
     if kept is None or kept.kind != kind or max(kept.done, len(kept.rows)) > count:
         kept = Kept(kind)
     if points:
-        return Sensing.from_phasors(phasors, config.b, kept)
-    rows, start = np.empty((len(paths), config.n)), len(kept.rows)
-    if start:
-        # Once copied, the kept rows go: if the caller let go of `kept` too,
-        # the last cell's rows are freed before the new ones are made.
-        rows[:start], kept = kept.rows, Kept(kind, kept.done, kept.total)
-    _mean_rows(phasors, located.offsets[start:], config.b, rows[start:])
-    return Sensing.from_rows(rows, kept)
+        X = Sensing.from_phasors(phasors, config.b, kept)
+    else:
+        rows, start = np.empty((len(paths), config.n)), len(kept.rows)
+        if start:
+            rows[:start], kept = kept.rows, Kept(kind, kept.done, kept.total)
+        _mean_rows(phasors, located.offsets[start:], config.b, rows[start:])
+        X = Sensing.from_rows(rows, kept)
+    draw.kept = X.kept
+    return X
 
 
 class SingularSystemError(RuntimeError):

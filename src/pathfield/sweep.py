@@ -8,9 +8,9 @@ only in m. Trials are independent across iterations; in one iteration the
 cells of a curve share a seed hashed from the curve's key and the iteration,
 so they share the field and one draw of paths, of which each takes the first m
 (common random numbers). The unit of work is one (curve, iteration): its cells
-run in increasing m, each extending the last one's paths and what its
-operator kept (`Carry`) to the result of its trial run alone. So results are
-independent of execution order and of the other cells in the sweep.
+run in increasing m on one `paths.Draw`, each extending the last one's paths
+and what its operator kept to the result of its trial run alone. So results
+are independent of execution order and of the other cells in the sweep.
 """
 
 import csv
@@ -26,14 +26,13 @@ import numpy as np
 from .field import generate_random_field
 from .paths import (CHECKS, ConfigurationError, Draw, Scheme, SchemeConfig, UNAWARE_SCHEMES,
                     _flag, _integer, _real, _scheme, check_cell_bytes, generate_paths)
-from .sensing import Kept, build_matrix, condition_number, measure, reconstruct_and_score
+from .sensing import build_matrix, condition_number, measure, reconstruct_and_score
 
 __all__ = [
     "SweepSpec",
     "parse_schemes",
     "CellResult",
     "SweepResult",
-    "Carry",
     "run_sweep",
     "run_trial",
     "trial_seed",
@@ -285,33 +284,17 @@ def trial_seed(base_seed: int, cell: SchemeConfig, iteration: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass
-class Carry:
-    """What a trial leaves the next, larger cell of its curve with the same
-    seed: the chunks of paths drawn so far and `Sensing.kept`."""
-
-    draw: Draw = field(default_factory=Draw)
-    kept: Kept | None = None
-
-    def take(self) -> Kept | None:
-        """The kept value, which the carry lets go of: on CPython >= 3.11 the build
-        it is passed to then holds it alone and frees the last cell's rows once copied."""
-        kept, self.kept = self.kept, None
-        return kept
-
-
-def run_trial(config: SchemeConfig, reconstruct: bool = True, carry: Carry | None = None):
+def run_trial(config: SchemeConfig, reconstruct: bool = True, draw: Draw | None = None):
     """One trial: returns (condition number, rel error or nan).
 
-    Without a carry it starts from nothing; with one, from what the last cell of
-    the same curve and seed left, and the result is the same.
+    Without a draw it starts from nothing; with one, from what the last cell of
+    the same curve and seed left in it (paths and kept sums), and the result is
+    the same.
     """
-    carry = Carry() if carry is None else carry
     rng = np.random.default_rng(config.seed)
     fld = generate_random_field(config.b, rng)
-    paths = generate_paths(config, rng, carry.draw)
-    X = build_matrix(paths, config, carry.take())
-    carry.kept = X.kept
+    paths = generate_paths(config, rng, draw)
+    X = build_matrix(paths, config, draw)
     cond = condition_number(X)
     if not math.isfinite(cond) or not reconstruct:
         return cond, float("nan")
@@ -323,7 +306,7 @@ def run_trial(config: SchemeConfig, reconstruct: bool = True, carry: Carry | Non
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run every cell of the spec; deterministic given spec.base_seed.
 
-    Each (curve, iteration) runs its cells in increasing m with one `Carry`;
+    Each (curve, iteration) runs its cells in increasing m on one `Draw`;
     rows come out in `SweepSpec.cells` order. Numerically singular draws are
     excluded from the averages and counted in the cell's `excluded` field; a
     cell whose draws were all singular reports nan means.
@@ -339,9 +322,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 def _curve_trial(spec: SweepSpec, curve: list, iteration: int) -> list:
     """One (curve, iteration), from the spec and the curve's cells (sorted by m)
     alone: each cell's (condition number, rel error or nan), in curve order."""
-    carry = Carry()
+    draw = Draw()
     return [run_trial(replace(cell, seed=trial_seed(spec.base_seed, cell, iteration)),
-                      spec.reconstruct, carry) for cell in curve]
+                      spec.reconstruct, draw) for cell in curve]
 
 
 def _cell_result(cell: SchemeConfig, outcomes: list) -> CellResult:

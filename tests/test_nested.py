@@ -2,7 +2,8 @@
 
 A curve is the cells of a sweep that differ only in m. Within one iteration
 they share a trial seed, so a cell's paths are the first m of one draw, and
-each cell extends the operator sums of the smaller cell before it (`Carry`).
+each cell extends the operator sums the smaller cell before it left in the
+draw (`paths.Draw`, its paths and `kept`).
 These tests pin what that must not change: a cell's row is the same whatever
 other m values the grid holds, and a nested cell's operator is bit for bit the
 one its trial builds alone. They also show what it buys and what it keeps:
@@ -11,15 +12,17 @@ kappa is that of independent draws.
 """
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pathfield import sensing
 from pathfield.field import generate_random_field
-from pathfield.paths import UNAWARE_SCHEMES, Scheme, SchemeConfig, generate_paths
-from pathfield.sensing import build_matrix, condition_number
-from pathfield.sweep import Carry, SweepSpec, run_sweep, run_trial, trial_seed
+from pathfield.paths import UNAWARE_SCHEMES, Draw, PathSet, Scheme, SchemeConfig, generate_paths
+from pathfield.sensing import BLOCK, build_matrix, condition_number
+from pathfield.sweep import SweepSpec, run_sweep, run_trial, trial_seed
 
 CASES = [(s, True) for s in Scheme] + [(s, False) for s in Scheme if s in UNAWARE_SCHEMES]
 IDS = [f"{s.value}-{'aware' if aware else 'unaware'}" for s, aware in CASES]
@@ -55,20 +58,17 @@ def test_rows_come_out_in_cells_order_whatever_order_they_run_in():
     assert sorted(lines[1:]) == sorted(ordered[1:])
 
 
-def _trial_operator(config: SchemeConfig, carry: Carry | None):
+def _trial_operator(config: SchemeConfig, draw: Draw | None):
     rng = np.random.default_rng(config.seed)  # run_trial's draws: field, then paths
     generate_random_field(config.b, rng)
-    carry = Carry() if carry is None else carry
-    paths = generate_paths(config, rng, carry.draw)
-    X = build_matrix(paths, config, carry.kept)
-    carry.kept = X.kept
-    return paths, X
+    paths = generate_paths(config, rng, draw)
+    return paths, build_matrix(paths, config, draw)
 
 
-def _nested_is_fresh(config: SchemeConfig, carry: Carry):
-    """The config's operator built with the carry, after asserting that it is,
+def _nested_is_fresh(config: SchemeConfig, draw: Draw):
+    """The config's operator built on the draw, after asserting that it is,
     bit for bit, the one its trial builds alone, and so is its kappa."""
-    nested_paths, nested = _trial_operator(config, carry)
+    nested_paths, nested = _trial_operator(config, draw)
     paths, fresh = _trial_operator(config, None)
     assert nested_paths.points.tobytes() == paths.points.tobytes()
     assert nested.gram.tobytes() == fresh.gram.tobytes()
@@ -87,23 +87,70 @@ def _nested_is_fresh(config: SchemeConfig, carry: Carry):
 def test_a_nested_cell_is_its_trial_built_alone(scheme, aware, b, ms):
     # The m cross PATH_BLOCK, ROW_BLOCK and CHUNK boundaries, and b = 3 line
     # points fill several BLOCKs of points; each nested operator is the one its
-    # fresh trial builds, bit for bit, and so is its kappa. A carry handed a
-    # smaller cell holds blocks past its paths, and the build starts afresh.
-    carry = Carry()
+    # fresh trial builds, bit for bit, and so is its kappa. A draw handed a
+    # smaller cell keeps blocks past its paths, and the build starts afresh.
+    draw = Draw()
     for m in ms:
         _nested_is_fresh(SchemeConfig(scheme=scheme, m=m, b=b, gamma=0.05,
-                                      location_aware=aware, seed=9), carry)
+                                      location_aware=aware, seed=9), draw)
 
 
-def test_a_carry_of_point_rows_restarts_for_mean_rows():
+def test_a_draw_of_point_rows_restarts_for_mean_rows():
     # At gamma = 1 the trial's one line at m = 1 has a single reading, so
     # point rows; at m = 2 the operator is mean rows, which continue nothing
-    # of the point sums the carry holds.
-    carry = Carry()
+    # of the point sums the draw keeps.
+    draw = Draw()
     point_rows = [_nested_is_fresh(SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=m, b=1,
-                                                gamma=1.0, seed=2), carry).rows is None
+                                                gamma=1.0, seed=2), draw).rows is None
                   for m in (1, 2)]
     assert point_rows == [True, False]
+
+
+def test_a_draw_of_block_point_sums_restarts_for_mean_rows():
+    # BLOCK one-reading paths make point rows and leave a whole block of point
+    # sums; one path of two readings more makes mean rows, which must not
+    # continue them. At b = 1 the point sum is (5, 5), the Gram (9, 9).
+    offsets = np.r_[np.arange(BLOCK + 1), BLOCK + 2]
+    whole = PathSet(np.random.default_rng(1).random((BLOCK + 2, 2)), offsets)
+    config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=len(whole), b=1)
+    draw = Draw()
+    assert build_matrix(whole.head(BLOCK), config, draw).rows is None
+    assert draw.kept.kind == "points" and draw.kept.done == BLOCK
+    X = build_matrix(whole, config, draw)
+    assert X.rows is not None
+    assert X.gram.tobytes() == build_matrix(whole, config).gram.tobytes()
+
+
+def test_a_draw_refuses_a_switch_of_awareness():
+    # Same seed, aware and then unaware: the unaware cell would continue the
+    # true points' sums with stand-in blocks (kappa 1.2989, against 1.3070
+    # built alone) if the draw served it.
+    draw = Draw()
+    config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=200, b=1, seed=3)
+    _trial_operator(config, draw)
+    with pytest.raises(ValueError, match="^a Draw serves the cells of one trial and curve$"):
+        _trial_operator(replace(config, m=300, location_aware=False), draw)
+
+
+def test_the_last_cells_rows_are_freed_before_the_next_cells_are_made(monkeypatch):
+    # The draw keeps the m = 300 cell's rows for the m = 600 cell, whose build
+    # copies them and lets them go before it computes its own.
+    draw = Draw()
+    config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=300, seed=3)
+    X = _trial_operator(config, draw)[1]
+    rows = weakref.ref(X.rows)
+    del X
+    assert rows() is not None
+    freed = []
+    real = sensing._mean_rows
+
+    def mean_rows(*args):
+        freed.append(rows() is None)
+        real(*args)
+
+    monkeypatch.setattr(sensing, "_mean_rows", mean_rows)
+    _trial_operator(replace(config, m=600), draw)
+    assert freed == [True]
 
 
 # eigvalsh is backward stable: each computed eigenvalue of a symmetric G is
@@ -121,20 +168,20 @@ def test_lambda_min_does_not_fall_along_a_curve(scheme, aware):
                      iterations=4, aware=[aware], base_seed=2)
     (curve,) = spec.curves().values()
     for iteration in range(spec.iterations):
-        carry = Carry()
-        spectra = [_trial_operator(replace(c, seed=trial_seed(2, c, iteration)), carry)[1].spectrum
+        draw = Draw()
+        spectra = [_trial_operator(replace(c, seed=trial_seed(2, c, iteration)), draw)[1].spectrum
                    for c in curve]
         for small, large in zip(spectra, spectra[1:]):
             assert large[0] >= small[0] - LOEWNER_EPS * large[-1]
 
 
 def _log_kappas(cells: list, seeds) -> dict:
-    """log kappa per cell over the trials of each seed, with one carry per trial."""
+    """log kappa per cell over the trials of each seed, with one draw per trial."""
     logs = {c.m: [] for c in cells}
     for seed in seeds:
-        carry = Carry()
+        draw = Draw()
         for c in cells:
-            logs[c.m].append(math.log(run_trial(replace(c, seed=seed(c)), False, carry)[0]))
+            logs[c.m].append(math.log(run_trial(replace(c, seed=seed(c)), False, draw)[0]))
     return {m: np.array(v) for m, v in logs.items()}
 
 

@@ -13,8 +13,8 @@ import pytest
 import pathfield
 from pathfield import sweep
 from pathfield.field import product_map
-from pathfield.paths import (CHUNK, ConfigurationError, Scheme, SchemeConfig, check_cell_bytes,
-                             generate_paths)
+from pathfield.paths import (CHUNK, ConfigurationError, Draw, Scheme, SchemeConfig,
+                             check_cell_bytes, generate_paths)
 from pathfield.sensing import CORRECTION_KAPPA, CORRECTION_STEPS
 from pathfield.sweep import (
     CellResult,
@@ -148,8 +148,8 @@ def test_trial_seed_is_stable_and_distinct():
 
 
 def test_each_trial_runs_its_cell_with_its_seed(monkeypatch):
-    # One (curve, iteration) at a time: its cells in increasing m, with one
-    # carry, which no other (curve, iteration) shares.
+    # One (curve, iteration) at a time: its cells in increasing m, on one
+    # draw, which no other (curve, iteration) shares.
     spec = quick_spec(schemes=[Scheme.LINE_INNER_AVG], m_multiples=[2.0, 1.5], iterations=2,
                       base_seed=5, p=7, noise_sigma=0.01, aware=[False], reconstruct=False)
     cells = spec.cells()
@@ -157,8 +157,8 @@ def test_each_trial_runs_its_cell_with_its_seed(monkeypatch):
         [(18, 7, 0.01, False, 0), (14, 7, 0.01, False, 0)]
     calls = []
 
-    def run_trial(config, reconstruct, carry):
-        calls.append((config, reconstruct, carry))
+    def run_trial(config, reconstruct, draw):
+        calls.append((config, reconstruct, draw))
         return 1.0, 0.0
 
     monkeypatch.setattr(sweep, "run_trial", run_trial)
@@ -299,6 +299,13 @@ def test_spec_admits_a_point_cell_whose_mean_rows_it_never_builds():
     SweepSpec(schemes=[Scheme.SCATTERED], b_values=[40], m_multiples=[8.0])
     with pytest.raises(ConfigurationError, match="2754990144 bytes for its m x n mean rows"):
         SweepSpec(schemes=[Scheme.LINE_BOUNDARY_AVG], b_values=[40], m_multiples=[8.0])
+    # Unaware, a bee hive's operator is one point row per hive: at b = 10,
+    # m = 700n its largest array is the 247 MB of its 25-point loops' phasors.
+    # Aware, the same cell builds m x n mean rows, 1.09 GB.
+    hives = dict(schemes=[Scheme.BEE_HIVE], b_values=[10], m_multiples=[700.0])
+    SweepSpec(aware=[False], **hives)
+    with pytest.raises(ConfigurationError, match="1089093600 bytes for its m x n mean rows"):
+        SweepSpec(aware=[True], **hives)
 
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
@@ -622,9 +629,9 @@ def test_trial_takes_one_exponential_per_coordinate(monkeypatch, scheme, aware, 
         return real_exp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", exp)
-    carry = sweep.Carry()
+    draw = Draw()
     for cell in cells:
-        cond, rel_err = run_trial(cell, True, carry)
+        cond, rel_err = run_trial(cell, True, draw)
         assert math.isfinite(cond) and math.isfinite(rel_err)
     assert sum(exponentiated) == 2 * points + 2 * stand_ins
 
