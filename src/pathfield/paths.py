@@ -279,6 +279,14 @@ class SchemeConfig:
     def n(self) -> int:
         return (2 * self.b + 1) ** 2
 
+    @property
+    def point_rows(self) -> bool:
+        """Whether the cell's operator is one point row per location, not one mean
+        row per path: for a point scheme, and for an unaware bee hive, whose one
+        location per path is its hive."""
+        return self.scheme in POINT_SCHEMES or (self.scheme is Scheme.BEE_HIVE
+                                                and not self.location_aware)
+
 
 # SchemeConfig field -> (the test its value must pass, the message if it fails).
 CHECKS = {
@@ -328,22 +336,20 @@ def _gap_width(gamma: float) -> int:
 def check_cell_bytes(name: str, config: SchemeConfig, sensing: bool) -> None:
     """Refuse, from its settings alone, a cell that would ask for one array over
     CELL_BYTES. With `sensing` it builds an n x n Gram, m x n mean rows (8 B an
-    entry) for an averaging scheme other than an unaware bee hive (whose
-    operator is one point row per hive), and its points' phasors (32 B each).
-    Its sample points take 16 B each, counted as `generate_paths` draws them, in
-    whole chunks of k = CHUNK * ceil(m / CHUNK) paths: k W gaps for lines, k p
-    for directed walks and bee hives, k for scattered. A random walk's length is
-    random, so only its k starts count; `_random_walks` stops the rest."""
+    entry) unless `SchemeConfig.point_rows`, and its points' phasors (32 B
+    each). Its sample points take 16 B each, counted as `generate_paths` draws
+    them, in whole chunks of k = CHUNK * ceil(m / CHUNK) paths: k W gaps for
+    lines, k p for directed walks and bee hives, k for scattered. A random
+    walk's length is random, so only its k starts count; `_random_walks` stops
+    the rest."""
     n, m, scheme = config.n, config.m, config.scheme
-    means = sensing and scheme not in POINT_SCHEMES and (config.location_aware
-                                                         or scheme is not Scheme.BEE_HIVE)
     drawn = -(-m // CHUNK) * CHUNK
     if scheme in (Scheme.BEE_HIVE, Scheme.DIRECTED_BOUNDARY, Scheme.DIRECTED_INNER):
         drawn *= config.p
     elif scheme not in (Scheme.SCATTERED, Scheme.RANDOM_WALK):
         drawn *= _gap_width(config.gamma)
     arrays = (("n x n Gram", 8 * n * n, sensing),
-              ("m x n mean rows", 8 * m * n, means),
+              ("m x n mean rows", 8 * m * n, sensing and not config.point_rows),
               ("sample points", 16 * drawn, True), ("sample point phasors", 32 * drawn, sensing))
     for what, size, built in arrays:
         if built and size > CELL_BYTES:

@@ -8,9 +8,9 @@ readings contributes the mean of its locations' phasor rows.
 The operator follows one location rule and one row rule. Locations are the
 sample points when the reconstruction is location-aware, and the paths'
 `PathSet.stand_ins` when it is not: one equispaced point per reading between
-the declared endpoints, or the hive center of a bee-and-hive loop. Point
-schemes then get one row per location, and every other scheme one mean row
-per path.
+the declared endpoints, or the hive center of a bee-and-hive loop. A cell
+with `SchemeConfig.point_rows` (a point scheme, or an unaware bee hive) gets
+one row per location, and every other cell one mean row per path.
 
 Both row types come from one kernel, t_x^T diag(r) t_y summed over the
 per-axis tables of blocks of at most BLOCK points, so no table is ever whole
@@ -22,9 +22,9 @@ a trial computes once per location and every pass reuses.
 Every sum over points or paths runs over blocks aligned to the first point or
 path, and mean rows are grouped within aligned blocks of PATH_BLOCK paths. So a
 cell whose paths begin with a smaller cell's (the cells of one curve and
-trial, which share one `paths.Draw`) continues what the smaller cell's
-operator kept (`Draw.kept`) and adds only the rest, with the operator it would
-build from nothing, bit for bit.
+trial, which share one `paths.Draw` and so one row type) continues what the
+smaller cell's operator kept (`Draw.kept`) and adds only the rest, with the
+operator it would build from nothing, bit for bit.
 
 The operator works in the field module's real coordinates, the tensor basis
 phi_i(x) phi_j(y): R = X Q for the complex phasor matrix X and the unitary Q
@@ -141,11 +141,10 @@ def _mean_rows(phasors: np.ndarray, offsets: np.ndarray, b: int, rows: np.ndarra
 
 
 class Kept(NamedTuple):
-    """What a cell's operator leaves a larger cell of its curve and trial: its
-    kind, the sum over its whole blocks (BLOCK points or ROW_BLOCK rows), the
-    count `done` they cover and the mean rows of its whole PATH_BLOCKs."""
+    """What a cell's operator leaves a larger cell of its curve and trial: the
+    sum over its whole blocks (BLOCK points or ROW_BLOCK rows), the count
+    `done` they cover and the mean rows of its whole PATH_BLOCKs."""
 
-    kind: str
     done: int = 0
     total: np.ndarray | float = 0.0
     rows: np.ndarray = np.empty((0, 0))
@@ -153,14 +152,14 @@ class Kept(NamedTuple):
 
 def _summed(count: int, block: int, term, kept: Kept) -> tuple:
     """term(s) summed over slices s of `block` indices from 0 up to count, in
-    order, continuing kept's sum of the first kept.done; and a Kept of its kind
-    with the sum after the last whole block."""
+    order, continuing kept's sum of the first kept.done; and a Kept with the
+    sum after the last whole block."""
     total, done, whole = kept.total, kept.done, kept.total
     for s in blocks(count, block, kept.done):
         total = total + term(s)
         if s.stop - s.start == block:
             done, whole = s.stop, total
-    return total, Kept(kept.kind, done, whole)
+    return total, Kept(done, whole)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +193,7 @@ class Sensing:
             tx, ty = cos_sin(phasors[s].T, 2 * b)
             return tx.T @ ty
 
-        prod, kept = _summed(len(phasors), BLOCK, product, kept or Kept("points"))
+        prod, kept = _summed(len(phasors), BLOCK, product, kept or Kept())
         W = weights(b)
         A = W.reshape(-1, 1) * product_map(b)  # rows (i, k)
         right = (prod @ A.T).reshape(-1, *W.shape).transpose(1, 0, 2)  # [j, g, l]
@@ -210,7 +209,7 @@ class Sensing:
             raise TypeError("sensing rows must be real coordinates")
         rows = np.asarray(rows, dtype=float)
         m = len(rows)
-        gram, kept = _summed(m, ROW_BLOCK, lambda s: rows[s].T @ rows[s], kept or Kept("means"))
+        gram, kept = _summed(m, ROW_BLOCK, lambda s: rows[s].T @ rows[s], kept or Kept())
         return cls(gram, rows.shape, kept._replace(rows=rows[:m - m % PATH_BLOCK]), rows=rows)
 
     @cached_property
@@ -235,36 +234,35 @@ class Sensing:
 def build_matrix(paths: PathSet, config: SchemeConfig, draw: Draw | None = None) -> Sensing:
     """The sensing operator of one cell's paths.
 
-    Rows are point phasors at every location for point schemes and one mean
-    phasor row per path for the rest. Locations are the sample points, or
-    their location-unaware stand-ins (`PathSet.stand_ins`); `SchemeConfig`
-    admits an unaware config only for the schemes that have stand-ins,
-    `UNAWARE_SCHEMES`. ``draw`` is the `paths.Draw` the paths were taken from:
-    its ``kept``, what the last cell's operator left, is continued when it is
-    of this operator's kind and its blocks lie within these paths, and this
-    operator's `Sensing.kept` replaces it. Otherwise, or without a draw, the
-    build starts from nothing.
+    Rows are point phasors at every location if ``config.point_rows``, else
+    one mean phasor row per path. Locations are the sample points, or their
+    location-unaware stand-ins (`PathSet.stand_ins`; `SchemeConfig` admits
+    unaware configs only of `UNAWARE_SCHEMES`). ``draw`` is the `paths.Draw`
+    the paths were taken from; they must be its set or a head of it, else a
+    ValueError leaves the draw as it was. Its ``kept``, what the last cell's
+    operator left, is continued when its blocks lie within these paths, and
+    this operator's `Sensing.kept` replaces it. Otherwise, or without a draw,
+    the build starts from nothing.
     """
     if not config.location_aware and config.scheme is Scheme.BEE_HIVE and paths.hives is None:
         raise ConfigurationError("bee-and-hive paths must carry their hive center")
-    located = paths if config.location_aware else paths.stand_ins
-    phasors = located.phasors
-    # The mean of one location's row is that row.
-    points = config.scheme in POINT_SCHEMES or len(phasors) == len(paths)
-    kind, count = ("points", len(phasors)) if points else ("means", len(paths))
     draw = Draw() if draw is None else draw
+    if draw.paths is not None and vars(paths).get("_whole", paths) is not draw.paths:
+        raise ValueError("a Draw serves the cells of one trial and curve")
+    located = paths if config.location_aware else paths.stand_ins
+    count = len(located.points) if config.point_rows else len(paths)
     # The build holds the kept value alone, so once copied the last cell's rows
     # are freed before the new ones are made.
-    kept, draw.kept = draw.kept, None
-    if kept is None or kept.kind != kind or max(kept.done, len(kept.rows)) > count:
-        kept = Kept(kind)
-    if points:
-        X = Sensing.from_phasors(phasors, config.b, kept)
+    kept, draw.kept = draw.kept or Kept(), None
+    if max(kept.done, len(kept.rows)) > count:
+        kept = Kept()
+    if config.point_rows:
+        X = Sensing.from_phasors(located.phasors, config.b, kept)
     else:
         rows, start = np.empty((len(paths), config.n)), len(kept.rows)
         if start:
-            rows[:start], kept = kept.rows, Kept(kind, kept.done, kept.total)
-        _mean_rows(phasors, located.offsets[start:], config.b, rows[start:])
+            rows[:start], kept = kept.rows, Kept(kept.done, kept.total)
+        _mean_rows(located.phasors, located.offsets[start:], config.b, rows[start:])
         X = Sensing.from_rows(rows, kept)
     draw.kept = X.kept
     return X
@@ -284,12 +282,12 @@ def measure(field: BandlimitedField, X: Sensing, paths: PathSet, config: SchemeC
     the noise variance by the per-path sample count. Noise is drawn once for
     all readings, in path order. By linearity a path's noiseless mean is its
     mean row times the field's real coordinates, so an aware averaging trial
-    reads it off ``X.rows`` without evaluating the field again. Every other
-    trial evaluates the field in the sensing kernel's blocks of points: point
-    rows are never formed, and unaware rows sit at stand-in locations.
+    reads it off its mean rows ``X.rows`` without evaluating the field again.
+    Every other trial evaluates the field in the sensing kernel's blocks of
+    points: point rows are never formed, and unaware rows are at stand-ins.
     """
     averaging = config.scheme not in POINT_SCHEMES
-    if averaging and config.location_aware and X.rows is not None:
+    if averaging and config.location_aware:
         values = X.rows @ field.coordinates
         if config.noise_sigma > 0:
             noise = rng.normal(0.0, config.noise_sigma, size=len(paths.points))

@@ -20,8 +20,8 @@ import pytest
 
 from pathfield import sensing
 from pathfield.field import generate_random_field
-from pathfield.paths import UNAWARE_SCHEMES, Draw, PathSet, Scheme, SchemeConfig, generate_paths
-from pathfield.sensing import BLOCK, build_matrix, condition_number
+from pathfield.paths import UNAWARE_SCHEMES, Draw, Scheme, SchemeConfig, generate_paths
+from pathfield.sensing import build_matrix, condition_number
 from pathfield.sweep import SweepSpec, run_sweep, run_trial, trial_seed
 
 CASES = [(s, True) for s in Scheme] + [(s, False) for s in Scheme if s in UNAWARE_SCHEMES]
@@ -95,32 +95,6 @@ def test_a_nested_cell_is_its_trial_built_alone(scheme, aware, b, ms):
                                       location_aware=aware, seed=9), draw)
 
 
-def test_a_draw_of_point_rows_restarts_for_mean_rows():
-    # At gamma = 1 the trial's one line at m = 1 has a single reading, so
-    # point rows; at m = 2 the operator is mean rows, which continue nothing
-    # of the point sums the draw keeps.
-    draw = Draw()
-    point_rows = [_nested_is_fresh(SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=m, b=1,
-                                                gamma=1.0, seed=2), draw).rows is None
-                  for m in (1, 2)]
-    assert point_rows == [True, False]
-
-
-def test_a_draw_of_block_point_sums_restarts_for_mean_rows():
-    # BLOCK one-reading paths make point rows and leave a whole block of point
-    # sums; one path of two readings more makes mean rows, which must not
-    # continue them. At b = 1 the point sum is (5, 5), the Gram (9, 9).
-    offsets = np.r_[np.arange(BLOCK + 1), BLOCK + 2]
-    whole = PathSet(np.random.default_rng(1).random((BLOCK + 2, 2)), offsets)
-    config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=len(whole), b=1)
-    draw = Draw()
-    assert build_matrix(whole.head(BLOCK), config, draw).rows is None
-    assert draw.kept.kind == "points" and draw.kept.done == BLOCK
-    X = build_matrix(whole, config, draw)
-    assert X.rows is not None
-    assert X.gram.tobytes() == build_matrix(whole, config).gram.tobytes()
-
-
 def test_a_draw_refuses_a_switch_of_awareness():
     # Same seed, aware and then unaware: the unaware cell would continue the
     # true points' sums with stand-in blocks (kappa 1.2989, against 1.3070
@@ -130,6 +104,20 @@ def test_a_draw_refuses_a_switch_of_awareness():
     _trial_operator(config, draw)
     with pytest.raises(ValueError, match="^a Draw serves the cells of one trial and curve$"):
         _trial_operator(replace(config, m=300, location_aware=False), draw)
+
+
+def test_a_draw_refuses_paths_it_did_not_make():
+    # Seed 4's m = 600 paths handed the draw of seed 3's m = 300 cell: built on
+    # its kept sums they would give kappa 7.5903, against 7.5939 built alone.
+    # The refusal comes before the build takes the kept sums out of the draw.
+    draw = Draw()
+    config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=300, b=3, gamma=0.05, seed=3)
+    _trial_operator(config, draw)
+    kept, other = draw.kept, replace(config, m=600, seed=4)
+    paths = _trial_operator(other, None)[0]
+    with pytest.raises(ValueError, match="^a Draw serves the cells of one trial and curve$"):
+        build_matrix(paths, other, draw)
+    assert draw.kept is kept and kept.done == 256 and len(kept.rows) == 256
 
 
 def test_the_last_cells_rows_are_freed_before_the_next_cells_are_made(monkeypatch):

@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from pathfield.field import cos_sin, generate_random_field, real_sum
+from pathfield.field import cos_sin, generate_random_field, real_sum, weights
 from pathfield.paths import (
     POINT_SCHEMES,
     UNAWARE_SCHEMES,
@@ -39,6 +39,13 @@ def point_sensing(locations, b):
 def point_matrix(locations, b):
     """Point rows at `locations` in the operator's real coordinates."""
     return dense_matrix(point_sensing(locations, b))
+
+
+def one_location_row(location, b):
+    """W (t_x t_y^T) raveled, from the `cos_sin` tables at one (x, y): the mean
+    row of a path whose one location it is, bit for bit."""
+    tx, ty = cos_sin(np.exp(2j * np.pi * np.asarray(location, dtype=float)), b)
+    return (weights(b) * np.outer(tx, ty)).ravel()
 
 
 # ------------------------------------------------------- real coordinates
@@ -116,10 +123,13 @@ def test_point_rows_unit_modulus():
 
 
 def test_averaged_row_of_single_point_equals_point_row():
+    # An averaging path of one reading still makes a mean row, the point row
+    # of its one location.
     points = np.array([[0.3, 0.7]])
     config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=1, b=2)
     X = dense_matrix(build_matrix(PathSet(points, np.array([0, 1])), config))
-    assert np.array_equal(X, point_matrix(points, 2))
+    assert np.array_equal(X[0], one_location_row(points[0], 2))
+    assert np.abs(X - point_matrix(points, 2)).max() <= 4 * EPS
 
 
 def test_averaged_row_two_point_cancellation():
@@ -202,6 +212,24 @@ def test_unaware_averaged_kind():
     for row, path in zip(X, paths):
         expected = point_rows(np.linspace(*path.endpoints, len(path)), 1).mean(axis=0)
         assert np.abs(row - expected).max() <= 4 * EPS
+
+
+def test_the_config_alone_decides_point_or_mean_rows():
+    # SchemeConfig.point_rows is the one row-type rule. At gamma = 100 each
+    # line has one reading, so every path one location, aware or not, and its
+    # cell still makes mean rows.
+    configs = [SchemeConfig(scheme=scheme, m=9, b=1, gamma=0.1, p=6, location_aware=aware, seed=2)
+               for aware in (True, False) for scheme in Scheme
+               if aware or scheme in UNAWARE_SCHEMES]
+    one_reading = [SchemeConfig(scheme="line_inner_avg", m=9, b=1, gamma=100.0, seed=2,
+                                location_aware=aware) for aware in (True, False)]
+    for config in configs + one_reading:
+        paths = generate_paths(config)
+        assert (build_matrix(paths, config).rows is None) == config.point_rows, str(config)
+        assert config not in one_reading or (paths.counts == 1).all()
+    assert [(c.scheme, c.location_aware) for c in configs if c.point_rows] == [
+        (Scheme.SCATTERED, True), (Scheme.LINE_BOUNDARY_POINTS, True),
+        (Scheme.LINE_BOUNDARY_POINTS, False), (Scheme.BEE_HIVE, False)]
 
 
 def test_unaware_hive_matrix_equals_scattered_matrix_at_hives():
@@ -326,7 +354,8 @@ def test_unaware_single_sample_path_is_pinned_to_first_endpoint():
     path = PathSet(np.array([[0.4, 0.6]]), np.array([0, 1]),
                    endpoints=np.array([[[0.1, 0.0], [0.9, 1.0]]]))
     X = dense_matrix(build_matrix(path, config))
-    assert np.array_equal(X, point_matrix([(0.1, 0.0)], 2))
+    assert np.array_equal(X[0], one_location_row((0.1, 0.0), 2))
+    assert np.abs(X - point_matrix([(0.1, 0.0)], 2)).max() <= 4 * EPS
 
 
 def test_point_tables_are_slices_of_the_double_bandwidth_tables():
