@@ -9,9 +9,9 @@ random, and whether the path closes on itself (bee-and-hive loops).
 
 A cell's m paths form one ragged `PathSet`: every path's points back to back
 in one (P, 2) array, with `offsets` marking where each path starts; indexing
-or iterating a set yields `SamplePath` views, slices of its arrays. The
-locations a location-unaware reconstruction assumes are a set of the same
-paths too (`PathSet.stand_ins`).
+or iterating a set yields `SamplePath` views, slices of its arrays. A set
+also gives the phasors of the locations a location-unaware reconstruction
+assumes (`PathSet.stand_in_phasors`).
 
 `generate_paths` is the one entry point. It draws a trial's paths in chunks
 of CHUNK paths, each from its own generator, and a cell takes the first m, so
@@ -155,14 +155,16 @@ class PathSet:
     each path's declared start and end and ``hives`` (m, 2) each loop's
     center, or None. ``paths[i]`` is path i's `SamplePath` view, and
     iterating yields one view per path. The arrays are read-only views, so
-    ``phasors``, computed once, always matches ``points``; a `head` shares
-    them with its set, so the cells of one draw compute each point's once.
+    ``phasors`` and ``stand_in_phasors`` always match them; a `head` and the
+    draw's next, larger set share ``cache``, each location kind's phasors so
+    far, so the cells of one draw compute each location's once.
     """
 
     points: np.ndarray
     offsets: np.ndarray
     endpoints: np.ndarray | None = None
     hives: np.ndarray | None = None
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         offsets, points = np.asarray(self.offsets), np.asarray(self.points, dtype=float)
@@ -182,44 +184,44 @@ class PathSet:
     def phasors(self) -> np.ndarray:
         """exp(j 2 pi points), shape (P, 2): the one exponential per sample
         coordinate that every per-axis table of a trial is built from."""
-        return vars(self).get("_whole", self)._leading_phasors(len(self.points))
+        return self._cached("points", len(self.points), lambda done: self.points[done:])
 
-    def _leading_phasors(self, count: int) -> np.ndarray:
-        """The phasors of the first `count` points. Each point's is computed
-        once, when a head of this set (or the set) first needs it."""
-        known = vars(self).get("_known", np.empty((0, 2), dtype=complex))
+    @cached_property
+    def stand_in_phasors(self) -> np.ndarray:
+        """The phasors of the locations an unaware reconstruction assumes: each
+        hive (m, 2), else one per reading (P, 2), equispaced between its path's ends."""
+        if self.hives is not None:
+            return self._cached("hives", len(self), lambda done: self.hives[done:])
+        if self.endpoints is None:
+            raise ConfigurationError("location-unaware mode needs declared path endpoints")
+        return self._cached("equispaced", len(self.points), self._equispaced)
+
+    def _equispaced(self, done: int) -> np.ndarray:
+        """The stand-in locations of the readings from `done`, a path's first, on."""
+        first = int(np.searchsorted(self.offsets, done))
+        counts, (start, end) = self.counts[first:], self.endpoints[first:].transpose(1, 0, 2)
+        # Reading t of a path of c readings sits at start + t (end - start) / (c - 1).
+        step = (end - start) / np.maximum(counts - 1, 1)[:, None]
+        t = np.arange(done, len(self.points)) - np.repeat(self.offsets[first:-1], counts)
+        return np.repeat(start, counts, axis=0) + t[:, None] * np.repeat(step, counts, axis=0)
+
+    def _cached(self, kind: str, count: int, locations) -> np.ndarray:
+        """The phasors of the first `count` locations of a kind. Those the cache
+        lacks, ``locations(done)`` on, are computed and their locations dropped."""
+        known = self.cache.get(kind, np.empty((0, 2), dtype=complex))
         if len(known) < count:
-            new = 2j * np.pi * self.points[len(known):count]
+            new = 2j * np.pi * locations(len(known))
             np.exp(new, out=new)
             known = new if not len(known) else np.concatenate([known, new])
             known.setflags(write=False)
-            object.__setattr__(self, "_known", known)
+            self.cache[kind] = known
         return known[:count]
 
-    @cached_property
-    def stand_ins(self) -> "PathSet":
-        """The same paths at the locations a location-unaware reconstruction
-        assumes: each loop's hive center if the set has hives, else one per
-        reading, equispaced between the declared endpoints. A head's are the
-        head of its set's, so each stand-in's phasors are computed once."""
-        if "_whole" in vars(self):
-            return self._whole.stand_ins.head(len(self))
-        if self.hives is not None:
-            return PathSet(self.hives, np.arange(len(self) + 1))
-        if self.endpoints is None:
-            raise ConfigurationError("location-unaware mode needs declared path endpoints")
-        counts, start, end = self.counts, self.endpoints[:, 0], self.endpoints[:, 1]
-        # Reading t of a path of c readings sits at start + t (end - start) / (c - 1).
-        step = (end - start) / np.maximum(counts - 1, 1)[:, None]
-        t = np.arange(len(self.points)) - np.repeat(self.offsets[:-1], counts)
-        return PathSet(np.repeat(start, counts, axis=0)
-                       + t[:, None] * np.repeat(step, counts, axis=0), self.offsets)
-
     def head(self, m: int) -> "PathSet":
-        """The first m paths, views of this set's arrays that share its phasors."""
+        """The first m paths, views of this set's arrays that share its cache."""
         head = PathSet(self.points[:self.offsets[m]], self.offsets[:m + 1],
                        *(None if a is None else a[:m] for a in (self.endpoints, self.hives)))
-        object.__setattr__(head, "_whole", self)
+        object.__setattr__(head, "cache", self.cache)
         return head
 
     @property
@@ -495,9 +497,14 @@ class Draw:
     paths: PathSet | None = None
     kept: tuple | None = None
 
+    @staticmethod
+    def settings(config: SchemeConfig) -> tuple:
+        """The key's settings: the scheme, gamma, p and awareness of the config."""
+        return config.scheme, config.gamma, config.p, config.location_aware
+
 
 def _joined(parts: list) -> PathSet:
-    """The sets end to end as one, keeping the phasors and stand-ins the first has."""
+    """The sets end to end as one, sharing the first's cache."""
     if len(parts) == 1:
         return parts[0]
 
@@ -507,10 +514,7 @@ def _joined(parts: list) -> PathSet:
 
     whole = PathSet(cat("points"), np.r_[0, np.cumsum(cat("counts"))], cat("endpoints"),
                     cat("hives"))
-    if "_known" in vars(parts[0]):
-        object.__setattr__(whole, "_known", vars(parts[0])["_known"])
-    if "stand_ins" in vars(parts[0]):
-        object.__setattr__(whole, "stand_ins", _joined([part.stand_ins for part in parts]))
+    object.__setattr__(whole, "cache", parts[0].cache)
     return whole
 
 
@@ -557,7 +561,7 @@ def generate_paths(config: SchemeConfig, rng: np.random.Generator | None = None,
         rng = np.random.default_rng(config.seed)
     entropy = int(rng.integers(2 ** 63))
     draw = Draw() if draw is None else draw
-    key = (entropy, config.scheme, config.gamma, config.p, config.location_aware)
+    key = (entropy, *Draw.settings(config))
     if draw.paths is not None and draw.key != key:
         raise ValueError("a Draw serves the cells of one trial and curve")
     draw.key = key

@@ -7,8 +7,8 @@ readings contributes the mean of its locations' phasor rows.
 
 The operator follows one location rule and one row rule. Locations are the
 sample points when the reconstruction is location-aware, and the paths'
-`PathSet.stand_ins` when it is not: one equispaced point per reading between
-the declared endpoints, or the hive center of a bee-and-hive loop. A cell
+stand-ins (`PathSet.stand_in_phasors`) when it is not: one per reading,
+equispaced between the declared endpoints, or a loop's hive center. A cell
 with `SchemeConfig.point_rows` (a point scheme, or an unaware bee hive) gets
 one row per location, and every other cell one mean row per path.
 
@@ -236,33 +236,34 @@ def build_matrix(paths: PathSet, config: SchemeConfig, draw: Draw | None = None)
 
     Rows are point phasors at every location if ``config.point_rows``, else
     one mean phasor row per path. Locations are the sample points, or their
-    location-unaware stand-ins (`PathSet.stand_ins`; `SchemeConfig` admits
-    unaware configs only of `UNAWARE_SCHEMES`). ``draw`` is the `paths.Draw`
-    the paths were taken from; they must be its set or a head of it, else a
-    ValueError leaves the draw as it was. Its ``kept``, what the last cell's
-    operator left, is continued when its blocks lie within these paths, and
-    this operator's `Sensing.kept` replaces it. Otherwise, or without a draw,
-    the build starts from nothing.
+    location-unaware stand-ins (`PathSet.stand_in_phasors`; `SchemeConfig`
+    admits unaware configs only of `UNAWARE_SCHEMES`). ``draw`` is the
+    `paths.Draw` the paths were taken from: they must share its set's cache
+    and the config its key's settings, else a ValueError leaves the draw as it
+    was. Its ``kept``, what the last cell's operator left, is continued when
+    its blocks lie within these paths, and this operator's `Sensing.kept`
+    replaces it. Otherwise, or without a draw, the build starts from nothing.
     """
     if not config.location_aware and config.scheme is Scheme.BEE_HIVE and paths.hives is None:
         raise ConfigurationError("bee-and-hive paths must carry their hive center")
     draw = Draw() if draw is None else draw
-    if draw.paths is not None and vars(paths).get("_whole", paths) is not draw.paths:
+    if draw.paths is not None and (paths.cache is not draw.paths.cache
+                                   or draw.key[1:] != Draw.settings(config)):
         raise ValueError("a Draw serves the cells of one trial and curve")
-    located = paths if config.location_aware else paths.stand_ins
-    count = len(located.points) if config.point_rows else len(paths)
+    phasors = paths.phasors if config.location_aware else paths.stand_in_phasors
+    count = len(phasors) if config.point_rows else len(paths)
     # The build holds the kept value alone, so once copied the last cell's rows
     # are freed before the new ones are made.
     kept, draw.kept = draw.kept or Kept(), None
     if max(kept.done, len(kept.rows)) > count:
         kept = Kept()
     if config.point_rows:
-        X = Sensing.from_phasors(located.phasors, config.b, kept)
+        X = Sensing.from_phasors(phasors, config.b, kept)
     else:
         rows, start = np.empty((len(paths), config.n)), len(kept.rows)
         if start:
             rows[:start], kept = kept.rows, Kept(kept.done, kept.total)
-        _mean_rows(located.phasors, located.offsets[start:], config.b, rows[start:])
+        _mean_rows(phasors, paths.offsets[start:], config.b, rows[start:])
         X = Sensing.from_rows(rows, kept)
     draw.kept = X.kept
     return X

@@ -12,6 +12,7 @@ kappa is that of independent draws.
 """
 
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -106,6 +107,24 @@ def test_a_draw_refuses_a_switch_of_awareness():
         _trial_operator(replace(config, m=300, location_aware=False), draw)
 
 
+def test_a_draw_refuses_an_operator_of_another_curve():
+    # Seed 3's aware line points at m = 200, then its m = 300 paths from the
+    # same draw built unaware: the stand-ins' sums would continue the true
+    # points' (kappa 1.454866, against 1.462229 built alone). The refusal comes
+    # before the build takes the kept sums out of the draw, which still serves
+    # its own curve.
+    draw = Draw()
+    config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=200, b=1, seed=3)
+    build_matrix(generate_paths(config, draw=draw), config, draw)
+    kept, larger = draw.kept, replace(config, m=300)
+    paths = generate_paths(larger, draw=draw)
+    with pytest.raises(ValueError, match="^a Draw serves the cells of one trial and curve$"):
+        build_matrix(paths, replace(larger, location_aware=False), draw)
+    assert draw.kept is kept
+    assert condition_number(build_matrix(paths, larger, draw)) == \
+        condition_number(build_matrix(paths, larger))
+
+
 def test_a_draw_refuses_paths_it_did_not_make():
     # Seed 4's m = 600 paths handed the draw of seed 3's m = 300 cell: built on
     # its kept sums they would give kappa 7.5903, against 7.5939 built alone.
@@ -139,6 +158,28 @@ def test_the_last_cells_rows_are_freed_before_the_next_cells_are_made(monkeypatc
     monkeypatch.setattr(sensing, "_mean_rows", mean_rows)
     _trial_operator(replace(config, m=600), draw)
     assert freed == [True]
+
+
+def test_an_unaware_curve_peaks_below_90_bytes_per_reading():
+    # Unaware line points at b = 10, gamma = 0.02, one trial from 1.5n to 8n,
+    # condition only: the 8n cell has 267,291 readings. The draw keeps 16 B of
+    # points per reading and one 32 B phasor per stand-in, whose locations go
+    # once exponentiated; growing the phasors from 4n to 8n briefly holds the
+    # old and new parts beside the whole, 64 B per reading. It read 81.5 B.
+    spec = SweepSpec(schemes=[Scheme.LINE_BOUNDARY_POINTS], b_values=[10], gamma_values=[0.02],
+                     iterations=1, aware=[False], reconstruct=False)
+    (curve,) = spec.curves().values()
+    draw = Draw()
+    tracemalloc.start()
+    try:
+        for cell in curve:
+            run_trial(replace(cell, seed=trial_seed(0, cell, 0)), False, draw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    readings = len(draw.paths.head(curve[-1].m).points)
+    assert [c.m for c in curve] == [662, 882, 1764, 3528] and readings == 267291
+    assert peak < 90 * readings
 
 
 # eigvalsh is backward stable: each computed eigenvalue of a symmetric G is

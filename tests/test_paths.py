@@ -537,11 +537,8 @@ def test_a_draw_serves_one_trial():
     generate_paths(replace(config, m=20), draw=draw)
 
 
-def test_cells_of_one_draw_exponentiate_each_point_once(monkeypatch):
-    # A cell's phasors are those of its draw's leading points, each computed
-    # when a cell first needs it: a larger cell, across a chunk boundary too,
-    # adds only its new points', and a smaller one none.
-    config = SchemeConfig(scheme=Scheme.DIRECTED_INNER, m=100, p=5, seed=3)
+def _counted_exp(monkeypatch) -> list:
+    """The sizes of the arrays np.exp is called on from now on, in call order."""
     exponentiated = []
     real_exp = np.exp
 
@@ -550,6 +547,16 @@ def test_cells_of_one_draw_exponentiate_each_point_once(monkeypatch):
         return real_exp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", exp)
+    return exponentiated
+
+
+def test_cells_of_one_draw_exponentiate_each_point_once(monkeypatch):
+    # A cell's phasors are those of its draw's leading points, each computed
+    # when a cell first needs it: a larger cell, across a chunk boundary too,
+    # adds only its new points', and a smaller one none.
+    config = SchemeConfig(scheme=Scheme.DIRECTED_INNER, m=100, p=5, seed=3)
+    real_exp = np.exp
+    exponentiated = _counted_exp(monkeypatch)
     draw = Draw()
     for m, new in ((100, 500), (CHUNK + 1, 5 * (CHUNK + 1) - 500), (50, 0)):
         paths = generate_paths(replace(config, m=m), draw=draw)
@@ -558,6 +565,39 @@ def test_cells_of_one_draw_exponentiate_each_point_once(monkeypatch):
         assert sum(exponentiated) - before == 2 * new
         assert phasors.tobytes() == real_exp(2j * np.pi * paths.points).tobytes()
         assert not phasors.flags.writeable
+
+
+def _equispaced(paths: PathSet) -> np.ndarray:
+    """One location per reading of the whole set, reading t of a path of c at
+    start + t (end - start) / max(c - 1, 1) between its declared endpoints."""
+    counts, start, end = paths.counts, paths.endpoints[:, 0], paths.endpoints[:, 1]
+    step = (end - start) / np.maximum(counts - 1, 1)[:, None]
+    t = np.arange(len(paths.points)) - np.repeat(paths.offsets[:-1], counts)
+    return np.repeat(start, counts, axis=0) + t[:, None] * np.repeat(step, counts, axis=0)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.LINE_INNER_AVG, Scheme.BEE_HIVE])
+def test_cells_of_one_draw_exponentiate_each_stand_in_once(monkeypatch, scheme):
+    # The same for the locations an unaware reconstruction assumes, one per
+    # reading of a line or one hive per loop: a larger cell, across a chunk
+    # boundary too, adds only its new readings' or hives', and a smaller one
+    # none. Each cell's are those of its whole set, computed at once.
+    config = SchemeConfig(scheme=scheme, m=100, p=5, location_aware=False, seed=3)
+    real_exp = np.exp
+    exponentiated = _counted_exp(monkeypatch)
+    draw, known = Draw(), 0
+    for m in (100, CHUNK + 1, 50):
+        paths = generate_paths(replace(config, m=m), draw=draw)
+        locations = paths.hives if scheme is Scheme.BEE_HIVE else _equispaced(paths)
+        before = sum(exponentiated)
+        phasors = paths.stand_in_phasors
+        assert sum(exponentiated) - before == 2 * max(len(locations) - known, 0)
+        known = max(known, len(locations))
+        assert phasors.tobytes() == real_exp(2j * np.pi * locations).tobytes()
+        assert not phasors.flags.writeable
+    assert m == 50 and known > len(locations)
+    with pytest.raises(TypeError):
+        PathSet(paths.points, paths.offsets, cache={})
 
 
 def test_pathset_arrays_are_read_only_and_its_phasors_cached():
