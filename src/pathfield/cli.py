@@ -36,10 +36,8 @@ SWEEP_FLAGS = {
 
 
 def cmd_paths(args) -> int:
-    configs = [
-        SchemeConfig(scheme=scheme, m=args.m, gamma=args.gamma, p=args.p, seed=args.seed)
-        for scheme in parse_schemes(args.scheme)
-    ]
+    configs = [SchemeConfig(scheme=scheme, m=args.m, gamma=args.gamma, p=args.p, seed=args.seed)
+               for scheme in parse_schemes(args.scheme)]
     for config in configs:
         check_cell_bytes(f"cell ({config.scheme}, m={config.m}, gamma={config.gamma:g})", config,
                          sensing=False)
@@ -124,15 +122,12 @@ def cmd_plot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pathfield",
-        description="Random-path mobile sensing simulator for 2D bandlimited fields.",
-    )
+    parser = argparse.ArgumentParser(prog="pathfield", description="Random-path mobile sensing "
+                                     "simulator for 2D bandlimited fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_paths = sub.add_parser(
-        "paths", help="generate sampling paths, write CSV (path_id,t,x,y) and an SVG",
-    )
+        "paths", help="generate sampling paths, write CSV (path_id,t,x,y) and an SVG")
     p_paths.add_argument("--scheme", default="all",
                          help=f"comma-separated scheme names or 'all' ({', '.join(SCHEME_NAMES)})")
     p_paths.add_argument("--m", type=int, default=20, help="paths (or points) to generate")
@@ -142,10 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_paths.add_argument("--out", default="out")
     p_paths.set_defaults(func=cmd_paths)
 
-    p_sweep = sub.add_parser(
-        "sweep", help="Monte Carlo condition-number sweep; writes sweep.csv "
-                      f"(columns {','.join(RESULT_HEADER)})",
-    )
+    p_sweep = sub.add_parser("sweep", help="Monte Carlo condition-number sweep; writes "
+                                           f"sweep.csv (columns {','.join(RESULT_HEADER)})")
     p_sweep.add_argument("--config", help="sweep config file (key = value lines, '#' comments)")
     for flag, (key, text) in SWEEP_FLAGS.items():
         switch = dict(action="store_const", const="false")

@@ -13,21 +13,23 @@ or iterating a set yields `SamplePath` views, slices of its arrays. A set
 also gives the phasors of the locations a location-unaware reconstruction
 assumes (`PathSet.stand_in_phasors`).
 
-`generate_paths` is the one entry point. It draws a trial's paths in chunks
-of CHUNK paths, each from its own generator, and a cell takes the first m, so
-a cell's paths are a prefix of every larger cell's in the same trial. A `Draw`
-carries the chunks, and what the last cell's operator kept, from one cell to
-the next. The private generators take float (k, 2) arrays and trust the
-parameters `SchemeConfig` has checked. Each draws its random numbers as whole
-arrays for all k paths of a chunk at once, in the order its docstring states;
-no Python loop runs once per path.
+`generate_paths` is the one entry point. It draws a trial's paths in chunks of
+CHUNK paths, each from its own generator, and a cell takes the first m, so a
+cell's paths are a prefix of every larger cell's in the same trial. A `Draw`
+of a curve's largest cell is drawn whole by the curve's first cell; each cell
+takes a `PathSet.head` of it, whose phasors are slices of the whole set's, and
+the draw carries what the last cell's operator kept to the next. The private
+generators take float (k, 2) arrays and trust the parameters `SchemeConfig`
+has checked. Each draws its random numbers as whole arrays for all k paths of
+a chunk at once, in the order its docstring states; no Python loop runs once
+per path.
 """
 
 import csv
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
@@ -131,6 +133,13 @@ UNAWARE_SCHEMES = frozenset(
 )
 
 
+def _exp(angles: np.ndarray) -> np.ndarray:
+    """exp of a complex array, in place; the array is then read-only."""
+    np.exp(angles, out=angles)
+    angles.setflags(write=False)
+    return angles
+
+
 @dataclass(slots=True)
 class SamplePath:
     """One path of a `PathSet`: its ordered sampling locations (c, 2) plus the
@@ -155,16 +164,16 @@ class PathSet:
     each path's declared start and end and ``hives`` (m, 2) each loop's
     center, or None. ``paths[i]`` is path i's `SamplePath` view, and
     iterating yields one view per path. The arrays are read-only views, so
-    ``phasors`` and ``stand_in_phasors`` always match them; a `head` and the
-    draw's next, larger set share ``cache``, each location kind's phasors so
-    far, so the cells of one draw compute each location's once.
+    ``phasors`` and ``stand_in_phasors`` always match them. ``whole`` is the
+    set a `head` was cut from, or None: a head's phasors are slices of its
+    whole set's, so the heads of one draw compute each location's once.
     """
 
     points: np.ndarray
     offsets: np.ndarray
     endpoints: np.ndarray | None = None
     hives: np.ndarray | None = None
-    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    whole: "PathSet | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         offsets, points = np.asarray(self.offsets), np.asarray(self.points, dtype=float)
@@ -184,44 +193,42 @@ class PathSet:
     def phasors(self) -> np.ndarray:
         """exp(j 2 pi points), shape (P, 2): the one exponential per sample
         coordinate that every per-axis table of a trial is built from."""
-        return self._cached("points", len(self.points), lambda done: self.points[done:])
+        return _exp(2j * np.pi * self.points) if self.whole is None else \
+            self.whole.phasors[:len(self.points)]
 
     @cached_property
     def stand_in_phasors(self) -> np.ndarray:
         """The phasors of the locations an unaware reconstruction assumes: each
         hive (m, 2), else one per reading (P, 2), equispaced between its path's ends."""
-        if self.hives is not None:
-            return self._cached("hives", len(self), lambda done: self.hives[done:])
-        if self.endpoints is None:
+        if self.hives is None and self.endpoints is None:
             raise ConfigurationError("location-unaware mode needs declared path endpoints")
-        return self._cached("equispaced", len(self.points), self._equispaced)
+        if self.whole is not None:
+            return self.whole.stand_in_phasors[:len(self.points if self.hives is None else self)]
+        return self._equispaced() if self.hives is None else _exp(2j * np.pi * self.hives)
 
-    def _equispaced(self, done: int) -> np.ndarray:
-        """The stand-in locations of the readings from `done`, a path's first, on."""
-        first = int(np.searchsorted(self.offsets, done))
-        counts, (start, end) = self.counts[first:], self.endpoints[first:].transpose(1, 0, 2)
-        # Reading t of a path of c readings sits at start + t (end - start) / (c - 1).
+    def _equispaced(self) -> np.ndarray:
+        """exp(2j pi s), bit for bit, at each reading's stand-in s: reading t of a
+        path of c readings sits at start + t (end - start) / max(c - 1, 1). The
+        angles are summed an axis at a time in the phasors' imaginary part, with t
+        held in their real part until then, so no other (P, 2) array is made."""
+        counts, (start, end) = self.counts, self.endpoints.transpose(1, 0, 2)
         step = (end - start) / np.maximum(counts - 1, 1)[:, None]
-        t = np.arange(done, len(self.points)) - np.repeat(self.offsets[first:-1], counts)
-        return np.repeat(start, counts, axis=0) + t[:, None] * np.repeat(step, counts, axis=0)
-
-    def _cached(self, kind: str, count: int, locations) -> np.ndarray:
-        """The phasors of the first `count` locations of a kind. Those the cache
-        lacks, ``locations(done)`` on, are computed and their locations dropped."""
-        known = self.cache.get(kind, np.empty((0, 2), dtype=complex))
-        if len(known) < count:
-            new = 2j * np.pi * locations(len(known))
-            np.exp(new, out=new)
-            known = new if not len(known) else np.concatenate([known, new])
-            known.setflags(write=False)
-            self.cache[kind] = known
-        return known[:count]
+        phasors = np.zeros((len(self.points), 2), dtype=complex)
+        reading, angles = phasors.real[:, 0], phasors.imag
+        reading[:] = np.arange(len(reading))
+        reading -= np.repeat(self.offsets[:-1], counts)  # t
+        for axis in range(2):
+            np.multiply(reading, np.repeat(step[:, axis], counts), out=angles[:, axis])
+            angles[:, axis] += np.repeat(start[:, axis], counts)
+        reading[:] = 0.0
+        angles *= 2 * np.pi
+        return _exp(phasors)
 
     def head(self, m: int) -> "PathSet":
-        """The first m paths, views of this set's arrays that share its cache."""
+        """The first m paths, views of this set's arrays, whose whole set is this one's."""
         head = PathSet(self.points[:self.offsets[m]], self.offsets[:m + 1],
                        *(None if a is None else a[:m] for a in (self.endpoints, self.hives)))
-        object.__setattr__(head, "cache", self.cache)
+        object.__setattr__(head, "whole", self if self.whole is None else self.whole)
         return head
 
     @property
@@ -486,36 +493,35 @@ def _endpoint_pairs(m: int, rng: np.random.Generator, boundary: bool,
 
 @dataclass(eq=False)
 class Draw:
-    """The one value the cells of one curve and trial carry, each to the next,
-    larger one: the paths drawn so far, whole chunks end to end in one set,
-    keyed by the trial's entropy draw and the settings the generators and the
-    operator read; and `kept`, the `sensing.Kept` the last cell's operator left.
-    `generate_paths` extends the paths, so each chunk is drawn once, and
-    `sensing.build_matrix` continues the kept sums and leaves its own."""
+    """The one value the cells of one curve and trial carry, each to the next:
+    ``config``, the curve's largest cell; ``paths``, the first m of the trial's
+    draw at that m, which `generate_paths` draws whole at the first cell, from
+    the trial's ``entropy`` draw; and ``kept``, the `sensing.Kept` the last
+    cell's operator left, which `sensing.build_matrix` continues and replaces."""
 
-    key: tuple | None = None
+    config: SchemeConfig
     paths: PathSet | None = None
+    entropy: int | None = None
     kept: tuple | None = None
 
-    @staticmethod
-    def settings(config: SchemeConfig) -> tuple:
-        """The key's settings: the scheme, gamma, p and awareness of the config."""
-        return config.scheme, config.gamma, config.p, config.location_aware
+    def check(self, config: SchemeConfig, paths: PathSet | None = None) -> None:
+        """Refuse, with a ValueError, a cell this draw does not serve: a config
+        other than the draw's but for its seed and an m at most the draw's, or
+        paths that are not a head of the draw's set."""
+        if config.m > self.config.m or self.config != replace(config, m=self.config.m,
+                                                              seed=self.config.seed) \
+                or paths is not None and (self.paths is None or paths.whole is not self.paths):
+            raise ValueError("a Draw serves the cells of one trial and curve")
 
 
 def _joined(parts: list) -> PathSet:
-    """The sets end to end as one, sharing the first's cache."""
-    if len(parts) == 1:
-        return parts[0]
-
+    """The sets end to end as one set of its own arrays."""
     def cat(name):
         return None if getattr(parts[0], name) is None else np.concatenate(
             [getattr(part, name) for part in parts])
 
-    whole = PathSet(cat("points"), np.r_[0, np.cumsum(cat("counts"))], cat("endpoints"),
-                    cat("hives"))
-    object.__setattr__(whole, "cache", parts[0].cache)
-    return whole
+    return PathSet(cat("points"), np.r_[0, np.cumsum(cat("counts"))], cat("endpoints"),
+                   cat("hives"))
 
 
 def _chunk(config: SchemeConfig, rng: np.random.Generator, drawn: int) -> PathSet:
@@ -553,23 +559,24 @@ def generate_paths(config: SchemeConfig, rng: np.random.Generator | None = None,
     chunk c of CHUNK paths then comes from ``default_rng([entropy, c])``
     (`_chunk`), and the last chunk a cell needs is cut at m. So a cell's paths
     do not depend on its m beyond their count: they are the first m of any
-    larger cell's. A `draw` passed from the last cell of the same trial (same
-    entropy, scheme, gamma, p and awareness) keeps its chunks, and only new ones
-    are drawn.
+    larger cell's. A `draw` (by default one of this cell alone) must serve the
+    config (`Draw.check`) and, once drawn, the entropy; its first call draws
+    every chunk of the draw's config, and each call returns a head of that set.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
     entropy = int(rng.integers(2 ** 63))
-    draw = Draw() if draw is None else draw
-    key = (entropy, *Draw.settings(config))
-    if draw.paths is not None and draw.key != key:
+    draw = Draw(config) if draw is None else draw
+    draw.check(config)
+    if draw.paths is None:
+        parts = []
+        for c in range(-(-draw.config.m // CHUNK)):
+            drawn = sum(len(part.points) for part in parts)
+            parts.append(_chunk(draw.config, np.random.default_rng([entropy, c]), drawn))
+        parts[-1] = parts[-1].head(draw.config.m - CHUNK * (len(parts) - 1))
+        draw.paths, draw.entropy = _joined(parts), entropy
+    elif draw.entropy != entropy:
         raise ValueError("a Draw serves the cells of one trial and curve")
-    draw.key = key
-    parts = [] if draw.paths is None else [draw.paths]
-    for c in range(sum(map(len, parts)) // CHUNK, -(-config.m // CHUNK)):
-        drawn = sum(len(part.points) for part in parts)
-        parts.append(_chunk(config, np.random.default_rng([entropy, c]), drawn))
-    draw.paths = _joined(parts)
     return draw.paths.head(config.m)
 
 

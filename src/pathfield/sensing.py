@@ -21,10 +21,10 @@ a trial computes once per location and every pass reuses.
 
 Every sum over points or paths runs over blocks aligned to the first point or
 path, and mean rows are grouped within aligned blocks of PATH_BLOCK paths. So a
-cell whose paths begin with a smaller cell's (the cells of one curve and
-trial, which share one `paths.Draw` and so one row type) continues what the
-smaller cell's operator kept (`Draw.kept`) and adds only the rest, with the
-operator it would build from nothing, bit for bit.
+cell whose paths are a head of a larger set (the cells of one curve and trial,
+heads of one `paths.Draw`'s set, of one config and so one row type) continues
+what the last cell's operator kept (`Draw.kept`) and adds only the rest, with
+the operator it would build from nothing, bit for bit.
 
 The operator works in the field module's real coordinates, the tensor basis
 phi_i(x) phi_j(y): R = X Q for the complex phasor matrix X and the unitary Q
@@ -69,7 +69,6 @@ from .paths import ConfigurationError, Draw, PathSet, Scheme, SchemeConfig, POIN
 
 __all__ = [
     "Sensing",
-    "Kept",
     "build_matrix",
     "SingularSystemError",
     "measure",
@@ -238,23 +237,22 @@ def build_matrix(paths: PathSet, config: SchemeConfig, draw: Draw | None = None)
     one mean phasor row per path. Locations are the sample points, or their
     location-unaware stand-ins (`PathSet.stand_in_phasors`; `SchemeConfig`
     admits unaware configs only of `UNAWARE_SCHEMES`). ``draw`` is the
-    `paths.Draw` the paths were taken from: they must share its set's cache
-    and the config its key's settings, else a ValueError leaves the draw as it
-    was. Its ``kept``, what the last cell's operator left, is continued when
-    its blocks lie within these paths, and this operator's `Sensing.kept`
-    replaces it. Otherwise, or without a draw, the build starts from nothing.
+    `paths.Draw` the paths were taken from: it must serve the config and the
+    paths (`Draw.check`), else a ValueError leaves the draw as it was. Its
+    ``kept``, what the last cell's operator left, is continued when its blocks
+    lie within these paths, and this operator's `Sensing.kept` replaces it.
+    Otherwise, or without a draw, the build starts from nothing.
     """
     if not config.location_aware and config.scheme is Scheme.BEE_HIVE and paths.hives is None:
         raise ConfigurationError("bee-and-hive paths must carry their hive center")
-    draw = Draw() if draw is None else draw
-    if draw.paths is not None and (paths.cache is not draw.paths.cache
-                                   or draw.key[1:] != Draw.settings(config)):
-        raise ValueError("a Draw serves the cells of one trial and curve")
+    kept = Kept()
+    if draw is not None:
+        draw.check(config, paths)
+        # The build holds the kept value alone, so once copied the last cell's
+        # rows are freed before the new ones are made.
+        kept, draw.kept = draw.kept or kept, None
     phasors = paths.phasors if config.location_aware else paths.stand_in_phasors
     count = len(phasors) if config.point_rows else len(paths)
-    # The build holds the kept value alone, so once copied the last cell's rows
-    # are freed before the new ones are made.
-    kept, draw.kept = draw.kept or Kept(), None
     if max(kept.done, len(kept.rows)) > count:
         kept = Kept()
     if config.point_rows:
@@ -265,7 +263,8 @@ def build_matrix(paths: PathSet, config: SchemeConfig, draw: Draw | None = None)
             rows[:start], kept = kept.rows, Kept(kept.done, kept.total)
         _mean_rows(phasors, paths.offsets[start:], config.b, rows[start:])
         X = Sensing.from_rows(rows, kept)
-    draw.kept = X.kept
+    if draw is not None:
+        draw.kept = X.kept
     return X
 
 

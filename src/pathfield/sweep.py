@@ -4,13 +4,13 @@ Each sweep cell is one `SchemeConfig` (scheme, b, m, gamma and awareness, plus
 the spec's p and noise) and runs a number of trials: a random field and paths,
 then from `sensing` the sensing matrix, its condition number and, optionally,
 readings and a least-squares reconstruction. A curve is the cells that differ
-only in m. Trials are independent across iterations; in one iteration the
-cells of a curve share a seed hashed from the curve's key and the iteration,
-so they share the field and one draw of paths, of which each takes the first m
-(common random numbers). The unit of work is one (curve, iteration): its cells
-run in increasing m on one `paths.Draw`, each extending the last one's paths
-and what its operator kept to the result of its trial run alone. So results
-are independent of execution order and of the other cells in the sweep.
+only in m. Trials are independent across iterations; in one iteration the cells
+of a curve share a seed hashed from the curve's key and the iteration, so they
+share the field and one draw of paths, of which each takes the first m (common
+random numbers). The unit of work is one (curve, iteration): its cells run in
+increasing m on one `paths.Draw` of its largest cell, drawn whole by the first,
+and each extends the last one's kept sums to its trial's result alone. So
+results are independent of execution order and of the other cells in the sweep.
 """
 
 import csv
@@ -19,6 +19,7 @@ import io
 import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +87,7 @@ class SweepSpec:
     def curves(self) -> dict:
         """The cells grouped into curves along m: {(scheme, b, gamma, aware):
         cells sorted by m}, in order of each key's first appearance."""
-        return _curves(self.cells(), lambda c: (c.scheme, c.b, c.gamma, c.location_aware))
+        return _curves(self.cells(), CURVE)
 
     @classmethod
     def from_file(cls, path, overrides=()) -> "SweepSpec":
@@ -124,6 +125,9 @@ class SweepSpec:
             except ValueError as exc:
                 raise ConfigurationError(f"{where}: {exc}") from None
         return cls(**kwargs)
+
+
+CURVE = attrgetter("scheme", "b", "gamma", "location_aware")  # a sweep cell's curve key
 
 
 def _curves(cells, key) -> dict:
@@ -230,7 +234,7 @@ class SweepResult:
     def curves(self) -> dict:
         """The cells grouped into curves along m: {(scheme, b, gamma, aware):
         cells sorted by m}, in order of each key's first appearance."""
-        return _curves(self.cells, lambda c: (c.scheme, c.b, c.gamma, c.aware))
+        return _curves(self.cells, attrgetter("scheme", "b", "gamma", "aware"))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -307,12 +311,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run every cell of the spec; deterministic given spec.base_seed.
 
     Each (curve, iteration) runs its cells in increasing m on one `Draw`;
-    rows come out in `SweepSpec.cells` order. Numerically singular draws are
-    excluded from the averages and counted in the cell's `excluded` field; a
-    cell whose draws were all singular reports nan means.
+    rows come out in the order of `SweepSpec.cells`, built once. Numerically
+    singular draws are excluded from the averages and counted in the cell's
+    `excluded` field; a cell whose draws were all singular reports nan means.
     """
-    trials = {cell: [] for cell in spec.cells()}
-    for curve in spec.curves().values():
+    cells = spec.cells()
+    trials = {cell: [] for cell in cells}
+    for curve in _curves(cells, CURVE).values():
         for iteration in range(spec.iterations):
             for cell, outcome in zip(curve, _curve_trial(spec, curve, iteration)):
                 trials[cell].append(outcome)
@@ -322,7 +327,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 def _curve_trial(spec: SweepSpec, curve: list, iteration: int) -> list:
     """One (curve, iteration), from the spec and the curve's cells (sorted by m)
     alone: each cell's (condition number, rel error or nan), in curve order."""
-    draw = Draw()
+    draw = Draw(curve[-1])
     return [run_trial(replace(cell, seed=trial_seed(spec.base_seed, cell, iteration)),
                       spec.reconstruct, draw) for cell in curve]
 
@@ -351,19 +356,13 @@ def rank_schemes(result: SweepResult, m: int, gamma: float,
     """
     ranking = []
     for scheme in [s for s in Scheme if aware or s in UNAWARE_SCHEMES]:
-        matches = [
-            c for c in result.cells
-            if c.scheme is scheme and c.m == m and c.gamma == gamma
-            and c.aware == aware and (b is None or c.b == b)
-        ]
+        matches = [c for c in result.cells if c.scheme is scheme and c.m == m
+                   and c.gamma == gamma and c.aware == aware and (b is None or c.b == b)]
         if not matches:
-            raise ValueError(
-                f"no cell for scheme={scheme.value}, m={m}, gamma={gamma}, aware={aware}"
-            )
+            raise ValueError(f"no cell for scheme={scheme.value}, m={m}, gamma={gamma}, "
+                             f"aware={aware}")
         if len(matches) > 1:
-            raise ValueError(
-                f"ambiguous cell for scheme={scheme.value}; pass b= to disambiguate"
-            )
+            raise ValueError(f"ambiguous cell for scheme={scheme.value}; pass b= to disambiguate")
         ranking.append((scheme, matches[0].mean_cond))
     ranking.sort(key=lambda pair: (math.isnan(pair[1]), pair[1]))
     return ranking

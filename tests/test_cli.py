@@ -231,7 +231,7 @@ def test_random_walk_budget_counts_every_chunk_of_a_cell(tmp_path, capsys, monke
         generate_random_field(config.b, rng)
         return generate_paths(config, rng, draw)
 
-    draw = Draw()
+    draw = Draw(config)
     trial_paths(draw)
     per_chunk = np.diff(draw.paths.offsets[::CHUNK])
     total = int(per_chunk.sum())

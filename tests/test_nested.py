@@ -1,9 +1,10 @@
 """Nested m: the cells of one curve and trial share one draw of paths.
 
 A curve is the cells of a sweep that differ only in m. Within one iteration
-they share a trial seed, so a cell's paths are the first m of one draw, and
-each cell extends the operator sums the smaller cell before it left in the
-draw (`paths.Draw`, its paths and `kept`).
+they share a trial seed, so a cell's paths are the first m of one draw, made
+for the curve's largest cell and drawn whole at its first, and each cell
+extends the operator sums the smaller cell before it left in the draw
+(`paths.Draw`, its paths and `kept`).
 These tests pin what that must not change: a cell's row is the same whatever
 other m values the grid holds, and a nested cell's operator is bit for bit the
 one its trial builds alone. They also show what it buys and what it keeps:
@@ -90,18 +91,19 @@ def test_a_nested_cell_is_its_trial_built_alone(scheme, aware, b, ms):
     # points fill several BLOCKs of points; each nested operator is the one its
     # fresh trial builds, bit for bit, and so is its kappa. A draw handed a
     # smaller cell keeps blocks past its paths, and the build starts afresh.
-    draw = Draw()
+    largest = SchemeConfig(scheme=scheme, m=max(ms), b=b, gamma=0.05, location_aware=aware,
+                           seed=9)
+    draw = Draw(largest)
     for m in ms:
-        _nested_is_fresh(SchemeConfig(scheme=scheme, m=m, b=b, gamma=0.05,
-                                      location_aware=aware, seed=9), draw)
+        _nested_is_fresh(replace(largest, m=m), draw)
 
 
 def test_a_draw_refuses_a_switch_of_awareness():
     # Same seed, aware and then unaware: the unaware cell would continue the
     # true points' sums with stand-in blocks (kappa 1.2989, against 1.3070
     # built alone) if the draw served it.
-    draw = Draw()
     config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=200, b=1, seed=3)
+    draw = Draw(replace(config, m=300))
     _trial_operator(config, draw)
     with pytest.raises(ValueError, match="^a Draw serves the cells of one trial and curve$"):
         _trial_operator(replace(config, m=300, location_aware=False), draw)
@@ -113,8 +115,8 @@ def test_a_draw_refuses_an_operator_of_another_curve():
     # points' (kappa 1.454866, against 1.462229 built alone). The refusal comes
     # before the build takes the kept sums out of the draw, which still serves
     # its own curve.
-    draw = Draw()
     config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=200, b=1, seed=3)
+    draw = Draw(replace(config, m=300))
     build_matrix(generate_paths(config, draw=draw), config, draw)
     kept, larger = draw.kept, replace(config, m=300)
     paths = generate_paths(larger, draw=draw)
@@ -129,8 +131,8 @@ def test_a_draw_refuses_paths_it_did_not_make():
     # Seed 4's m = 600 paths handed the draw of seed 3's m = 300 cell: built on
     # its kept sums they would give kappa 7.5903, against 7.5939 built alone.
     # The refusal comes before the build takes the kept sums out of the draw.
-    draw = Draw()
     config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=300, b=3, gamma=0.05, seed=3)
+    draw = Draw(replace(config, m=600))
     _trial_operator(config, draw)
     kept, other = draw.kept, replace(config, m=600, seed=4)
     paths = _trial_operator(other, None)[0]
@@ -139,11 +141,30 @@ def test_a_draw_refuses_paths_it_did_not_make():
     assert draw.kept is kept and kept.done == 256 and len(kept.rows) == 256
 
 
+@pytest.mark.parametrize("drawn, other", [(600, dict(b=2, m=600)), (300, dict(m=600))],
+                         ids=["another-b", "a-larger-m"])
+def test_a_draw_refuses_a_cell_of_another_b_or_a_larger_m(drawn, other):
+    # Seed 3's line points at b = 1, m = 300, then on the same draw a b = 2
+    # cell, or an m past the draw's. The b = 2 cell would continue the b = 1
+    # sums (numpy failed broadcasting (5, 5) with (9, 9) once b was not in the
+    # draw's key); the larger m has no paths drawn. Both are refused, by the
+    # paths and by the build of the draw's own paths, and the kept sums stay.
+    config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_POINTS, m=300, b=1, seed=3)
+    draw = Draw(replace(config, m=drawn))
+    _trial_operator(config, draw)
+    kept, paths = draw.kept, draw.paths.head(config.m)
+    with pytest.raises(ValueError, match="^a Draw serves the cells of one trial and curve$"):
+        _trial_operator(replace(config, **other), draw)
+    with pytest.raises(ValueError, match="^a Draw serves the cells of one trial and curve$"):
+        build_matrix(paths, replace(config, **other), draw)
+    assert draw.kept is kept and len(draw.paths) == drawn
+
+
 def test_the_last_cells_rows_are_freed_before_the_next_cells_are_made(monkeypatch):
     # The draw keeps the m = 300 cell's rows for the m = 600 cell, whose build
     # copies them and lets them go before it computes its own.
-    draw = Draw()
     config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=300, seed=3)
+    draw = Draw(replace(config, m=600))
     X = _trial_operator(config, draw)[1]
     rows = weakref.ref(X.rows)
     del X
@@ -160,16 +181,21 @@ def test_the_last_cells_rows_are_freed_before_the_next_cells_are_made(monkeypatc
     assert freed == [True]
 
 
-def test_an_unaware_curve_peaks_below_90_bytes_per_reading():
+# Bytes per reading the unaware b = 10 line points curve below peaks at: 57.0
+# measured, plus 3 B (about 0.8 MB) for numpy's own buffers and versions.
+UNAWARE_PEAK = 60
+
+
+def test_an_unaware_curve_peaks_below_60_bytes_per_reading():
     # Unaware line points at b = 10, gamma = 0.02, one trial from 1.5n to 8n,
-    # condition only: the 8n cell has 267,291 readings. The draw keeps 16 B of
-    # points per reading and one 32 B phasor per stand-in, whose locations go
-    # once exponentiated; growing the phasors from 4n to 8n briefly holds the
-    # old and new parts beside the whole, 64 B per reading. It read 81.5 B.
+    # condition only: the 8n cell has 267,291 readings. Its first cell draws
+    # them all and computes their stand-in phasors at once, so the draw keeps
+    # 16 B of points and one 32 B phasor per reading; while the phasors are
+    # made, each reading's index and one axis of steps or starts take 8 B more.
     spec = SweepSpec(schemes=[Scheme.LINE_BOUNDARY_POINTS], b_values=[10], gamma_values=[0.02],
                      iterations=1, aware=[False], reconstruct=False)
     (curve,) = spec.curves().values()
-    draw = Draw()
+    draw = Draw(curve[-1])
     tracemalloc.start()
     try:
         for cell in curve:
@@ -177,9 +203,9 @@ def test_an_unaware_curve_peaks_below_90_bytes_per_reading():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    readings = len(draw.paths.head(curve[-1].m).points)
+    readings = len(draw.paths.points)
     assert [c.m for c in curve] == [662, 882, 1764, 3528] and readings == 267291
-    assert peak < 90 * readings
+    assert peak < UNAWARE_PEAK * readings
 
 
 # eigvalsh is backward stable: each computed eigenvalue of a symmetric G is
@@ -197,7 +223,7 @@ def test_lambda_min_does_not_fall_along_a_curve(scheme, aware):
                      iterations=4, aware=[aware], base_seed=2)
     (curve,) = spec.curves().values()
     for iteration in range(spec.iterations):
-        draw = Draw()
+        draw = Draw(curve[-1])
         spectra = [_trial_operator(replace(c, seed=trial_seed(2, c, iteration)), draw)[1].spectrum
                    for c in curve]
         for small, large in zip(spectra, spectra[1:]):
@@ -205,10 +231,11 @@ def test_lambda_min_does_not_fall_along_a_curve(scheme, aware):
 
 
 def _log_kappas(cells: list, seeds) -> dict:
-    """log kappa per cell over the trials of each seed, with one draw per trial."""
+    """log kappa per cell (sorted by m) over the trials of each seed, with one
+    draw per trial."""
     logs = {c.m: [] for c in cells}
     for seed in seeds:
-        draw = Draw()
+        draw = Draw(cells[-1])
         for c in cells:
             logs[c.m].append(math.log(run_trial(replace(c, seed=seed(c)), False, draw)[0]))
     return {m: np.array(v) for m, v in logs.items()}

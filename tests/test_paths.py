@@ -238,10 +238,9 @@ def test_random_walks_stop_once_their_phasors_pass_the_cell_budget(monkeypatch):
     # over the budget refuses the cell, naming the budget and the count, and a
     # budget that fits leaves the points as they are.
     config = SchemeConfig(scheme=Scheme.RANDOM_WALK, m=49, gamma=0.1, seed=1)
-    draw = Draw()
-    points = generate_paths(config, draw=draw).points
-    total = len(draw.paths.points)
-    assert len(draw.paths) == CHUNK and total > len(points)
+    points = generate_paths(config).points
+    total = len(generate_paths(replace(config, m=CHUNK)).points)  # the chunk's every walk
+    assert total > len(points)
     monkeypatch.setattr("pathfield.paths.CELL_BYTES", 32 * total - 1)
     with pytest.raises(ConfigurationError, match=f"reached {total} points, whose phasors need "
                                                  f"{32 * total} bytes, over the {32 * total - 1}-byte"):
@@ -508,10 +507,11 @@ def test_pathset_rejects_empty_or_non_finite_points():
 def test_a_cells_paths_are_the_first_m_of_its_trials_draw(scheme):
     # Chunk c of CHUNK paths comes from its own generator, so a smaller cell's
     # paths, endpoints and hives are the first of a larger cell's, across a
-    # chunk boundary too, and a Draw passed on extends them without a change.
+    # chunk boundary too, and the heads of the larger cell's Draw are the same.
+    # The draw keeps its m paths, not the whole last chunk.
     config = SchemeConfig(scheme=scheme, m=CHUNK + 40, b=1, gamma=0.1, p=7, seed=8)
     large = generate_paths(config)
-    draw = Draw()
+    draw = Draw(config)
     for m in (30, CHUNK, CHUNK + 40):
         for small in (generate_paths(replace(config, m=m)),
                       generate_paths(replace(config, m=m), draw=draw)):
@@ -522,16 +522,17 @@ def test_a_cells_paths_are_the_first_m_of_its_trials_draw(scheme):
                 mine, theirs = getattr(small, name), getattr(large, name)
                 assert (mine is None) == (theirs is None)
                 assert mine is None or mine.tobytes() == theirs[:m].tobytes()
-    assert len(draw.paths) == 2 * CHUNK
+    assert len(draw.paths) == CHUNK + 40
 
 
 def test_a_draw_serves_one_trial():
-    # A Draw keeps the chunks of one trial's paths: another seed, scheme or
-    # gamma would read chunks it did not draw.
+    # A Draw keeps the paths of one trial's largest cell: another seed, scheme,
+    # gamma or b would read paths it did not draw, and a larger m paths it has not.
     config = SchemeConfig(scheme=Scheme.LINE_INNER_AVG, m=10, seed=1)
-    draw = Draw()
+    draw = Draw(replace(config, m=20))
     generate_paths(config, draw=draw)
-    for change in (dict(seed=2), dict(scheme=Scheme.LINE_BOUNDARY_AVG), dict(gamma=0.1)):
+    for change in (dict(seed=2), dict(scheme=Scheme.LINE_BOUNDARY_AVG), dict(gamma=0.1),
+                   dict(b=4), dict(m=21)):
         with pytest.raises(ValueError, match="one trial"):
             generate_paths(replace(config, **change), draw=draw)
     generate_paths(replace(config, m=20), draw=draw)
@@ -551,14 +552,15 @@ def _counted_exp(monkeypatch) -> list:
 
 
 def test_cells_of_one_draw_exponentiate_each_point_once(monkeypatch):
-    # A cell's phasors are those of its draw's leading points, each computed
-    # when a cell first needs it: a larger cell, across a chunk boundary too,
-    # adds only its new points', and a smaller one none.
-    config = SchemeConfig(scheme=Scheme.DIRECTED_INNER, m=100, p=5, seed=3)
+    # A draw's paths are its largest cell's, cut from their last chunk. The
+    # first cell to read its phasors exponentiates exactly those points, later
+    # cells none, and the last chunk's other paths never: each cell's phasors
+    # are a head of the whole set's.
+    config = SchemeConfig(scheme=Scheme.DIRECTED_INNER, m=CHUNK + 1, p=5, seed=3)
     real_exp = np.exp
     exponentiated = _counted_exp(monkeypatch)
-    draw = Draw()
-    for m, new in ((100, 500), (CHUNK + 1, 5 * (CHUNK + 1) - 500), (50, 0)):
+    draw = Draw(config)
+    for m, new in ((100, 5 * (CHUNK + 1)), (CHUNK + 1, 0), (50, 0)):
         paths = generate_paths(replace(config, m=m), draw=draw)
         before = sum(exponentiated)
         phasors = paths.phasors
@@ -579,25 +581,25 @@ def _equispaced(paths: PathSet) -> np.ndarray:
 @pytest.mark.parametrize("scheme", [Scheme.LINE_INNER_AVG, Scheme.BEE_HIVE])
 def test_cells_of_one_draw_exponentiate_each_stand_in_once(monkeypatch, scheme):
     # The same for the locations an unaware reconstruction assumes, one per
-    # reading of a line or one hive per loop: a larger cell, across a chunk
-    # boundary too, adds only its new readings' or hives', and a smaller one
-    # none. Each cell's are those of its whole set, computed at once.
-    config = SchemeConfig(scheme=scheme, m=100, p=5, location_aware=False, seed=3)
+    # reading of a line or one hive per loop: the first cell to read them
+    # exponentiates exactly the largest cell's, later cells none. Each cell's
+    # are those of its own set, computed at once.
+    config = SchemeConfig(scheme=scheme, m=CHUNK + 1, p=5, location_aware=False, seed=3)
     real_exp = np.exp
     exponentiated = _counted_exp(monkeypatch)
-    draw, known = Draw(), 0
+    draw = Draw(config)
     for m in (100, CHUNK + 1, 50):
         paths = generate_paths(replace(config, m=m), draw=draw)
+        whole = draw.paths.hives if scheme is Scheme.BEE_HIVE else _equispaced(draw.paths)
         locations = paths.hives if scheme is Scheme.BEE_HIVE else _equispaced(paths)
         before = sum(exponentiated)
         phasors = paths.stand_in_phasors
-        assert sum(exponentiated) - before == 2 * max(len(locations) - known, 0)
-        known = max(known, len(locations))
+        assert sum(exponentiated) - before == (2 * len(whole) if m == 100 else 0)
         assert phasors.tobytes() == real_exp(2j * np.pi * locations).tobytes()
         assert not phasors.flags.writeable
-    assert m == 50 and known > len(locations)
+    assert len(whole) > len(locations)
     with pytest.raises(TypeError):
-        PathSet(paths.points, paths.offsets, cache={})
+        PathSet(paths.points, paths.offsets, whole=draw.paths)
 
 
 def test_pathset_arrays_are_read_only_and_its_phasors_cached():

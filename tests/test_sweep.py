@@ -603,8 +603,9 @@ def test_trial_takes_one_exponential_per_coordinate(monkeypatch, scheme, aware, 
     # Every table of a trial is built from exp(j 2 pi x) and exp(j 2 pi y) of
     # its P sample points, each computed once for the build, the readings and
     # the solve; an unaware build adds those of its L stand-in locations. The
-    # cells of one curve and trial share them, so a curve takes only those of
-    # its largest cell.
+    # cells of one curve and trial are heads of one draw of its largest cell,
+    # so the first cell takes those of the largest cell's P and L, and the
+    # later cells none.
     if curve:
         spec = SweepSpec(schemes=[scheme], b_values=[3], m_multiples=[1.5, 2.0, 8.0],
                          iterations=1, noise_sigma=0.01, aware=[aware])
@@ -629,11 +630,12 @@ def test_trial_takes_one_exponential_per_coordinate(monkeypatch, scheme, aware, 
         return real_exp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", exp)
-    draw = Draw()
+    draw, taken = Draw(config), []
     for cell in cells:
         cond, rel_err = run_trial(cell, True, draw)
         assert math.isfinite(cond) and math.isfinite(rel_err)
-    assert sum(exponentiated) == 2 * points + 2 * stand_ins
+        taken.append(sum(exponentiated) - sum(taken))
+    assert taken == [2 * points + 2 * stand_ins] + [0] * (len(cells) - 1)
 
 
 @pytest.mark.parametrize("reconstruct", [True, False])
