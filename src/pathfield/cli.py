@@ -77,11 +77,11 @@ def cmd_sweep(args) -> int:
         print(f"{c.scheme.value:>22} {c.b:>3} {c.m:>6} {c.gamma:>8g} "
               f"{str(c.aware).lower():>6} {c.mean_cond:>12.4g} {c.std_cond:>12.4g} "
               f"{c.mean_rel_err:>12.4g} {c.excluded:>5}")
-    for cell, c in zip(spec.cells(), result.cells):
+    for c in result.cells:
         if c.excluded:
             what = ("had only singular draws" if c.excluded == spec.iterations
                     else f"excluded {c.excluded} singular draw(s)")
-            print(f"warning: {cell} {what}", file=sys.stderr)
+            print(f"warning: {c} {what}", file=sys.stderr)
     print(f"wrote {out / SWEEP_CSV}")
     return 0
 

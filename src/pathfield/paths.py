@@ -280,9 +280,7 @@ class SchemeConfig:
                 f"{', '.join(s.value for s in Scheme if s in UNAWARE_SCHEMES)}")
 
     def __str__(self) -> str:
-        """The label messages give a sweep cell: scheme, b, m, gamma and, if set, unawareness."""
-        return (f"cell ({self.scheme.value}, b={self.b}, m={self.m}, gamma={self.gamma:g}"
-                f"{'' if self.location_aware else ', unaware'})")
+        return cell_label(self.scheme, self.b, self.m, self.gamma, self.location_aware)
 
     @property
     def n(self) -> int:
@@ -295,6 +293,11 @@ class SchemeConfig:
         location per path is its hive."""
         return self.scheme in POINT_SCHEMES or (self.scheme is Scheme.BEE_HIVE
                                                 and not self.location_aware)
+
+
+def cell_label(scheme: Scheme, b: int, m: int, gamma: float, aware: bool) -> str:
+    """The label messages give a sweep cell: scheme, b, m, gamma and, if set, unawareness."""
+    return f"cell ({scheme.value}, b={b}, m={m}, gamma={gamma:g}{'' if aware else ', unaware'})"
 
 
 # SchemeConfig field -> (the test its value must pass, the message if it fails).

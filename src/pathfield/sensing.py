@@ -19,12 +19,13 @@ tables are real, [1, cos, sin] 2 pi k t (`cos_sin`, both axes in one call),
 made from the locations' phasors exp(j 2 pi (x, y)) (`PathSet.phasors`), which
 a trial computes once per location and every pass reuses.
 
-Every sum over points or paths runs over blocks aligned to the first point or
-path, and mean rows are grouped within aligned blocks of PATH_BLOCK paths. So a
-cell whose paths are a head of a larger set (the cells of one curve and trial,
-heads of one `paths.Draw`'s set, of one config and so one row type) continues
-what the last cell's operator kept (`Draw.kept`) and adds only the rest, with
-the operator it would build from nothing, bit for bit.
+A path's mean row depends on its own points alone: `_mean_rows` batches paths
+of one exact length, so no table is padded. So the first cell of a curve and
+trial (heads of one `paths.Draw`'s set, of one config and so one row type)
+makes the mean rows of the draw's whole set once, and each cell's rows are the
+first m of them. Every sum over points or rows runs over blocks aligned to the
+first, so a cell continues what the last cell's operator kept (`Draw.kept`) and
+adds only the rest, with the operator it would build from nothing, bit for bit.
 
 The operator works in the field module's real coordinates, the tensor basis
 phi_i(x) phi_j(y): R = X Q for the complex phasor matrix X and the unitary Q
@@ -32,8 +33,8 @@ of ``BandlimitedField.coordinates``, so R has X's singular values and
 ||c - Q* a|| = ||Q c - a||; kappa and the score mean what they mean in complex
 coordinates, while the Gram, its eigensolve and the solves are real. A point
 row is t_x^T t_y, raveled and scaled by `weights` W, so a kernel product is
-already in real coordinates: a mean row (`_mean_rows`, in groups of paths of
-similar length) and R^T r are the product reshaped and scaled by W, and R a at
+already in real coordinates: a mean row (`_mean_rows`, in batches of paths of
+one length) and R^T r are the product reshaped and scaled by W, and R a at
 each point is t_x (W * a) t_y^T (`real_sum`), as `measure` evaluates the field.
 The point Gram sums the kernel at bandwidth 2b and maps that product P back
 through the product-to-sum identities A (`product_map`): A P A^T with its
@@ -77,16 +78,14 @@ __all__ = [
 ]
 
 # Points per block of per-axis tables: a block's bandwidth-2b tables at b = 10
-# take 0.7 MB per axis, however many points a trial has. A mean-row group's
-# tables, zero padding included, span at most BLOCK points too.
+# take 0.7 MB per axis, however many points a trial has. A batch of mean rows
+# spans at most BLOCK points too.
 BLOCK = 2048
 
-# A path's mean row depends on the paths it is grouped with, whose padded
-# length sets the batched product's sums, so groups never cross a block of
-# PATH_BLOCK paths aligned to the first; R^T R sums ROW_BLOCK rows at a time.
-# Measured on a curve's four cells (1.5n to 8n): smaller path blocks recompute
-# fewer rows per cell, and Gram blocks below 256 rows slowed b = 10.
-PATH_BLOCK = 64
+# R^T R sums ROW_BLOCK rows at a time (blocks below 256 rows slowed b = 10), and
+# a batch of mean rows has at most ROW_BLOCK paths, which keeps its sums near
+# the size of a Gram block: without that cap, up to 1024 two-point walks share
+# one batch and b = 10 random walks peaked at 1.6 times their rows, not 1.2.
 ROW_BLOCK = 256
 
 # A matrix whose sigma_min/sigma_max falls below this is numerically
@@ -110,55 +109,52 @@ def blocks(count: int, block: int = BLOCK, start: int = 0):
     return (slice(lo, min(lo + block, count)) for lo in range(start, count, block))
 
 
-def _mean_rows(phasors: np.ndarray, offsets: np.ndarray, b: int, rows: np.ndarray) -> None:
-    """Fill ``rows`` with one mean row per path in real coordinates: t_x^T t_y
-    summed over the path's points, scaled by W and divided by their count, one
-    batched product per group of length-sorted paths of one PATH_BLOCK (counted
-    from the first path) whose tables, zero-padded to the longest, span at most
-    BLOCK points. A path longer than BLOCK is a group of its own, summed BLOCK
-    points at a time. ``offsets`` index ``phasors``; they may start past 0."""
+def _mean_rows(phasors: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
+    """One mean row per path in real coordinates: t_x^T t_y summed over the
+    path's points, scaled by W and divided by their count. Paths are
+    stable-sorted by length, and each batched product takes paths of one
+    length, at most BLOCK points and ROW_BLOCK paths; a path longer than BLOCK
+    is summed alone, BLOCK points at a time. So a row depends on its own path
+    alone, whatever paths are built with it."""
     counts = np.diff(offsets)
-    order = np.lexsort((counts, np.arange(len(counts)) // PATH_BLOCK))  # stable
+    order = np.argsort(counts, kind="stable")
     length, W = counts[order], weights(b).ravel()
+    rows = np.empty((len(counts), W.size))
     lo = 0
     while lo < len(order):
-        # Paths lo..hi-1 of lo's block, padded to path hi-1's length, fill at
-        # most BLOCK points.
-        run = length[lo:min(lo + BLOCK, (lo // PATH_BLOCK + 1) * PATH_BLOCK)]
-        hi = lo + max(1, int(np.searchsorted(run * np.arange(1, len(run) + 1), BLOCK, "right")))
-        paths, longest = order[lo:hi], length[hi - 1]
-        sums = 0.0
-        for start in range(0, longest, BLOCK):
-            index = offsets[paths, None] + np.arange(start, min(start + BLOCK, longest))
-            padding = index >= offsets[paths + 1, None]  # read (clipped to P), then zeroed
-            u = np.take(phasors, index, axis=0, mode="clip")  # (paths, L, 2)
-            tx, ty = cos_sin(np.moveaxis(u, -1, 0), b)
-            tx[padding] = 0.0
+        L = length[lo]
+        hi = min(lo + max(1, min(ROW_BLOCK, BLOCK // L)), np.searchsorted(length, L, "right"))
+        paths, sums = order[lo:hi], 0.0
+        for start in range(0, L, BLOCK):
+            index = offsets[paths, None] + np.arange(start, min(start + BLOCK, L))
+            tx, ty = cos_sin(phasors.T[:, index], b)  # (paths, points, 2b+1) each
             sums = sums + tx.transpose(0, 2, 1) @ ty
-        rows[paths] = sums.reshape(len(paths), -1) * W / length[lo:hi, None]
+        rows[paths] = sums.reshape(len(paths), -1) * W / L
         lo = hi
+    return rows
 
 
 class Kept(NamedTuple):
     """What a cell's operator leaves a larger cell of its curve and trial: the
     sum over its whole blocks (BLOCK points or ROW_BLOCK rows), the count
-    `done` they cover and the mean rows of its whole PATH_BLOCKs."""
+    `done` they cover and, for mean rows, the rows of the draw's whole set,
+    whose first m are a cell's."""
 
     done: int = 0
     total: np.ndarray | float = 0.0
-    rows: np.ndarray = np.empty((0, 0))
+    rows: np.ndarray | None = None
 
 
 def _summed(count: int, block: int, term, kept: Kept) -> tuple:
     """term(s) summed over slices s of `block` indices from 0 up to count, in
     order, continuing kept's sum of the first kept.done; and a Kept with the
-    sum after the last whole block."""
+    sum after the last whole block and kept's rows."""
     total, done, whole = kept.total, kept.done, kept.total
     for s in blocks(count, block, kept.done):
         total = total + term(s)
         if s.stop - s.start == block:
             done, whole = s.stop, total
-    return total, Kept(done, whole)
+    return total, kept._replace(done=done, total=whole)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,13 +199,12 @@ class Sensing:
     def from_rows(cls, rows, kept: Kept | None = None) -> "Sensing":
         """A dense real (m, n) matrix, such as one mean row per path, taken as R;
         its Gram is summed ROW_BLOCK rows at a time. ``kept`` holds the Gram of
-        a prefix of these rows and their first whole PATH_BLOCKs."""
+        a prefix of these rows, and is passed on with its sum extended."""
         if np.iscomplexobj(rows):
             raise TypeError("sensing rows must be real coordinates")
         rows = np.asarray(rows, dtype=float)
-        m = len(rows)
-        gram, kept = _summed(m, ROW_BLOCK, lambda s: rows[s].T @ rows[s], kept or Kept())
-        return cls(gram, rows.shape, kept._replace(rows=rows[:m - m % PATH_BLOCK]), rows=rows)
+        gram, kept = _summed(len(rows), ROW_BLOCK, lambda s: rows[s].T @ rows[s], kept or Kept())
+        return cls(gram, rows.shape, kept, rows=rows)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -241,28 +236,26 @@ def build_matrix(paths: PathSet, config: SchemeConfig, draw: Draw | None = None)
     paths (`Draw.check`), else a ValueError leaves the draw as it was. Its
     ``kept``, what the last cell's operator left, is continued when its blocks
     lie within these paths, and this operator's `Sensing.kept` replaces it.
-    Otherwise, or without a draw, the build starts from nothing.
+    Mean rows are made once, by the draw's first cell, for the draw's whole
+    set, and each cell's are the first m of them. Without a draw, the build
+    starts from nothing and makes the rows of its own paths.
     """
     if not config.location_aware and config.scheme is Scheme.BEE_HIVE and paths.hives is None:
         raise ConfigurationError("bee-and-hive paths must carry their hive center")
     kept = Kept()
     if draw is not None:
         draw.check(config, paths)
-        # The build holds the kept value alone, so once copied the last cell's
-        # rows are freed before the new ones are made.
-        kept, draw.kept = draw.kept or kept, None
-    phasors = paths.phasors if config.location_aware else paths.stand_in_phasors
-    count = len(phasors) if config.point_rows else len(paths)
-    if max(kept.done, len(kept.rows)) > count:
-        kept = Kept()
+        kept = draw.kept or kept
     if config.point_rows:
-        X = Sensing.from_phasors(phasors, config.b, kept)
+        phasors = paths.phasors if config.location_aware else paths.stand_in_phasors
+        X = Sensing.from_phasors(phasors, config.b, kept if kept.done <= len(phasors) else Kept())
     else:
-        rows, start = np.empty((len(paths), config.n)), len(kept.rows)
-        if start:
-            rows[:start], kept = kept.rows, Kept(kept.done, kept.total)
-        _mean_rows(phasors, paths.offsets[start:], config.b, rows[start:])
-        X = Sensing.from_rows(rows, kept)
+        if kept.rows is None:
+            whole = paths if draw is None else draw.paths
+            phasors = whole.phasors if config.location_aware else whole.stand_in_phasors
+            kept = kept._replace(rows=_mean_rows(phasors, whole.offsets, config.b))
+        kept = kept if kept.done <= len(paths) else Kept(rows=kept.rows)
+        X = Sensing.from_rows(kept.rows[:len(paths)], kept)
     if draw is not None:
         draw.kept = X.kept
     return X

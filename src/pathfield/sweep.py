@@ -26,7 +26,7 @@ import numpy as np
 
 from .field import generate_random_field
 from .paths import (CHECKS, ConfigurationError, Draw, Scheme, SchemeConfig, UNAWARE_SCHEMES,
-                    _flag, _integer, _real, _scheme, check_cell_bytes, generate_paths)
+                    _flag, _integer, _real, _scheme, cell_label, check_cell_bytes, generate_paths)
 from .sensing import build_matrix, condition_number, measure, reconstruct_and_score
 
 __all__ = [
@@ -217,6 +217,9 @@ class CellResult:
     std_cond: float
     mean_rel_err: float
     excluded: int
+
+    def __str__(self) -> str:
+        return cell_label(self.scheme, self.b, self.m, self.gamma, self.aware)
 
 
 # The one schema of a sweep result: the CSV columns are CellResult's fields in

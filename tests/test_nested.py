@@ -14,7 +14,6 @@ kappa is that of independent draws.
 
 import math
 import tracemalloc
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -87,7 +86,7 @@ def _nested_is_fresh(config: SchemeConfig, draw: Draw):
                                    (2, [300, 100, 300, 70])],
                          ids=["b2", "b3", "b2-smaller"])
 def test_a_nested_cell_is_its_trial_built_alone(scheme, aware, b, ms):
-    # The m cross PATH_BLOCK, ROW_BLOCK and CHUNK boundaries, and b = 3 line
+    # The m cross ROW_BLOCK and CHUNK boundaries, and b = 3 line
     # points fill several BLOCKs of points; each nested operator is the one its
     # fresh trial builds, bit for bit, and so is its kappa. A draw handed a
     # smaller cell keeps blocks past its paths, and the build starts afresh.
@@ -129,8 +128,9 @@ def test_a_draw_refuses_an_operator_of_another_curve():
 
 def test_a_draw_refuses_paths_it_did_not_make():
     # Seed 4's m = 600 paths handed the draw of seed 3's m = 300 cell: built on
-    # its kept sums they would give kappa 7.5903, against 7.5939 built alone.
-    # The refusal comes before the build takes the kept sums out of the draw.
+    # its kept sums and rows, the rows of seed 3's 600 paths, they would give
+    # kappa 7.3990, against 7.5939 built alone. The refusal comes before the
+    # build reads the draw, whose kept value stays as it was.
     config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=300, b=3, gamma=0.05, seed=3)
     draw = Draw(replace(config, m=600))
     _trial_operator(config, draw)
@@ -138,7 +138,7 @@ def test_a_draw_refuses_paths_it_did_not_make():
     paths = _trial_operator(other, None)[0]
     with pytest.raises(ValueError, match="^a Draw serves the cells of one trial and curve$"):
         build_matrix(paths, other, draw)
-    assert draw.kept is kept and kept.done == 256 and len(kept.rows) == 256
+    assert draw.kept is kept and kept.done == 256 and len(kept.rows) == 600
 
 
 @pytest.mark.parametrize("drawn, other", [(600, dict(b=2, m=600)), (300, dict(m=600))],
@@ -160,25 +160,29 @@ def test_a_draw_refuses_a_cell_of_another_b_or_a_larger_m(drawn, other):
     assert draw.kept is kept and len(draw.paths) == drawn
 
 
-def test_the_last_cells_rows_are_freed_before_the_next_cells_are_made(monkeypatch):
-    # The draw keeps the m = 300 cell's rows for the m = 600 cell, whose build
-    # copies them and lets them go before it computes its own.
-    config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=300, seed=3)
+@pytest.mark.parametrize("aware", [True, False], ids=["aware", "unaware"])
+def test_a_curve_trial_makes_its_mean_rows_once(monkeypatch, aware):
+    # The draw's first cell (m = 300) makes the mean rows of the draw's whole
+    # set (m = 600), at the points or their stand-ins, and every cell's rows
+    # are its first m, in the same memory.
+    config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=300, seed=3, location_aware=aware)
     draw = Draw(replace(config, m=600))
-    X = _trial_operator(config, draw)[1]
-    rows = weakref.ref(X.rows)
-    del X
-    assert rows() is not None
-    freed = []
+    made = []
     real = sensing._mean_rows
 
     def mean_rows(*args):
-        freed.append(rows() is None)
-        real(*args)
+        made.append(real(*args))
+        return made[-1]
 
     monkeypatch.setattr(sensing, "_mean_rows", mean_rows)
-    _trial_operator(replace(config, m=600), draw)
-    assert freed == [True]
+    cells = [_trial_operator(config, draw)[1]]
+    (rows,) = made
+    assert rows.shape == (600, config.n)
+    cells += [_trial_operator(replace(config, m=m), draw)[1] for m in (450, 600)]
+    assert len(made) == 1
+    for X, m in zip(cells, (300, 450, 600)):
+        assert X.rows.shape == (m, config.n) and np.shares_memory(X.rows, rows)
+        assert X.rows.tobytes() == rows[:m].tobytes()
 
 
 # Bytes per reading the unaware b = 10 line points curve below peaks at: 57.0

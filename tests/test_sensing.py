@@ -21,6 +21,9 @@ from real_basis import (complex_rows, dense_matrix, harmonics, point_rows, power
                         real_rows)
 
 EPS = np.finfo(float).eps
+MEAN_ROW_CASES = [(s, aware) for s in Scheme for aware in (True, False)
+                  if (aware or s in UNAWARE_SCHEMES)
+                  and not SchemeConfig(scheme=s, m=1, location_aware=aware).point_rows]
 
 
 def averaged_matrix(points, b):
@@ -393,8 +396,7 @@ def test_point_gram_does_not_depend_on_the_block_size(monkeypatch, b):
 
 @pytest.mark.parametrize("block", [48, sensing.BLOCK])
 def test_blocked_mean_rows_match_per_path_means(monkeypatch, block):
-    # With a 48-point block, two 21-point walks share a group and the shorter
-    # line paths are zero-padded to their group's longest; every path over 48
+    # With a 48-point block, two 21-point walks share a batch; every path over 48
     # points (up to 709 in the first case, 281 lines in the second) is cut
     # into 48-point pieces that add into its row. The second case, m = 8n at
     # gamma = 0.02, has a 2632-point walk, which the default block also cuts,
@@ -408,6 +410,25 @@ def test_blocked_mean_rows_match_per_path_means(monkeypatch, block):
             for row, path in zip(X, paths):
                 want = point_rows(path.points, 3, power_table).mean(axis=0)
                 assert np.abs(row - want).max() <= 4 * EPS
+
+
+@pytest.mark.parametrize("block", [48, sensing.BLOCK])
+@pytest.mark.parametrize("scheme, aware", MEAN_ROW_CASES,
+                         ids=[f"{s.value}-{'aware' if a else 'unaware'}" for s, a in MEAN_ROW_CASES])
+def test_a_paths_mean_row_depends_on_its_own_points_alone(monkeypatch, scheme, aware, block):
+    # b = 3, m = 8n at gamma = 0.02: walks run up to 2632 points, past the
+    # default block, and lines past the 48-point one. Each head's rows, built
+    # alone, are the whole set's first m rows byte for byte, though its paths
+    # are batched with others than in the whole set.
+    monkeypatch.setattr(sensing, "BLOCK", block)
+    config = SchemeConfig(scheme=scheme, m=392, b=3, gamma=0.02, p=21, location_aware=aware,
+                          seed=83)
+    paths = generate_paths(config)
+    rows = build_matrix(paths, config).rows
+    assert scheme is not Scheme.RANDOM_WALK or max(paths.counts) > block
+    for m in (1, 49, 74, 300):
+        alone = build_matrix(paths.head(m), replace(config, m=m)).rows
+        assert alone.tobytes() == rows[:m].tobytes()
 
 
 def test_mean_rows_of_a_long_path_stay_within_a_few_block_tables():
@@ -428,19 +449,34 @@ def test_mean_rows_of_a_long_path_stay_within_a_few_block_tables():
     assert peak < 4 * (2 * sensing.BLOCK * 21 * 8)
 
 
-def test_mean_rows_peak_below_twice_the_rows():
-    # b = 10, m = 8n: the 3528 x 441 rows take 12.4 MB. Each group of paths
-    # adds its real coordinates into its own rows, so the peak stays near the
-    # rows themselves (1.3 times here; 3.1 when the sums were complex halves).
-    config = SchemeConfig(scheme=Scheme.LINE_BOUNDARY_AVG, m=8 * 441, b=10, gamma=0.05, seed=85)
+def _mean_rows_peak(scheme: Scheme) -> float:
+    """The traced peak of one b = 10, m = 8n draw's mean rows, as a share of
+    the 3528 x 441 rows (12.4 MB)."""
+    config = SchemeConfig(scheme=scheme, m=8 * 441, b=10, gamma=0.05, seed=85)
     paths = generate_paths(config)
     phasors = paths.phasors
     tracemalloc.start()
     try:
-        rows = np.empty((len(paths), config.n))
-        sensing._mean_rows(phasors, paths.offsets, config.b, rows)
+        rows = sensing._mean_rows(phasors, paths.offsets, config.b)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rows.shape == (8 * 441, 441)
-    assert peak < 2 * rows.nbytes
+    return peak / rows.nbytes
+
+
+def test_mean_rows_peak_below_twice_the_rows():
+    # Each batch of paths adds its real coordinates into its own rows, so the
+    # peak stays near the rows themselves (1.14 times here; 3.1 when the sums
+    # were complex halves).
+    assert _mean_rows_peak(Scheme.LINE_BOUNDARY_AVG) < 2
+
+
+# The most a random-walk draw's mean rows may peak at, as a share of the rows:
+# 1.19 measured (1.61 before a batch held at most ROW_BLOCK paths, when 957
+# two-point walks shared one), plus 0.11 (about 1.4 MB) for numpy's buffers.
+WALK_ROWS_PEAK = 1.3
+
+
+def test_random_walk_mean_rows_peak_below_1_3_times_the_rows():
+    assert _mean_rows_peak(Scheme.RANDOM_WALK) < WALK_ROWS_PEAK

@@ -445,6 +445,15 @@ def test_result_csv_schema_is_cell_result():
         [Scheme, int, int, float, bool, float, float, float, int]
 
 
+def test_a_result_row_is_labelled_as_its_cell():
+    # Messages label a cell and its result row with one text, str(cell).
+    spec = quick_spec(schemes=[Scheme.LINE_BOUNDARY_AVG, Scheme.BEE_HIVE], gamma_values=[0.5],
+                      m_multiples=[1.5, 2.0], aware=[True, False], reconstruct=False)
+    result = run_sweep(spec)
+    assert [str(c) for c in result.cells] == [str(cell) for cell in spec.cells()]
+    assert str(result.cells[-1]) == "cell (bee_hive, b=1, m=18, gamma=0.5, unaware)"
+
+
 def test_curves_group_by_key_in_order_of_appearance_sorted_by_m():
     def cell(scheme, m, aware=True, b=1, gamma=0.05):
         return CellResult(scheme=scheme, b=b, m=m, gamma=gamma, aware=aware,
